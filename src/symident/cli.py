@@ -21,7 +21,7 @@ import os
 import sys
 
 from . import identities, sequences
-from .cyclotomic import discriminant_square_check
+from .cyclotomic import _is_prime, discriminant_square_check
 from .identities import VerifyMode
 
 
@@ -279,7 +279,7 @@ def suite_roots(rs, n_mult=6):
     import time
 
     from .cyclotomic import as_integer, doubled_roots_vector
-    from .symfun import complete_prefix, elementary_prefix, power
+    from .symfun import complete_prefix, elementary_prefix, power_prefix
 
     out = []
     for r in rs:
@@ -307,9 +307,10 @@ def suite_roots(rs, n_mult=6):
 
         t0 = time.perf_counter()
         fails = []
+        ps = power_prefix(top, doubled)
         for n in range(1, top + 1):
             want = (-1 if n % 2 else 1) * (-1 + p * (1 if n % p == 0 else 0))
-            if as_integer(power(n, doubled)) != want:
+            if as_integer(ps[n - 1]) != want:
                 fails.append("p n=%d" % n)
         out.append(identities._report("roots_p", {"r": r, "n_max": top}, fails, t0))
 
@@ -328,7 +329,7 @@ def suite_discriminant(rs):
     import time
     out = []
     for r in rs:
-        if not sequences._is_prime(2 * r + 1):
+        if not _is_prime(2 * r + 1):
             continue
         t0 = time.perf_counter()
         ok = discriminant_square_check(r)
@@ -427,6 +428,12 @@ VERIFY_SUITES = ("first-kind", "second-kind", "genfun-transfer", "series",
                  "consistency", "tables")
 
 
+def _given(value, default):
+    """An option's value, or its default when it was not given; an explicit
+    0 is kept."""
+    return default if value is None else value
+
+
 def cmd_verify(args) -> int:
     rs = parse_range(args.r, "r") if args.r else None
     mode = _mode_from(args)
@@ -436,14 +443,14 @@ def cmd_verify(args) -> int:
     elif suite == "second-kind":
         reports = suite_second_kind(rs or (1, 2, 3), args.n_max, _families(args), mode)
     elif suite == "genfun-transfer":
-        reports = [identities.genfun_transfer_check(r, args.order or 2 * r + 4)
+        reports = [identities.genfun_transfer_check(r, _given(args.order, 2 * r + 4))
                    for r in rs or (1, 2, 3)]
     elif suite == "series":
-        reports = suite_series(args.order or 30, args.alpha_max)
+        reports = suite_series(_given(args.order, 30), args.alpha_max)
     elif suite == "principal":
-        reports = suite_principal(rs or (1, 2, 3, 4), args.n_max or 10)
+        reports = suite_principal(rs or (1, 2, 3, 4), _given(args.n_max, 10))
     elif suite == "principal-combined":
-        reports = [identities.principal_combination_check(r, args.bound or 10)
+        reports = [identities.principal_combination_check(r, _given(args.bound, 10))
                    for r in rs or (1, 2, 3, 4)]
     elif suite == "binomial-unit":
         reports = [identities.unit_binomial_sum_check(r) for r in rs or range(1, 9)]
@@ -452,13 +459,13 @@ def cmd_verify(args) -> int:
     elif suite == "discriminant":
         reports = suite_discriminant(rs or (1, 2, 3, 5, 6))
     elif suite == "cross-oracle":
-        reports = suite_cross_oracle(rs or range(1, 9), args.n_max or 60)
+        reports = suite_cross_oracle(rs or range(1, 9), _given(args.n_max, 60))
     elif suite == "inversion":
-        reports = suite_inversion(rs or range(1, 9), args.n_max or 60)
+        reports = suite_inversion(rs or range(1, 9), _given(args.n_max, 60))
     elif suite == "fibonacci-sums":
-        reports = [sequences.fibonacci_sums_check(args.bound or 60)]
+        reports = [sequences.fibonacci_sums_check(_given(args.bound, 60))]
     elif suite == "lucas-sums":
-        reports = [sequences.lucas_sums_check(args.bound or 60)]
+        reports = [sequences.lucas_sums_check(_given(args.bound, 60))]
     elif suite == "congruence":
         if args.q is None:
             pairs = DEFAULT_CONGRUENCE_PAIRS
@@ -467,22 +474,22 @@ def cmd_verify(args) -> int:
                 raise UsageError("congruence with --q needs a single --r")
             pairs = [(rs[0], args.q)]
         try:
-            reports = suite_congruence(pairs, args.n_max or 200, args.k_max)
+            reports = suite_congruence(pairs, _given(args.n_max, 200), args.k_max)
         except ValueError as exc:
             raise UsageError(str(exc))
     elif suite == "determinants":
-        reports = [sequences.determinant_formulas_check(r, args.n_max or 8)
+        reports = [sequences.determinant_formulas_check(r, _given(args.n_max, 8))
                    for r in rs or (1, 2, 3)]
     elif suite == "genfun-sequences":
-        reports = [sequences.sequence_genfun_check(r, args.order or 30)
+        reports = [sequences.sequence_genfun_check(r, _given(args.order, 30))
                    for r in rs or (1, 2, 3, 4, 5, 6)]
     elif suite == "partition-relations":
-        reports = [sequences.partition_relations_check(r, args.n_max or 12)
+        reports = [sequences.partition_relations_check(r, _given(args.n_max, 12))
                    for r in rs or (1, 2, 3)]
     elif suite == "initial-block":
         reports = [sequences.initial_block_check(r) for r in rs or range(1, 9)]
     elif suite == "consistency":
-        reports = [identities.composition_consistency_check(r, args.m_max or 6)
+        reports = [identities.composition_consistency_check(r, _given(args.m_max, 6))
                    for r in rs or (1, 2)]
     elif suite == "tables":
         reports = suite_tables()

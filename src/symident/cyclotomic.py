@@ -4,6 +4,13 @@ points built from it.
 Working modulo the cyclotomic polynomial (rather than x^m - 1) keeps the
 ring an integral domain, so "this element is a rational integer" is
 decidable by looking at the coordinates.
+
+Products use Kronecker substitution: each coordinate vector is packed into
+one signed Python int with slots wide enough that no coefficient of the
+product can overflow its slot, so the whole convolution is a single
+big-int multiply.  The unpacked product is folded modulo x^m - 1 (which
+Phi_m divides) and the remaining degrees m-1 .. deg Phi_m are cancelled
+against the nonzero terms of Phi_m, leaving the canonical remainder.
 """
 
 from __future__ import annotations
@@ -56,39 +63,39 @@ def cyclotomic_poly(m: int) -> tuple:
 class CycField:
     """The ring Z[x]/Phi_m(x); elements are CycInt values in the power basis."""
 
-    __slots__ = ("m", "phi", "degree", "_reduction")
+    __slots__ = ("m", "phi", "degree", "_tail")
 
     def __init__(self, m: int):
         self.m = m
         self.phi = cyclotomic_poly(m)
         self.degree = len(self.phi) - 1
-        # x^(degree+i) mod Phi for i = 0..degree-1, enough to reduce products
-        rows = []
-        cur = [-c for c in self.phi[:-1]]
-        rows.append(tuple(cur))
-        for _ in range(self.degree - 1):
-            nxt = [0] + cur[:-1]
-            top = cur[-1]
-            if top:
-                for j in range(self.degree):
-                    nxt[j] -= top * self.phi[j]
-            cur = nxt
-            rows.append(tuple(cur))
-        self._reduction = rows
+        # nonzero lower terms of the monic Phi_m, the only ones a reduction
+        # step touches
+        self._tail = tuple((j, c) for j, c in enumerate(self.phi[:-1]) if c)
+
+    def _reduce(self, coeffs: list) -> tuple:
+        """Canonical coordinates of sum_i coeffs[i] x^i; may consume coeffs."""
+        m, d = self.m, self.degree
+        if len(coeffs) > m:
+            out = coeffs[:m]
+            for i in range(m, len(coeffs)):
+                out[i % m] += coeffs[i]
+        else:
+            out = coeffs
+        for top in range(len(out) - 1, d - 1, -1):
+            c = out[top]
+            if c:
+                shift = top - d
+                for j, p in self._tail:
+                    out[shift + j] -= c * p
+        if len(out) > d:
+            del out[d:]
+        else:
+            out.extend([0] * (d - len(out)))
+        return tuple(out)
 
     def element(self, coords) -> "CycInt":
-        coords = list(coords)
-        if len(coords) > self.degree:
-            out = coords[: self.degree]
-            for i, c in enumerate(coords[self.degree:]):
-                if c:
-                    row = self._reduction[i]
-                    for j in range(self.degree):
-                        out[j] += c * row[j]
-            coords = out
-        else:
-            coords = coords + [0] * (self.degree - len(coords))
-        return CycInt(self, tuple(coords))
+        return CycInt(self, self._reduce(list(coords)))
 
     def from_int(self, c: int) -> "CycInt":
         return self.element([c])
@@ -114,6 +121,37 @@ class CycField:
 
     def __repr__(self):
         return "CycField(%d)" % self.m
+
+
+def _pack(coords, k: int) -> int:
+    """sum_i coords[i] * 2^(k i) for signed coords."""
+    out = 0
+    for c in reversed(coords):
+        out = (out << k) + c
+    return out
+
+
+@lru_cache(maxsize=1024)
+def _slot_bias(k: int, slots: int) -> int:
+    """The int holding 2^(k-1) in each of its `slots` k-bit slots."""
+    bias, have = 1 << (k - 1), 1
+    while have < slots:
+        bias |= bias << (k * have)
+        have <<= 1
+    return bias & ((1 << (k * slots)) - 1)
+
+
+def _unpack(packed: int, k: int, slots: int) -> list:
+    """Inverse of _pack for slots coordinates of absolute value < 2^(k-1):
+    with 2^(k-1) added to every slot, each slot is a nonnegative k-bit
+    field and no borrow crosses a slot boundary."""
+    packed += _slot_bias(k, slots)
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    out = []
+    for _ in range(slots):
+        out.append((packed & mask) - half)
+        packed >>= k
+    return out
 
 
 class CycInt:
@@ -163,28 +201,28 @@ class CycInt:
             return NotImplemented
         if other.field != self.field:
             raise ValueError("mixed cyclotomic orders")
-        d = self.field.degree
-        conv = [0] * (2 * d - 1)
-        for i, a in enumerate(self.coords):
-            if a:
-                for j, b in enumerate(other.coords):
-                    if b:
-                        conv[i + j] += a * b
-        return self.field.element(conv)
+        a, b = self.coords, other.coords
+        k = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+             + len(a).bit_length() + 2)
+        conv = _unpack(_pack(a, k) * _pack(b, k), k, 2 * len(a) - 1)
+        return CycInt(self.field, self.field._reduce(conv))
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("cyclotomic powers take nonnegative integer exponents")
-        result = self.field.one
+        if n == 0:
+            return self.field.one
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def is_rational_integer(self) -> bool:
         return all(c == 0 for c in self.coords[1:])

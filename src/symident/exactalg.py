@@ -614,31 +614,46 @@ def laurent_eval(a, point):
 # exact determinants
 
 
+def _dot(xs, ys):
+    acc = xs[0] * ys[0]
+    for x, y in zip(xs[1:], ys[1:]):
+        acc = acc + x * y
+    return acc
+
+
 def det_cofactor(rows):
-    """Determinant over any commutative ring, via minor expansion memoized
-    on column subsets (2^n scaling, fine for the small matrices used here).
+    """Determinant over any commutative ring by Berkowitz's division-free
+    algorithm (IPL 18, 1984), O(n^4) ring operations.
+
+    Walking up the trailing principal submatrices, the characteristic
+    polynomial of [[a, R], [C, A]] is the Toeplitz product of the one of A
+    with (1, -a, -RC, -RAC, ..., -RA^(s-2)C); the determinant is its
+    constant term up to the sign (-1)^n.
     """
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("need a nonempty square matrix")
-    memo = {}
-
-    def go(i, cols):
-        if len(cols) == 1:
-            return rows[i][cols[0]]
-        hit = memo.get(cols)
-        if hit is not None:
-            return hit
-        acc = None
-        for idx, c in enumerate(cols):
-            term = rows[i][c] * go(i + 1, cols[:idx] + cols[idx + 1:])
-            if idx % 2:
-                term = -term
-            acc = term if acc is None else acc + term
-        memo[cols] = acc
-        return acc
-
-    return go(0, tuple(range(n)))
+    # c[i - 1] is the coefficient c_i of x^(s-i) in det(x I - B) for the
+    # trailing s x s submatrix B; c_0 = 1 stays implicit, so no ring one is
+    # needed
+    c = [-rows[n - 1][n - 1]]
+    for k in range(n - 2, -1, -1):
+        a, R = rows[k][k], rows[k][k + 1:]
+        A = [row[k + 1:] for row in rows[k + 1:]]
+        v = [row[k] for row in rows[k + 1:]]  # C, then A^t C
+        d = [_dot(R, v)]  # d[t] = R A^t C
+        for _ in range(len(A) - 1):
+            v = [_dot(row, v) for row in A]
+            d.append(_dot(R, v))
+        # Toeplitz step: c'_i = c_i - a c_(i-1) - sum_(t <= i-2) d[t] c_(i-2-t)
+        new = [c[0] - a]
+        for i in range(2, len(c) + 2):
+            acc = a * c[i - 2] + d[i - 2]
+            for t in range(i - 2):
+                acc = acc + d[t] * c[i - 3 - t]
+            new.append(c[i - 1] - acc if i <= len(c) else -acc)
+        c = new
+    return -c[-1] if n % 2 else c[-1]
 
 
 def det_fraction_free(rows):

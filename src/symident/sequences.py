@@ -25,10 +25,10 @@ from fractions import Fraction
 from importlib import resources
 
 from .combinat import ballot, binom, centralizer_order, partitions_of
-from .cyclotomic import CycField, as_integer, shifted_roots_vector
+from .cyclotomic import CycField, _is_prime, as_integer, shifted_roots_vector
 from .exactalg import Series, det_cofactor, det_fraction_free
 from .identities import CheckReport, _report
-from .symfun import complete, complete_prefix, elementary_prefix, power
+from .symfun import complete, complete_prefix, elementary_prefix, power, power_prefix
 
 
 # ---------------------------------------------------------------------------
@@ -463,17 +463,6 @@ def lucas_sums_check(bound: int) -> CheckReport:
 # congruences
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
-
-
 def congruence_check(r: int, q: int, n_max: int, k_max: int = 3) -> CheckReport:
     """Period q-1 of F and L mod q, for 2r+1 prime and q an odd prime
     congruent to +-1 mod 2r+1, plus the residues at multiples of q-1:
@@ -689,7 +678,7 @@ def cross_oracle_check(r: int, n_max: int, det_max: int = 10,
     F = fib_recurrence(r, n_max + 1)
     L = lucas_recurrence(r, n_max)
     fib_cyc = fib_cyclotomic_prefix(r, n_max - 1)
-    shifted = shifted_roots_vector(r)
+    lucas_cyc = power_prefix(n_max, shifted_roots_vector(r))
     for n in range(1, n_max + 1):
         if fib_explicit(r, n) != F[n]:
             failures.append("F explicit vs recurrence n=%d" % n)
@@ -697,7 +686,7 @@ def cross_oracle_check(r: int, n_max: int, det_max: int = 10,
             failures.append("F cyclotomic vs recurrence n=%d" % n)
         if lucas_explicit(r, n) != L[n]:
             failures.append("L explicit vs recurrence n=%d" % n)
-        if as_integer(power(n, shifted)) != L[n]:
+        if as_integer(lucas_cyc[n - 1]) != L[n]:
             failures.append("L cyclotomic vs recurrence n=%d" % n)
     if lucas_explicit(r, 0) != L[0]:
         failures.append("L explicit vs recurrence n=0")

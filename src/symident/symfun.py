@@ -158,6 +158,20 @@ def power(n: int, v: PointVector):
     return acc
 
 
+def power_prefix(nmax: int, v: PointVector) -> list:
+    """[p_1, ..., p_nmax] from running powers of each entry; empty for
+    nmax < 1."""
+    if nmax < 1:
+        return []
+    acc = None
+    for z in v:
+        powers = [z]
+        for _ in range(nmax - 1):
+            powers.append(powers[-1] * z)
+        acc = powers if acc is None else [s + t for s, t in zip(acc, powers)]
+    return acc
+
+
 def monomial(lam, v: PointVector):
     """Orbit sum of z^lam over distinct permutations of the exponent tuple."""
     if not isinstance(lam, Partition):
@@ -249,8 +263,5 @@ def genfun_coefficients(kind: str, v: PointVector, order: int) -> list:
     if kind == "h":
         return complete_prefix(order, v)
     if kind == "p":
-        out = [v.one * v.arity]
-        for n in range(1, order + 1):
-            out.append(power(n, v))
-        return out
+        return [v.one * v.arity] + power_prefix(order, v)
     raise ValueError("kind must be one of e, h, p")

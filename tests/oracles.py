@@ -136,3 +136,44 @@ def det_permutation_expansion(rows):
             prod = -prod
         total = prod if total is None else total + prod
     return total
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_divmod_monic(num, den):
+    """Quotient and remainder of integer polynomials (ascending coefficient
+    lists) by a monic divisor, by schoolbook long division."""
+    rem = list(num)
+    quot = [0] * max(len(num) - len(den) + 1, 1)
+    for top in range(len(rem) - 1, len(den) - 2, -1):
+        c = rem[top]
+        if c:
+            shift = top - len(den) + 1
+            quot[shift] = c
+            for j, d in enumerate(den):
+                rem[shift + j] -= c * d
+    return quot, rem[:len(den) - 1]
+
+
+def brute_cyclotomic_poly(m):
+    """Phi_m as x^m - 1 divided by Phi_d for every proper divisor d of m."""
+    num = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            num, rem = _poly_divmod_monic(num, brute_cyclotomic_poly(d))
+            assert not any(rem)
+    return num
+
+
+def brute_cyclotomic_mul(m, a, b):
+    """Coordinates of a * b in Z[x]/Phi_m: the full convolution, then its
+    remainder by Phi_m."""
+    phi = brute_cyclotomic_poly(m)
+    _, rem = _poly_divmod_monic(_poly_mul(list(a), list(b)), phi)
+    return rem + [0] * (len(phi) - 1 - len(rem))

@@ -132,6 +132,21 @@ class TestVerifyCommand:
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
 
+    @pytest.mark.parametrize("suite", ["determinants", "cross-oracle"])
+    def test_explicit_zero_window_is_not_the_default(self, capsys, suite):
+        # --n-max 0 reaches the check and is refused there; it must not be
+        # replaced by the suite's default window
+        code, out, err = run_cli(capsys, "verify", suite, "--r", "1", "--n-max", "0")
+        assert code == 2
+        assert out == ""
+        assert "n_max >= 1" in err
+
+    def test_explicit_zero_window_is_kept(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "inversion", "--r", "1",
+                               "--n-max", "0", "--format", "json")
+        assert code == 0
+        assert [r["params"]["n"] for r in json.loads(out)["reports"]] == [0]
+
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, "verify", "nonsense")
         assert code == 2

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from symident.combinat import ballot, binom
@@ -5,6 +7,8 @@ from symident.cyclotomic import (CycField, as_integer, cyclotomic_poly,
                                  discriminant_square_check,
                                  doubled_roots_vector, shifted_roots_vector)
 from symident.symfun import complete_prefix, elementary_prefix, power
+
+from oracles import brute_cyclotomic_mul
 
 
 def totient(m):
@@ -64,6 +68,98 @@ class TestCycField:
     def test_mixed_orders_rejected(self):
         with pytest.raises(ValueError):
             CycField(5).one + CycField(7).one
+
+
+class TestProductOracle:
+    """CycInt products against schoolbook convolution and remainder by a
+    Phi_m the oracle builds for itself."""
+
+    ORDERS = range(1, 31)
+
+    @staticmethod
+    def rand_coords(rng, d, bits, density=1.0):
+        return [rng.randint(-2 ** bits, 2 ** bits) if rng.random() < density else 0
+                for _ in range(d)]
+
+    def check(self, f, a, b):
+        want = brute_cyclotomic_mul(f.m, a, b)
+        assert list((f.element(a) * f.element(b)).coords) == want, (f.m, a, b)
+
+    def test_zero_operands(self):
+        rng = random.Random(11)
+        for m in self.ORDERS:
+            f = CycField(m)
+            a = self.rand_coords(rng, f.degree, 40)
+            zero = [0] * f.degree
+            self.check(f, zero, a)
+            self.check(f, a, zero)
+            self.check(f, zero, zero)
+
+    def test_signed_monomials(self):
+        rng = random.Random(12)
+        for m in self.ORDERS:
+            f = CycField(m)
+            for _ in range(6):
+                mono = [0] * f.degree
+                mono[rng.randrange(f.degree)] = rng.choice((1, -1))
+                dense = self.rand_coords(rng, f.degree, rng.choice((1, 20, 200)))
+                self.check(f, mono, dense)
+                self.check(f, dense, mono)
+                self.check(f, mono, mono)
+
+    def test_mixed_signs_up_to_2_pow_200(self):
+        rng = random.Random(13)
+        for m in self.ORDERS:
+            f = CycField(m)
+            for bits in (1, 7, 64, 200):
+                for density in (1.0, 0.4):
+                    self.check(f, self.rand_coords(rng, f.degree, bits, density),
+                               self.rand_coords(rng, f.degree, bits, density))
+            # every product coefficient at its largest: d terms of (2^200-1)^2
+            top = 2 ** 200 - 1
+            for extreme in ([top] * f.degree, [(-1) ** i * top for i in range(f.degree)]):
+                self.check(f, extreme, extreme)
+                self.check(f, extreme, [-c for c in extreme])
+
+    def test_unequal_operand_sizes(self):
+        # one operand's slot share is tiny, the other's huge: the slot
+        # width must still cover every product coefficient
+        rng = random.Random(14)
+        for m in self.ORDERS:
+            f = CycField(m)
+            for small_bits, big_bits in ((1, 200), (0, 150), (3, 90)):
+                small = self.rand_coords(rng, f.degree, small_bits)
+                big = self.rand_coords(rng, f.degree, big_bits)
+                big[-1] = -(2 ** big_bits)
+                self.check(f, small, big)
+                self.check(f, big, small)
+
+    def test_integer_scalars(self):
+        rng = random.Random(15)
+        for m in self.ORDERS:
+            f = CycField(m)
+            a = self.rand_coords(rng, f.degree, 50)
+            for c in (0, 1, -1, 3 ** 90, -(2 ** 130)):
+                want = brute_cyclotomic_mul(m, a, [c] + [0] * (f.degree - 1))
+                assert list((f.element(a) * c).coords) == want
+                assert list((c * f.element(a)).coords) == want
+
+    def test_associativity(self):
+        rng = random.Random(16)
+        for m in self.ORDERS:
+            f = CycField(m)
+            for _ in range(4):
+                x, y, z = (f.element(self.rand_coords(rng, f.degree, rng.choice((2, 60))))
+                           for _ in range(3))
+                assert (x * y) * z == x * (y * z)
+
+    def test_element_reduces_long_vectors(self):
+        rng = random.Random(17)
+        for m in self.ORDERS:
+            f = CycField(m)
+            coords = self.rand_coords(rng, 3 * m + 2, 30)
+            want = brute_cyclotomic_mul(m, coords, [1])
+            assert list(f.element(coords).coords) == want
 
 
 class TestShiftedVector:

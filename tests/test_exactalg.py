@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from symident.cyclotomic import CycField
 from symident.exactalg import (MultiLaurent, Series, UniLaurent, det_cofactor,
                                det_fraction_free, laurent_eval, laurent_mul,
                                series_compose, series_sqrt)
@@ -198,12 +199,33 @@ class TestMultiLaurent:
 class TestDeterminants:
     def test_against_permutation_expansion(self):
         rng = random.Random(9)
-        for n in (1, 2, 3, 4):
+        for n in (1, 2, 3, 4, 5, 6):
             for _ in range(10):
                 m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
                 want = det_permutation_expansion(m)
                 assert det_fraction_free(m) == want
                 assert det_cofactor(m) == want
+        # ring-valued entries, where only the division-free route applies
+        for order in (9, 11):
+            field = CycField(order)
+            for n in (1, 2, 3, 4, 5):
+                for _ in range(3):
+                    m = [[field.element([rng.randint(-4, 4) for _ in range(field.degree)])
+                          for _ in range(n)] for _ in range(n)]
+                    assert det_cofactor(m) == det_permutation_expansion(m)
+
+    def test_zero_pivots_and_rank_deficiency(self):
+        m = [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+        assert det_cofactor(m) == det_permutation_expansion(m) == -1
+        m = [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 1], [5, 0, 5, 0]]
+        assert det_cofactor(m) == 0
+
+    def test_rejects_empty_and_non_square(self):
+        for bad in ([], [[1, 2]], [[1, 2], [3]], [[1], [2]]):
+            with pytest.raises(ValueError):
+                det_cofactor(bad)
+            with pytest.raises(ValueError):
+                det_fraction_free(bad)
 
     def test_singular(self):
         assert det_fraction_free([[1, 2], [2, 4]]) == 0

@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 
 from symident.combinat import ballot
+from symident.cyclotomic import doubled_roots_vector, shifted_roots_vector
 from symident.exactalg import MultiLaurent, UniLaurent
 from symident.symfun import (PointVector, complete, complete_prefix,
                              elementary, elementary_prefix,
                              genfun_coefficients, monomial, newton_check,
-                             power, schur, symbolic_vectors, wronski_check)
+                             power, power_prefix, schur, symbolic_vectors,
+                             wronski_check)
 
 from oracles import (brute_complete, brute_elementary, brute_monomial,
                      brute_power, count_standard_tableaux_two_rows)
@@ -247,3 +249,17 @@ class TestPrefixConsistency:
         for n in range(6):
             assert es[n] == elementary(n, v)
             assert hs[n] == complete(n, v)
+
+    def test_power_prefix_matches_pointwise(self):
+        rng = random.Random(23)
+        _, doubled, shifted = symbolic_vectors(2)
+        vectors = [rand_vector(rng, 4), doubled, shifted,
+                   doubled_roots_vector(3), shifted_roots_vector(4)]
+        for v in vectors:
+            for top in (1, 2, 9):
+                assert power_prefix(top, v) == [power(n, v) for n in range(1, top + 1)]
+
+    def test_power_prefix_empty_below_one(self):
+        v = PointVector([Fraction(2), Fraction(3)])
+        assert power_prefix(0, v) == []
+        assert power_prefix(-3, v) == []
