@@ -78,13 +78,19 @@ def ballot_series(alpha: int, order: int) -> Series:
     and alpha = 1 gives the Catalan numbers; the whole family is the
     alpha-th power of the Catalan generating function.  A zero factor in the
     denominator product is a domain error.
+
+    Numerator and denominator are carried as running integer products, so
+    each coefficient costs two multiplications and one reduction.
     """
     coeffs = []
+    num = den = 1
     for k in range(order + 1):
-        den = Fraction(math.factorial(k)) * raising_factorial(alpha + 1, k)
+        if k:
+            num *= (alpha + 2 * k - 2) * (alpha + 2 * k - 1)
+            den *= k * (alpha + k)
         if den == 0:
             raise ValueError("zero denominator at x^%d for alpha=%d" % (k, alpha))
-        coeffs.append(raising_factorial(alpha, 2 * k) / den)
+        coeffs.append(Fraction(num, den))
     return Series(coeffs, order)
 
 

@@ -5,10 +5,8 @@ Working modulo the cyclotomic polynomial (rather than x^m - 1) keeps the
 ring an integral domain, so "this element is a rational integer" is
 decidable by looking at the coordinates.
 
-Products use Kronecker substitution: each coordinate vector is packed into
-one signed Python int with slots wide enough that no coefficient of the
-product can overflow its slot, so the whole convolution is a single
-big-int multiply.  The unpacked product is folded modulo x^m - 1 (which
+Products are one Kronecker-substitution big-int multiply (the kernel lives
+in ``exactalg``).  The unpacked product is folded modulo x^m - 1 (which
 Phi_m divides) and the remaining degrees m-1 .. deg Phi_m are cancelled
 against the nonzero terms of Phi_m, leaving the canonical remainder.
 """
@@ -17,7 +15,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exactalg import det_cofactor
+from .exactalg import _int_poly_mul, det_cofactor
 from .symfun import PointVector
 
 
@@ -123,37 +121,6 @@ class CycField:
         return "CycField(%d)" % self.m
 
 
-def _pack(coords, k: int) -> int:
-    """sum_i coords[i] * 2^(k i) for signed coords."""
-    out = 0
-    for c in reversed(coords):
-        out = (out << k) + c
-    return out
-
-
-@lru_cache(maxsize=1024)
-def _slot_bias(k: int, slots: int) -> int:
-    """The int holding 2^(k-1) in each of its `slots` k-bit slots."""
-    bias, have = 1 << (k - 1), 1
-    while have < slots:
-        bias |= bias << (k * have)
-        have <<= 1
-    return bias & ((1 << (k * slots)) - 1)
-
-
-def _unpack(packed: int, k: int, slots: int) -> list:
-    """Inverse of _pack for slots coordinates of absolute value < 2^(k-1):
-    with 2^(k-1) added to every slot, each slot is a nonnegative k-bit
-    field and no borrow crosses a slot boundary."""
-    packed += _slot_bias(k, slots)
-    half, mask = 1 << (k - 1), (1 << k) - 1
-    out = []
-    for _ in range(slots):
-        out.append((packed & mask) - half)
-        packed >>= k
-    return out
-
-
 class CycInt:
     """Element of Z[x]/Phi_m(x), stored as power-basis coordinates."""
 
@@ -201,10 +168,8 @@ class CycInt:
             return NotImplemented
         if other.field != self.field:
             raise ValueError("mixed cyclotomic orders")
-        a, b = self.coords, other.coords
-        k = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
-             + len(a).bit_length() + 2)
-        conv = _unpack(_pack(a, k) * _pack(b, k), k, 2 * len(a) - 1)
+        d = self.field.degree
+        conv = _int_poly_mul(self.coords, other.coords, 2 * d - 1)
         return CycInt(self.field, self.field._reduce(conv))
 
     __rmul__ = __mul__

@@ -8,33 +8,91 @@ polynomials in one variable (``UniLaurent``) and in several variables
 
 All values are immutable after construction and every operation is pure,
 so everything here can be shared freely between threads.
+
+Dense polynomial products (``Series`` here, ``CycInt`` in ``cyclotomic``)
+run on one Kronecker-substitution kernel: each integer coefficient vector is
+packed into one signed Python int with slots wide enough that no
+coefficient of the product can overflow its slot, so the whole convolution
+is a single big-int multiply.  Rational series are cleared to integers over
+the lcm of their denominators first.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import lru_cache
+from operator import floordiv, truediv
 
 Rational = Fraction
 
 
 # ---------------------------------------------------------------------------
-# dense coefficient-list helpers (index = exponent)
+# Kronecker substitution for dense integer coefficient lists
+
+
+def _pack(coords, k: int) -> int:
+    """sum_i coords[i] * 2^(k i) for signed coords."""
+    out = 0
+    for c in reversed(coords):
+        out = (out << k) + c
+    return out
+
+
+@lru_cache(maxsize=1024)
+def _slot_bias(k: int, slots: int) -> int:
+    """The int holding 2^(k-1) in each of its `slots` k-bit slots."""
+    bias, have = 1 << (k - 1), 1
+    while have < slots:
+        bias |= bias << (k * have)
+        have <<= 1
+    return bias & ((1 << (k * slots)) - 1)
+
+
+def _unpack(packed: int, k: int, slots: int) -> list:
+    """The lowest `slots` coordinates of a packed int whose coordinates all
+    have absolute value < 2^(k-1): with 2^(k-1) added to every slot, each
+    slot is a nonnegative k-bit field and no borrow crosses a slot boundary;
+    higher slots only add a multiple of 2^(k slots)."""
+    packed += _slot_bias(k, slots)
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    out = []
+    for _ in range(slots):
+        out.append((packed & mask) - half)
+        packed >>= k
+    return out
+
+
+def _int_poly_mul(a, b, slots: int) -> list:
+    """Coefficients 0 .. slots-1 of the product of two nonempty integer
+    coefficient lists (index = exponent).
+
+    A product coefficient is a sum of at most min(len a, len b) terms, each
+    of absolute value at most max|a| * max|b|, so it stays below 2^(k-1)
+    for the slot width k below.
+    """
+    k = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+         + min(len(a), len(b)).bit_length() + 1)
+    return _unpack(_pack(a, k) * _pack(b, k), k, slots)
+
+
+# ---------------------------------------------------------------------------
+# dense rational coefficient lists (index = exponent)
+
+
+def _cleared(coeffs):
+    """Integer numerators over the lcm of the denominators, and that lcm."""
+    dens = [c.denominator for c in coeffs]
+    den = math.lcm(*dens)
+    return [c.numerator * (den // d) for c, d in zip(coeffs, dens)], den
 
 
 def _mul_coeffs(a, b, order):
-    out = [Fraction(0)] * (order + 1)
-    for i, ai in enumerate(a):
-        if i > order:
-            break
-        if not ai:
-            continue
-        top = order - i
-        for j, bj in enumerate(b):
-            if j > top:
-                break
-            if bj:
-                out[i + j] += ai * bj
-    return out
+    # product truncated to x^order, as order + 1 Fractions
+    na, da = _cleared(a[: order + 1])
+    nb, db = _cleared(b[: order + 1])
+    den = da * db
+    return [Fraction(c, den) for c in _int_poly_mul(na, nb, order + 1)]
 
 
 def _inv_coeffs(a, order):
@@ -197,13 +255,18 @@ def series_compose(outer, inner):
     if inner.coeffs[0] != 0:
         raise ValueError("composition needs an inner series with zero constant term")
     k = min(outer.order, inner.order)
-    inn = inner.coeffs[: k + 1]
-    out = outer.coeffs[: k + 1]
-    acc = [Fraction(0)] * (k + 1)
+    inn, d_in = _cleared(inner.coeffs[: k + 1])
+    out, d_out = _cleared(outer.coeffs[: k + 1])
+    # Horner over the integers: after the step for x^j, acc holds
+    # sum_(i >= j) out[i] * d_in^(k-i) * inn^(i-j)
+    acc = [0] * (k + 1)
+    scale = 1
     for c in reversed(out):
-        acc = _mul_coeffs(acc, inn, k)
-        acc[0] += c
-    return Series(acc, k)
+        acc = _int_poly_mul(acc, inn, k + 1)
+        acc[0] += c * scale
+        scale *= d_in
+    den = d_out * d_in ** k
+    return Series([Fraction(c, den) for c in acc], k)
 
 
 def series_sqrt(s):
@@ -660,13 +723,19 @@ def det_fraction_free(rows):
     """Determinant of an integer or rational matrix by fraction-free
     (Bareiss) elimination.  Returns a Fraction; for integer input the value
     is integral.
+
+    Integer input is eliminated over the ints, where every Bareiss quotient
+    is exact, so it uses floor division; anything else runs over Fractions.
     """
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("need a nonempty square matrix")
-    m = [[Fraction(x) for x in row] for row in rows]
+    if all(isinstance(x, int) for row in rows for x in row):
+        m, div = [list(row) for row in rows], floordiv
+    else:
+        m, div = [[Fraction(x) for x in row] for row in rows], truediv
     sign = 1
-    prev = Fraction(1)
+    prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
             pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
@@ -676,7 +745,7 @@ def det_fraction_free(rows):
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = Fraction(0)
+                m[i][j] = div(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
+            m[i][k] = 0
         prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return Fraction(sign * m[n - 1][n - 1])

@@ -177,3 +177,35 @@ def brute_cyclotomic_mul(m, a, b):
     phi = brute_cyclotomic_poly(m)
     _, rem = _poly_divmod_monic(_poly_mul(list(a), list(b)), phi)
     return rem + [0] * (len(phi) - 1 - len(rem))
+
+
+def brute_series_mul(a, b, order):
+    """Coefficients 0..order of the product of two coefficient lists, by the
+    schoolbook Fraction convolution."""
+    out = [Fraction(0)] * (order + 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j <= order:
+                out[i + j] += Fraction(x) * Fraction(y)
+    return out
+
+
+def brute_series_compose(outer, inner, order):
+    """sum_j outer[j] * inner^j truncated at x^order, powers by repeated
+    schoolbook multiplication."""
+    out = [Fraction(0)] * (order + 1)
+    power = [Fraction(1)] + [Fraction(0)] * order
+    for c in outer[: order + 1]:
+        out = [o + Fraction(c) * p for o, p in zip(out, power)]
+        power = brute_series_mul(power, inner, order)
+    return out
+
+
+def brute_ballot_coefficient(alpha, k):
+    """(alpha)_(2k) / (k! (alpha+1)_k) from the three products themselves."""
+    num = den = Fraction(1)
+    for i in range(2 * k):
+        num *= alpha + i
+    for i in range(k):
+        den *= (i + 1) * (alpha + 1 + i)
+    return num / den

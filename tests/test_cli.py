@@ -147,6 +147,22 @@ class TestVerifyCommand:
         assert code == 0
         assert [r["params"]["n"] for r in json.loads(out)["reports"]] == [0]
 
+    @pytest.mark.parametrize("order", ["0", "5", "19"])
+    def test_series_below_substitution_order(self, capsys, order):
+        code, out, _ = run_cli(capsys, "verify", "series", "--order", order,
+                               "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["passed"], payload["failed"]) == (5, 0)
+
+    @pytest.mark.parametrize("argv", [("discriminant", "--r", "4"),
+                                      ("first-kind", "--r", "1", "--m-max", "-1")])
+    def test_run_that_checks_nothing_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert "select no checks" in err
+
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, "verify", "nonsense")
         assert code == 2

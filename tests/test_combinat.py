@@ -8,7 +8,8 @@ from symident.combinat import (Partition, ballot, ballot_series, binom,
                                raising_factorial)
 from symident.exactalg import Series, UniLaurent, series_compose, series_sqrt
 
-from oracles import brute_partitions, permutation_count_by_cycle_type
+from oracles import (brute_ballot_coefficient, brute_partitions,
+                     permutation_count_by_cycle_type)
 
 
 class TestBinom:
@@ -176,6 +177,24 @@ class TestBallotSeries:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             ballot_series(-2, 6)
+
+    def test_against_ballot_numbers_all_orders(self):
+        for alpha in range(13):
+            for order in range(61):
+                s = ballot_series(alpha, order)
+                assert s.order == order
+                assert list(s.coeffs) == [ballot(alpha + 2 * k - 1, k)
+                                          for k in range(order + 1)], (alpha, order)
+
+    @pytest.mark.parametrize("alpha", [-1, -2, -5])
+    def test_zero_denominator_pinned(self, alpha):
+        # the first vanishing denominator factor is alpha + k at k = -alpha
+        with pytest.raises(ValueError, match=r"^zero denominator at x\^%d for alpha=%d$"
+                           % (-alpha, alpha)):
+            ballot_series(alpha, 8)
+        below = ballot_series(alpha, -alpha - 1)
+        assert list(below.coeffs) == [brute_ballot_coefficient(alpha, k)
+                                      for k in range(-alpha)]
 
 
 class TestPartitions:

@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 
 from symident.cyclotomic import CycField
-from symident.exactalg import (MultiLaurent, Series, UniLaurent, det_cofactor,
-                               det_fraction_free, laurent_eval, laurent_mul,
-                               series_compose, series_sqrt)
+from symident.exactalg import (MultiLaurent, Series, UniLaurent, _int_poly_mul,
+                               _mul_coeffs, det_cofactor, det_fraction_free,
+                               laurent_eval, laurent_mul, series_compose,
+                               series_sqrt)
 
-from oracles import det_permutation_expansion
+from oracles import (brute_series_compose, brute_series_mul,
+                     det_permutation_expansion)
 
 
 def rand_series(rng, order):
@@ -97,6 +99,92 @@ class TestSeries:
             assert (a + b) + c == a + (b + c)
             assert (a * b) * c == a * (b * c)
             assert a * (b + c) == a * b + a * c
+
+
+def big_fraction(rng, bits=200):
+    return Fraction(rng.randint(-2 ** bits, 2 ** bits), rng.randint(1, 2 ** bits))
+
+
+def oracle_series(rng):
+    """Series operands for the product oracles: random rationals with
+    numerators and denominators up to 2^200 (some given with fewer
+    coefficients than their order), the zero series, series with an
+    all-zero prefix, and integer series whose coefficients all sit at
+    +-(2^t - 1), which fill a Kronecker slot as far as it can be filled."""
+    out = [Series.zero(0), Series.zero(7), Series.one(5), Series([big_fraction(rng)], 0)]
+    for order in (1, 2, 3, 6, 9, 12):
+        out.append(Series([big_fraction(rng) for _ in range(order + 1)], order))
+        out.append(Series([big_fraction(rng) for _ in range(rng.randint(1, order))], order))
+        zeros = rng.randint(1, order)
+        out.append(Series([0] * zeros + [big_fraction(rng, 60) for _ in range(order + 1 - zeros)],
+                          order))
+        for t in (1, 64, 200):
+            sign = rng.choice((1, -1))
+            out.append(Series([sign * (2 ** t - 1)] * (order + 1), order))
+    return out
+
+
+class TestSeriesOracle:
+    """Series arithmetic against the schoolbook Fraction convolution."""
+
+    def test_mul(self):
+        rng = random.Random(11)
+        ops = oracle_series(rng)
+        for a in ops:
+            for b in ops:
+                k = min(a.order, b.order)
+                got = a * b
+                assert got.order == k
+                assert list(got.coeffs) == brute_series_mul(a.coeffs, b.coeffs, k), (a, b)
+
+    def test_mul_coeffs_unequal_lengths(self):
+        rng = random.Random(12)
+        for _ in range(60):
+            a = [big_fraction(rng) for _ in range(rng.randint(1, 9))]
+            b = [big_fraction(rng) for _ in range(rng.randint(1, 9))]
+            order = rng.randint(0, 20)
+            assert _mul_coeffs(a, b, order) == brute_series_mul(a, b, order)
+
+    def test_int_kernel_at_full_slots(self):
+        # every product coefficient as large as the slot width allows
+        for la in range(1, 10):
+            for lb in range(1, 10):
+                for t in (1, 2, 7, 64, 200):
+                    for sa, sb in ((1, 1), (1, -1), (-1, -1)):
+                        a = [sa * (2 ** t - 1)] * la
+                        b = [sb * (2 ** t - 1)] * lb
+                        want = brute_series_mul(a, b, la + lb - 2)
+                        assert _int_poly_mul(a, b, la + lb - 1) == want
+
+    def test_pow(self):
+        rng = random.Random(13)
+        for s in oracle_series(rng)[::3]:
+            want = [Fraction(1)] + [Fraction(0)] * s.order
+            for n in range(6):
+                assert list((s ** n).coeffs) == want, (s, n)
+                want = brute_series_mul(want, s.coeffs, s.order)
+
+    def test_compose(self):
+        rng = random.Random(14)
+        ops = oracle_series(rng)
+        inners = [Series([0] + list(s.coeffs[1:]), s.order) for s in ops[::4]]
+        for outer in ops[::2]:
+            for inner in inners:
+                k = min(outer.order, inner.order)
+                got = series_compose(outer, inner)
+                assert got.order == k
+                assert list(got.coeffs) == brute_series_compose(outer.coeffs, inner.coeffs, k)
+
+    def test_sqrt_and_inverse(self):
+        rng = random.Random(15)
+        for s in oracle_series(rng):
+            unit = Series([1] + list(s.coeffs[1:]), s.order)
+            t = series_sqrt(unit)
+            assert t[0] == 1
+            assert brute_series_mul(t.coeffs, t.coeffs, s.order) == list(unit.coeffs)
+            if s[0]:
+                one = [Fraction(1)] + [Fraction(0)] * s.order
+                assert brute_series_mul(s.coeffs, s.inverse().coeffs, s.order) == one
 
 
 class TestUniLaurent:
@@ -226,6 +314,36 @@ class TestDeterminants:
                 det_cofactor(bad)
             with pytest.raises(ValueError):
                 det_fraction_free(bad)
+
+    def test_integer_bareiss_against_permutation_expansion(self):
+        rng = random.Random(16)
+        big = 2 ** 100
+        entries = (0, 0, 0, 1, -1, big, -big, big - 1)
+        for n in range(1, 7):
+            for trial in range(12):
+                m = [[rng.choice(entries + (rng.randint(-big, big),)) for _ in range(n)]
+                     for _ in range(n)]
+                if trial % 3 == 1 and n > 1:
+                    # rank deficient: one row is a combination of two others
+                    c = rng.randint(-big, big)
+                    m[-1] = [c * x + y for x, y in zip(m[0], m[1 % (n - 1)])]
+                elif trial % 3 == 2:
+                    m[0][0] = 0  # zero leading pivot
+                got = det_fraction_free(m)
+                assert type(got) is Fraction
+                assert got == det_permutation_expansion(m), m
+        # a column that vanishes below a pivot ends the elimination early
+        got = det_fraction_free([[1, 2, 3], [0, 0, 5], [0, 0, 7]])
+        assert type(got) is Fraction and got == 0
+
+    def test_rational_bareiss_against_permutation_expansion(self):
+        rng = random.Random(17)
+        for n in range(1, 5):
+            for _ in range(5):
+                m = [[big_fraction(rng, 100) for _ in range(n)] for _ in range(n)]
+                got = det_fraction_free(m)
+                assert type(got) is Fraction
+                assert got == det_permutation_expansion(m)
 
     def test_singular(self):
         assert det_fraction_free([[1, 2], [2, 4]]) == 0
