@@ -99,7 +99,7 @@ def render_reports(reports, fmt: str, seed=None, timings=False) -> str:
             if r.counterexample is not None:
                 rec["counterexample"] = r.counterexample
             if timings:
-                rec["elapsed_ms"] = int(r.elapsed * 1000)
+                rec["elapsed_ms"] = round(r.elapsed * 1000, 3)
             recs.append(rec)
         payload = {"reports": recs,
                    "passed": sum(1 for r in reports if r.passed),
@@ -119,7 +119,7 @@ def render_reports(reports, fmt: str, seed=None, timings=False) -> str:
                    ";".join("%s=%s" % (k, r.params[k]) for k in sorted(r.params)),
                    r.status, r.counterexample or ""]
             if timings:
-                row.append(int(r.elapsed * 1000))
+                row.append(round(r.elapsed * 1000, 3))
             w.writerow(row)
         return buf.getvalue()
     if fmt == "md":

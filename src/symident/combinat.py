@@ -1,9 +1,9 @@
 """Combinatorial coefficients and series.
 
 Generalized binomials (negative upper index included), ballot coefficients,
-raising factorials, Gaussian q-binomials, integer partitions with their
-centralizer orders, and the ballot-number generating series that drives the
-expansion identities.
+the six transfer kernels of the expansion identities, raising factorials,
+Gaussian q-binomials, integer partitions with their centralizer orders, and
+the ballot-number generating series that drives the expansion identities.
 """
 
 from __future__ import annotations
@@ -38,6 +38,38 @@ def ballot(n: int, k: int) -> int:
     if k < 0:
         raise ValueError("ballot coefficient needs k >= 0")
     return binom(n, k) - binom(n, k - 1)
+
+
+def expansion_kernel(direction: str, family: str, r: int, n: int) -> list:
+    """The expansion of f_n between r shifted entries z_j + 1/z_j and the
+    2r doubled entries (z_j, 1/z_j), as [(index, coefficient)].
+
+    direction "first": f_n^(r)(z + z^-1) = sum c f_index^(2r)(z, z^-1);
+    "second": f_n^(2r)(z, z^-1) = sum c f_index^(r)(z + z^-1); family is e,
+    h or p.  The first-kind p kernel expands 2 p_n^(r), which keeps every
+    coefficient an integer.  Index 0 of a p kernel stands for the degree-0
+    power sum, the arity.  The e kernels stop at the arity (2r for first,
+    r for second); zero coefficients are dropped.  Applied over another
+    ring (q-Laurent polynomials, Z[zeta], integer sequences) a kernel gives
+    the specialised identities.
+    """
+    if r < 1 or n < 0:
+        raise ValueError("need r >= 1 and n >= 0")
+    # coefficient of index n - 2k
+    coeff = {
+        ("first", "e"): lambda k: ballot(n - r - 1, k) if n - 2 * k <= 2 * r else 0,
+        ("first", "h"): lambda k: ballot(n + r - 1, k),
+        ("first", "p"): lambda k: binom(n, k) * (1 if 2 * k == n else 2),
+        ("second", "e"): lambda k: binom(r - n + 2 * k, k) if n - 2 * k <= r else 0,
+        ("second", "h"): lambda k: (-1) ** k * binom(n - k + r - 1, k),
+        ("second", "p"): lambda k: 2 * binom(2 * k - n - 1, k) - binom(2 * k - n, k),
+    }.get((direction, family))
+    if coeff is None:
+        raise ValueError("unknown kernel %r, %r" % (direction, family))
+    if (direction, family, n) == ("second", "p", 0):
+        return [(0, 2)]  # 1 + 1 = 2 (z + 1/z)^0; the merged sum gives 1 here
+    pairs = [(n - 2 * k, coeff(k)) for k in range(n // 2 + 1)]
+    return [(i, c) for i, c in pairs if c]
 
 
 def raising_factorial(a, m: int) -> Fraction:

@@ -225,7 +225,7 @@ def shifted_roots_vector(r: int) -> PointVector:
     field = CycField(2 * r + 1)
     m = field.m
     entries = [-(field.zeta(j) + field.zeta(m - j)) for j in range(1, r + 1)]
-    return PointVector(entries, "shifted")
+    return PointVector(entries)
 
 
 def doubled_roots_vector(r: int) -> PointVector:
@@ -236,7 +236,7 @@ def doubled_roots_vector(r: int) -> PointVector:
     m = field.m
     plus = [-field.zeta(j) for j in range(1, r + 1)]
     minus = [-field.zeta(m - j) for j in range(1, r + 1)]
-    return PointVector(plus + minus, "doubled")
+    return PointVector(plus + minus)
 
 
 def _is_prime(n: int) -> bool:

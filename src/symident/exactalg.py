@@ -481,9 +481,6 @@ class MultiLaurent:
     def is_zero(self):
         return not self.coeffs
 
-    def is_monomial(self):
-        return len(self.coeffs) == 1
-
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -663,14 +660,6 @@ def _laurent_divide_exact(num, den):
     out = MultiLaurent(v)
     out.coeffs = {tuple(e + b for e, b in zip(exps, back)): c for exps, c in quot.items()}
     return out
-
-
-def laurent_mul(a, b):
-    return a * b
-
-
-def laurent_eval(a, point):
-    return a.evaluate(point)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .combinat import ballot, binom, q_binom
+from .combinat import binom, expansion_kernel, q_binom
 from .exactalg import UniLaurent
 from .symfun import (PointVector, complete, complete_prefix, elementary,
                      elementary_prefix, power, symbolic_vectors)
@@ -105,8 +105,8 @@ def _vector_pairs(r: int, mode: VerifyMode, check: str, params: dict):
     for _ in range(mode.trials):
         xs = random_rational_points(rng, r)
         inv = [Fraction(1) / x for x in xs]
-        yield (PointVector(tuple(xs) + tuple(inv), "doubled"),
-               PointVector([x + y for x, y in zip(xs, inv)], "shifted"))
+        yield (PointVector(tuple(xs) + tuple(inv)),
+               PointVector([x + y for x, y in zip(xs, inv)]))
 
 
 def _run_sides(check, params, r, mode, sides):
@@ -114,11 +114,12 @@ def _run_sides(check, params, r, mode, sides):
     vectors and collect mismatches."""
     t0 = time.perf_counter()
     failures = []
+    at = " ".join("%s=%s" % kv for kv in sorted(params.items()))
     for trial, (doubled, shifted) in enumerate(_vector_pairs(r, mode, check, params)):
         lhs, rhs = sides(doubled, shifted)
         if lhs != rhs:
             where = "symbolic" if mode.mode == "symbolic" else "point %d" % trial
-            failures.append("%s: lhs=%r rhs=%r" % (where, lhs, rhs))
+            failures.append("%s %s: lhs=%r rhs=%r" % (at, where, lhs, rhs))
     out_params = dict(params)
     out_params["mode"] = mode.mode
     if mode.mode == "random":
@@ -130,21 +131,22 @@ def _run_sides(check, params, r, mode, sides):
 # expansions of f^(r)(z + z^-1) in terms of f^(2r)(z, z^-1)
 
 
+def _power_sum(n: int, v: PointVector):
+    """p_n with the degree-0 power sum read as the arity."""
+    return power(n, v) if n else v.one * v.arity
+
+
 def first_kind_e(r: int, m: int, mode: VerifyMode = VerifyMode()) -> CheckReport:
     """sum_k ballot(m-r-1, k) e_(m-2k) of the doubled vector equals
     e_m of the shifted vector for 0 <= m <= r, and 0 for larger m."""
     if r < 1 or m < 0:
         raise ValueError("need r >= 1 and m >= 0")
+    kernel = expansion_kernel("first", "e", r, m)
 
     def sides(doubled, shifted):
         es = elementary_prefix(min(m, 2 * r), doubled)
-        lhs = doubled.zero
-        for k in range(max(m // 2 - r, 0), m // 2 + 1):
-            idx = m - 2 * k
-            if idx <= 2 * r:
-                lhs = lhs + es[idx] * ballot(m - r - 1, k)
-        rhs = elementary(m, shifted) if m <= r else shifted.zero
-        return lhs, rhs
+        lhs = sum((es[i] * c for i, c in kernel), doubled.zero)
+        return lhs, elementary(m, shifted)
 
     return _run_sides("first_kind_e", {"r": r, "m": m}, r, mode, sides)
 
@@ -154,13 +156,11 @@ def first_kind_h(r: int, m: int, mode: VerifyMode = VerifyMode()) -> CheckReport
     the doubled vector."""
     if r < 1 or m < 0:
         raise ValueError("need r >= 1 and m >= 0")
+    kernel = expansion_kernel("first", "h", r, m)
 
     def sides(doubled, shifted):
         hs = complete_prefix(m, doubled)
-        rhs = doubled.zero
-        for k in range(m // 2 + 1):
-            rhs = rhs + hs[m - 2 * k] * ballot(m + r - 1, k)
-        return complete(m, shifted), rhs
+        return complete(m, shifted), sum((hs[i] * c for i, c in kernel), doubled.zero)
 
     return _run_sides("first_kind_h", {"r": r, "m": m}, r, mode, sides)
 
@@ -174,15 +174,11 @@ def first_kind_p(r: int, m: int, mode: VerifyMode = VerifyMode()) -> CheckReport
     """
     if r < 1 or m < 1:
         raise ValueError("need r >= 1 and m >= 1")
+    kernel = expansion_kernel("first", "p", r, m)
 
     def sides(doubled, shifted):
-        lhs = power(m, shifted) * 2
-        rhs = doubled.zero
-        for k in range(m + 1):
-            idx = abs(m - 2 * k)
-            term = doubled.one * (2 * r) if idx == 0 else power(idx, doubled)
-            rhs = rhs + term * binom(m, k)
-        return lhs, rhs
+        rhs = sum((_power_sum(i, doubled) * c for i, c in kernel), doubled.zero)
+        return power(m, shifted) * 2, rhs
 
     return _run_sides("first_kind_p", {"r": r, "m": m}, r, mode, sides)
 
@@ -196,15 +192,11 @@ def second_kind_e(r: int, n: int, mode: VerifyMode = VerifyMode()) -> CheckRepor
     sum_k binom(r-n+2k, k) e_(n-2k) of the shifted vector, 0 <= n <= 2r."""
     if r < 1 or not 0 <= n <= 2 * r:
         raise ValueError("need r >= 1 and 0 <= n <= 2r")
+    kernel = expansion_kernel("second", "e", r, n)
 
     def sides(doubled, shifted):
         es = elementary_prefix(min(n, r), shifted)
-        rhs = shifted.zero
-        for k in range(max((n - r) // 2, 0), n // 2 + 1):
-            idx = n - 2 * k
-            if idx <= r:
-                rhs = rhs + es[idx] * binom(r - n + 2 * k, k)
-        return elementary(n, doubled), rhs
+        return elementary(n, doubled), sum((es[i] * c for i, c in kernel), shifted.zero)
 
     return _run_sides("second_kind_e", {"r": r, "n": n}, r, mode, sides)
 
@@ -216,14 +208,11 @@ def second_kind_h(r: int, n: int, mode: VerifyMode = VerifyMode()) -> CheckRepor
     """
     if r < 1 or n < 0:
         raise ValueError("need r >= 1 and n >= 0")
+    kernel = expansion_kernel("second", "h", r, n)
 
     def sides(doubled, shifted):
         hs = complete_prefix(n, shifted)
-        rhs = shifted.zero
-        for k in range(n // 2 + 1):
-            term = hs[n - 2 * k] * binom(n - k + r - 1, k)
-            rhs = rhs + term if k % 2 == 0 else rhs - term
-        return complete(n, doubled), rhs
+        return complete(n, doubled), sum((hs[i] * c for i, c in kernel), shifted.zero)
 
     return _run_sides("second_kind_h", {"r": r, "n": n}, r, mode, sides)
 
@@ -234,20 +223,10 @@ def second_kind_p(r: int, n: int, mode: VerifyMode = VerifyMode()) -> CheckRepor
     shifted vector, with the degree-0 power sum read as r."""
     if r < 1 or n < 1:
         raise ValueError("need r >= 1 and n >= 1")
+    kernel = expansion_kernel("second", "p", r, n)
 
     def sides(doubled, shifted):
-        def p_shift(idx):
-            return shifted.one * r if idx == 0 else power(idx, shifted)
-
-        rhs = shifted.zero
-        for k in range((n + 1) // 2 + 1):
-            coeff = 2 * binom(2 * k - n - 1, k)
-            if coeff and n - 2 * k >= 0:
-                rhs = rhs + p_shift(n - 2 * k) * coeff
-        for k in range(n // 2 + 1):
-            coeff = binom(2 * k - n, k)
-            if coeff:
-                rhs = rhs - p_shift(n - 2 * k) * coeff
+        rhs = sum((_power_sum(i, shifted) * c for i, c in kernel), shifted.zero)
         return power(n, doubled), rhs
 
     return _run_sides("second_kind_p", {"r": r, "n": n}, r, mode, sides)
@@ -260,33 +239,22 @@ def genfun_transfer_check(r: int, order: int) -> CheckReport:
     sum h_n^(2r)(z, z^-1) y^n  against  (1+y^2)^-r sum h_m^(r)(z+z^-1) x^m
 
     where x = y/(1+y^2); substituting and expanding turns the coefficient of
-    y^n into a finite binomial sum over the shifted-vector values.
+    y^n into the second-kind kernel over the shifted-vector values.
     """
     if r < 1 or order < 0:
         raise ValueError("need r >= 1 and order >= 0")
     t0 = time.perf_counter()
     _, doubled, shifted = symbolic_vectors(r)
     zero = shifted.zero
-    e2 = elementary_prefix(min(order, 2 * r), doubled)
+    e2 = elementary_prefix(order, doubled)
     h2 = complete_prefix(order, doubled)
     e1 = elementary_prefix(min(order, r), shifted)
     h1 = complete_prefix(order, shifted)
     failures = []
     for n in range(order + 1):
-        lhs = e2[n] if n <= 2 * r else zero
-        rhs = zero
-        for m in range(min(n, r) + 1):
-            if (n - m) % 2 == 0:
-                rhs = rhs + e1[m] * binom(r - m, (n - m) // 2)
-        if lhs != rhs:
+        if e2[n] != sum((e1[i] * c for i, c in expansion_kernel("second", "e", r, n)), zero):
             failures.append("e coefficient y^%d" % n)
-        rhs = zero
-        for m in range(n + 1):
-            if (n - m) % 2 == 0:
-                j = (n - m) // 2
-                term = h1[m] * binom(r + m + j - 1, j)
-                rhs = rhs + term if j % 2 == 0 else rhs - term
-        if h2[n] != rhs:
+        if h2[n] != sum((h1[i] * c for i, c in expansion_kernel("second", "h", r, n)), zero):
             failures.append("h coefficient y^%d" % n)
     return _report("genfun_transfer", {"r": r, "order": order}, failures, t0)
 
@@ -299,8 +267,8 @@ def _q_vectors(r: int):
     q = UniLaurent.monomial(1, 1, "q")
     plus = [q ** j for j in range(r, 0, -1)]
     minus = [q ** -j for j in range(r, 0, -1)]
-    doubled = PointVector(plus + minus, "doubled")
-    shifted = PointVector([a + b for a, b in zip(plus, minus)], "shifted")
+    doubled = PointVector(plus + minus)
+    shifted = PointVector([a + b for a, b in zip(plus, minus)])
     return doubled, shifted
 
 
@@ -364,66 +332,45 @@ def principal_spec_p(r: int, n: int) -> CheckReport:
 
 def principal_combination_check(r: int, bound: int) -> CheckReport:
     """The six q-identities obtained by feeding the closed q-forms through
-    both expansion directions, all as exact Laurent-polynomial identities.
-
-    Signs follow the substitution chain itself: the alternating e-form
-    keeps its (-1)^(n-k), and the h-expansion carries (-1)^k as in
-    second_kind_h.
-    """
+    both expansion directions: the six expansion kernels applied over
+    Laurent polynomials in q, all compared exactly."""
     if r < 1 or bound < 1:
         raise ValueError("need r >= 1 and bound >= 1")
     t0 = time.perf_counter()
-    doubled, shifted = _q_vectors(r)
+    _, shifted = _q_vectors(r)
     one = UniLaurent.one("q")
     zero = UniLaurent.zero("q")
-    es = elementary_prefix(min(bound, r), shifted)
+    es = elementary_prefix(bound, shifted)
     hs = complete_prefix(bound, shifted)
     failures = []
 
-    def e_shift(m):
-        return es[m] if m <= r else zero
-
-    # (1a) ballot-weighted sums of the alternating q-binomial forms; the
-    # k-range is the one the substituted expansion supplies
+    # (1a) ballot-weighted sums of the alternating q-binomial forms
     for m in range(bound + 1):
-        lhs = zero
-        for k in range(max(m // 2 - r, 0), m // 2 + 1):
-            lhs = lhs + _elem_q_closed(r, m - 2 * k) * ballot(m - r - 1, k)
-        rhs = e_shift(m) if m <= r else zero
-        if lhs != rhs:
+        lhs = sum((_elem_q_closed(r, i) * c for i, c in expansion_kernel("first", "e", r, m)), zero)
+        if lhs != es[m]:
             failures.append("(1a) m=%d" % m)
 
     # (1b) alternating q-binomial sum re-expanded over the shifted vector
     for n in range(min(bound, 2 * r) + 1):
-        lhs = zero
-        for k in range(n + 1):
-            term = q_binom(2 * r + 1, k) * _q_power(k * (k - 2 * r - 1) // 2)
-            lhs = lhs + term if (n - k) % 2 == 0 else lhs - term
-        rhs = zero
-        for k in range(max((n - r) // 2, 0), n // 2 + 1):
-            if n - 2 * k <= r:
-                rhs = rhs + e_shift(n - 2 * k) * binom(r - n + 2 * k, k)
-        if lhs != rhs:
+        rhs = sum((es[i] * c for i, c in expansion_kernel("second", "e", r, n)), zero)
+        if _elem_q_closed(r, n) != rhs:
             failures.append("(1b) n=%d" % n)
 
     # (2a) h of the shifted vector as a ballot-weighted sum of closed forms
     for m in range(bound + 1):
-        rhs = zero
-        for k in range(m // 2 + 1):
-            rhs = rhs + _complete_q_closed(r, m - 2 * k) * ballot(m + r - 1, k)
+        rhs = sum((_complete_q_closed(r, i) * c for i, c in expansion_kernel("first", "h", r, m)),
+                  zero)
         if hs[m] != rhs:
             failures.append("(2a) m=%d" % m)
 
     # (2b) closed h-form as an alternating binomial sum over the shifted h's
     for n in range(bound + 1):
-        rhs = zero
-        for k in range(n // 2 + 1):
-            term = hs[n - 2 * k] * binom(n - k + r - 1, k)
-            rhs = rhs + term if k % 2 == 0 else rhs - term
+        rhs = sum((hs[i] * c for i, c in expansion_kernel("second", "h", r, n)), zero)
         if _complete_q_closed(r, n) != rhs:
             failures.append("(2b) n=%d" % n)
 
-    # (3a) power sums of the shifted vector from the geometric closed form
+    # (3a) power sums of the shifted vector from the closed forms
+    # q^(-tr) geom(t) - 1 of the doubled vector, 2r at t = 0
     def geom(t):
         # sum_{j=0}^{2r} q^(jt); value 2r+1 at t = 0
         out = zero
@@ -432,31 +379,17 @@ def principal_combination_check(r: int, bound: int) -> CheckReport:
         return out
 
     for m in range(bound + 1):
-        lhs = (power(m, shifted) if m >= 1 else shifted.one * r) * 2
-        rhs = zero - one * 2 ** m
-        for k in range(m + 1):
-            t = abs(m - 2 * k)
-            rhs = rhs + _q_power(-t * r) * geom(t) * binom(m, k)
-        if lhs != rhs:
+        rhs = sum(((_q_power(-i * r) * geom(i) - one) * c
+                   for i, c in expansion_kernel("first", "p", r, m)), zero)
+        if _power_sum(m, shifted) * 2 != rhs:
             failures.append("(3a) m=%d" % m)
 
     # (3b) closed p-form as the double alternating binomial sum, cleared
     for n in range(1, bound + 1):
         clear = one - _q_power(n)
         lhs = (zero - clear) + _q_power(-r * n) - _q_power((r + 1) * n)
-
-        def p_shift(t):
-            return shifted.one * r if t == 0 else power(t, shifted)
-
-        total = zero
-        for k in range((n + 1) // 2 + 1):
-            coeff = 2 * binom(2 * k - n - 1, k)
-            if coeff and n - 2 * k >= 0:
-                total = total + p_shift(n - 2 * k) * coeff
-        for k in range(n // 2 + 1):
-            coeff = binom(2 * k - n, k)
-            if coeff:
-                total = total - p_shift(n - 2 * k) * coeff
+        total = sum((_power_sum(i, shifted) * c for i, c in expansion_kernel("second", "p", r, n)),
+                    zero)
         if lhs != total * clear:
             failures.append("(3b) n=%d" % n)
 
@@ -465,15 +398,14 @@ def principal_combination_check(r: int, bound: int) -> CheckReport:
 
 def unit_binomial_sum_check(r: int) -> CheckReport:
     """sum_k binom(r-n+2k, k) binom(n-2k-r-1, floor(n/2)-k) = 1 for
-    n = 0..2r."""
+    n = 0..2r: the second-kind e kernel applied to the characteristic
+    coefficients binom(i-r-1, floor(i/2))."""
     if r < 1:
         raise ValueError("need r >= 1")
     t0 = time.perf_counter()
     failures = []
     for n in range(2 * r + 1):
-        total = 0
-        for k in range(max((n - r) // 2, 0), n // 2 + 1):
-            total += binom(r - n + 2 * k, k) * binom(n - 2 * k - r - 1, n // 2 - k)
+        total = sum(c * binom(i - r - 1, i // 2) for i, c in expansion_kernel("second", "e", r, n))
         if total != 1:
             failures.append("n=%d gives %d" % (n, total))
     return _report("unit_binomial_sum_check", {"r": r}, failures, t0)
@@ -490,13 +422,9 @@ def composition_consistency_check(r: int, m_max: int) -> CheckReport:
     failures = []
     for m in range(m_max + 1):
         total = shifted.zero
-        for k in range(m // 2 + 1):
-            outer = ballot(m + r - 1, k)
-            n = m - 2 * k
-            for j in range(n // 2 + 1):
-                inner = binom(n - j + r - 1, j)
-                term = hs[n - 2 * j] * (outer * inner)
-                total = total + term if j % 2 == 0 else total - term
+        for n, outer in expansion_kernel("first", "h", r, m):
+            for i, inner in expansion_kernel("second", "h", r, n):
+                total = total + hs[i] * (outer * inner)
         if total != hs[m]:
             failures.append("m=%d" % m)
     return _report("composition_consistency", {"r": r, "m_max": m_max}, failures, t0)

@@ -26,40 +26,16 @@ from .exactalg import MultiLaurent, det_cofactor, det_fraction_free
 
 
 class PointVector:
-    """Tuple of ring values with a tag recording how it was built.
+    """Nonempty tuple of ring values: raw entries z_j, the doubled
+    (z_1..z_r, 1/z_1..1/z_r) or the shifted z_j + 1/z_j."""
 
-    kind is "plain" for raw entries z_j, "doubled" for (z_1..z_r,
-    1/z_1..1/z_r), "shifted" for entries z_j + 1/z_j.
-    """
+    __slots__ = ("entries",)
 
-    __slots__ = ("entries", "kind")
-
-    def __init__(self, entries, kind="plain"):
+    def __init__(self, entries):
         entries = tuple(entries)
         if not entries:
             raise ValueError("empty point vector")
-        if kind not in ("plain", "doubled", "shifted"):
-            raise ValueError("unknown vector kind %r" % kind)
         self.entries = entries
-        self.kind = kind
-
-    @classmethod
-    def doubled(cls, entries, inverses=None):
-        entries = tuple(entries)
-        if inverses is None:
-            inverses = tuple(Fraction(1) / Fraction(x) for x in entries)
-        else:
-            inverses = tuple(inverses)
-        return cls(entries + inverses, "doubled")
-
-    @classmethod
-    def shifted(cls, entries, inverses=None):
-        entries = tuple(entries)
-        if inverses is None:
-            inverses = tuple(Fraction(1) / Fraction(x) for x in entries)
-        else:
-            inverses = tuple(inverses)
-        return cls(tuple(z + w for z, w in zip(entries, inverses)), "shifted")
 
     @property
     def arity(self) -> int:
@@ -84,16 +60,16 @@ class PointVector:
         return self.entries[i]
 
     def __repr__(self):
-        return "PointVector(%r, kind=%r)" % (self.entries, self.kind)
+        return "PointVector(%r)" % (self.entries,)
 
 
 def symbolic_vectors(r: int):
     """Laurent-polynomial vectors in z_1..z_r: (plain, doubled, shifted)."""
     zs = [MultiLaurent.variable(i, r) for i in range(r)]
     inv = [z ** -1 for z in zs]
-    plain = PointVector(zs, "plain")
-    doubled = PointVector(tuple(zs) + tuple(inv), "doubled")
-    shifted = PointVector([z + w for z, w in zip(zs, inv)], "shifted")
+    plain = PointVector(zs)
+    doubled = PointVector(tuple(zs) + tuple(inv))
+    shifted = PointVector([z + w for z, w in zip(zs, inv)])
     return plain, doubled, shifted
 
 

@@ -209,3 +209,85 @@ def brute_ballot_coefficient(alpha, k):
     for i in range(k):
         den *= (i + 1) * (alpha + 1 + i)
     return num / den
+
+
+def _int_series_mul(a, b, order):
+    out = [0] * (order + 1)
+    for i, x in enumerate(a[: order + 1]):
+        if x:
+            for j, y in enumerate(b[: order + 1 - i]):
+                out[i + j] += x * y
+    return out
+
+
+def _int_series_pow(a, e, order):
+    """a^e truncated at order for an integer series with a[0] = 1; a negative
+    e goes through the inverse, whose coefficients stay integers."""
+    if e < 0:
+        inv = [1] + [0] * order
+        for k in range(1, order + 1):
+            inv[k] = -sum(a[j] * inv[k - j] for j in range(1, min(k, len(a) - 1) + 1))
+        a, e = inv, -e
+    out = [1] + [0] * order
+    for _ in range(e):
+        out = _int_series_mul(out, a, order)
+    return out
+
+
+def _laurent_pow_shift(m):
+    """(z + 1/z)^m as {exponent: coefficient}, by repeated multiplication."""
+    out = {0: 1}
+    for _ in range(m):
+        nxt = {}
+        for e, c in out.items():
+            nxt[e + 1] = nxt.get(e + 1, 0) + c
+            nxt[e - 1] = nxt.get(e - 1, 0) + c
+        out = nxt
+    return out
+
+
+def brute_transfer_coefficients(direction, family, r, n):
+    """The transfer kernel read off the generating functions, as
+    [(index, coefficient)] with zeros dropped, indices descending.
+
+    With x = y/(1+y^2), E^(2r)(y) = (1+y^2)^r E^(r)(x) and
+    H^(2r)(y) = (1+y^2)^-r H^(r)(x).  The second kind reads [y^n] of
+    y^m (1+y^2)^(r-m) and y^m (1+y^2)^(-r-m); the first kind substitutes
+    the reversion y = x(1+y^2), iterated to order n.  The p kernels expand
+    z^n + z^-n in powers of z + 1/z and back, the first kind doubled.
+    """
+    ring = [1, 0, 1]  # 1 + y^2
+    out = {}
+    if family == "p" and direction == "second":
+        target = {n: 1, -n: 1} if n else {0: 2}
+        for m in range(n, -1, -1):
+            c = target.get(m, 0)
+            if c:
+                out[m] = c
+                for e, d in _laurent_pow_shift(m).items():
+                    target[e] = target.get(e, 0) - c * d
+        assert not any(target.values())
+    elif family == "p":
+        for e, c in _laurent_pow_shift(n).items():
+            if e >= 0:
+                out[e] = c if e == 0 else 2 * c
+    elif direction == "second":
+        top = min(n, r) if family == "e" else n
+        for m in range(top + 1):
+            e = r - m if family == "e" else -r - m
+            out[m] = ([0] * m + _int_series_pow(ring, e, n))[n]
+    else:
+        y = [0] * (n + 1)
+        for _ in range(n):
+            square = _int_series_mul(y, y, n)
+            square[0] += 1
+            y = ([0] + square)[: n + 1]
+        square = _int_series_mul(y, y, n)
+        square[0] += 1
+        weight = _int_series_pow(square, -r if family == "e" else r, n)
+        top = min(n, 2 * r) if family == "e" else n
+        ypow = [1] + [0] * n
+        for j in range(top + 1):
+            out[j] = _int_series_mul(ypow, weight, n)[n]
+            ypow = _int_series_mul(ypow, y, n)
+    return sorted(((i, c) for i, c in out.items() if c), reverse=True)

@@ -177,6 +177,24 @@ class TestVerifyCommand:
                                "--format", "json", "--timings")
         assert code == 0
         assert "elapsed_ms" in out
+        # microsecond resolution: a check this small no longer rounds to 0
+        assert any(rec["elapsed_ms"] > 0 for rec in json.loads(out)["reports"])
+        code, out, _ = run_cli(capsys, "verify", "binomial-unit", "--r", "1:2",
+                               "--format", "csv", "--timings")
+        assert code == 0
+        assert any(float(row[-1]) > 0 for row in list(csv.reader(io.StringIO(out)))[1:])
+
+    def test_closed_form_disagreement_is_a_failing_report(self, capsys, monkeypatch):
+        from symident import sequences
+        halved = sequences._fib_halved_form
+        monkeypatch.setattr(sequences, "_fib_halved_form", lambda r, n: halved(r, n) + 1)
+        code, out, err = run_cli(capsys, "verify", "cross-oracle", "--r", "3",
+                                 "--n-max", "5", "--format", "json")
+        assert code == 1
+        assert "Traceback" not in out + err
+        (rec,) = json.loads(out)["reports"]
+        assert rec["status"] == "fail"
+        assert "closed forms disagree at r=3" in rec["counterexample"]
 
     def test_tables_suite(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "tables", "--format", "json")

@@ -6,8 +6,7 @@ import pytest
 from symident.cyclotomic import CycField
 from symident.exactalg import (MultiLaurent, Series, UniLaurent, _int_poly_mul,
                                _mul_coeffs, det_cofactor, det_fraction_free,
-                               laurent_eval, laurent_mul, series_compose,
-                               series_sqrt)
+                               series_compose, series_sqrt)
 
 from oracles import (brute_series_compose, brute_series_mul,
                      det_permutation_expansion)
@@ -224,12 +223,12 @@ class TestMultiLaurent:
     def test_difference_of_squares(self):
         z = MultiLaurent.variable(0, 1)
         zi = z ** -1
-        assert laurent_mul(z + zi, z - zi) == z ** 2 - zi ** 2
+        assert (z + zi) * (z - zi) == z ** 2 - zi ** 2
 
     def test_eval_example(self):
         z1 = MultiLaurent.variable(0, 2)
         z2 = MultiLaurent.variable(1, 2)
-        assert laurent_eval(z1 * z2 ** -1, (Fraction(1, 2), 3)) == Fraction(1, 6)
+        assert (z1 * z2 ** -1).evaluate((Fraction(1, 2), 3)) == Fraction(1, 6)
 
     def test_eval_zero_with_negative_exponent(self):
         z1 = MultiLaurent.variable(0, 2)
