@@ -291,6 +291,42 @@ def series_sqrt(s):
 
 # ---------------------------------------------------------------------------
 # Laurent polynomials
+#
+# Both Laurent classes store their terms as a dict from an int key to a
+# nonzero int coefficient, with keys that add when monomials multiply: a
+# UniLaurent key is its exponent, a MultiLaurent key packs the exponent vector
+# as sum_i e_i 2^(32 i).  The sparse sum and product below serve both.
+
+
+def _sparse_add(a, b):
+    """Sum of two key -> nonzero coefficient dicts."""
+    if len(a) < len(b):
+        a, b = b, a
+    d = dict(a)
+    get = d.get
+    for k, c in b.items():
+        v = get(k, 0) + c
+        if v:
+            d[k] = v
+        else:
+            del d[k]  # c is nonzero, so a zero sum means k was there
+    return d
+
+
+def _sparse_mul(a, b):
+    """Product of two key -> nonzero coefficient dicts; keys add."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        (s, c), = a.items()
+        return {k + s: v * c for k, v in b.items()}
+    d = {}
+    get = d.get
+    for s, c in a.items():
+        for k, v in b.items():
+            k += s
+            d[k] = get(k, 0) + c * v
+    return {k: v for k, v in d.items() if v}
 
 
 class UniLaurent:
@@ -310,6 +346,12 @@ class UniLaurent:
                     d[e] = c
         self.coeffs = d
         self.var = var
+
+    def _of(self, coeffs):
+        # a value in this one's variable, from a dict with no zero coefficient
+        out = object.__new__(UniLaurent)
+        out.coeffs, out.var = coeffs, self.var
+        return out
 
     @classmethod
     def monomial(cls, coeff=1, power=1, var="q"):
@@ -337,19 +379,12 @@ class UniLaurent:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        d = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            v = d.get(e, 0) + c
-            if v:
-                d[e] = v
-            elif e in d:
-                del d[e]
-        return UniLaurent(d, self.var)
+        return self._of(_sparse_add(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UniLaurent({e: -c for e, c in self.coeffs.items()}, self.var)
+        return self._of({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -365,16 +400,7 @@ class UniLaurent:
             return UniLaurent({e: c * other for e, c in self.coeffs.items()}, self.var)
         if not isinstance(other, UniLaurent):
             return NotImplemented
-        d = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                v = d.get(e, 0) + c1 * c2
-                if v:
-                    d[e] = v
-                elif e in d:
-                    del d[e]
-        return UniLaurent(d, self.var)
+        return self._of(_sparse_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -431,25 +457,49 @@ class UniLaurent:
         return " + ".join(parts)
 
 
+_EXP_BITS = 32  # slot width of one exponent in a packed MultiLaurent key
+
+
 class MultiLaurent:
     """Sparse Laurent polynomial in ``nvars`` variables, integer coefficients.
 
-    Keys are exponent tuples of length nvars (entries may be negative);
-    zero coefficients are never stored.
+    The terms are a map from packed exponent keys (see ``_pack``) to nonzero
+    coefficients.  ``bound`` is an upper bound on every |exponent|: the max
+    of the operands' for a sum, their sum for a product, times |n| for an
+    n-th power.  A value whose bound reaches 2^31 raises ValueError, so
+    distinct exponent vectors always have distinct keys.  ``coeffs`` gives
+    the terms keyed by exponent tuples of length nvars.
     """
 
-    __slots__ = ("nvars", "coeffs")
+    __slots__ = ("nvars", "bound", "_terms")
 
     def __init__(self, nvars, coeffs=None):
-        d = {}
+        terms, bound = {}, 0
         if coeffs:
             for exps, c in coeffs.items():
                 if len(exps) != nvars:
                     raise ValueError("exponent tuple of wrong length")
                 if c:
-                    d[tuple(exps)] = c
-        self.nvars = nvars
-        self.coeffs = d
+                    bound = max(0, bound, *map(abs, exps))
+                    terms[_pack(exps, _EXP_BITS)] = c
+        self._set(nvars, terms, bound)
+
+    def _set(self, nvars, terms, bound):
+        if bound >= 1 << (_EXP_BITS - 1):
+            raise ValueError("Laurent exponent bound %d reaches 2^%d"
+                             % (bound, _EXP_BITS - 1))
+        self.nvars, self._terms, self.bound = nvars, terms, bound
+        return self
+
+    def _of(self, terms, bound):
+        # a value with this one's variable count
+        return object.__new__(MultiLaurent)._set(self.nvars, terms, bound)
+
+    @property
+    def coeffs(self):
+        """The terms as a dict exponent tuple -> coefficient (a copy)."""
+        v = self.nvars
+        return {tuple(_unpack(k, _EXP_BITS, v)): c for k, c in self._terms.items()}
 
     @classmethod
     def variable(cls, i, nvars, power=1):
@@ -479,29 +529,18 @@ class MultiLaurent:
         return None
 
     def is_zero(self):
-        return not self.coeffs
+        return not self._terms
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        d = dict(self.coeffs)
-        for exps, c in other.coeffs.items():
-            v = d.get(exps, 0) + c
-            if v:
-                d[exps] = v
-            elif exps in d:
-                del d[exps]
-        out = MultiLaurent(self.nvars)
-        out.coeffs = d
-        return out
+        return self._of(_sparse_add(self._terms, other._terms), max(self.bound, other.bound))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = MultiLaurent(self.nvars)
-        out.coeffs = {e: -c for e, c in self.coeffs.items()}
-        return out
+        return self._of({k: -c for k, c in self._terms.items()}, self.bound)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -514,29 +553,13 @@ class MultiLaurent:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            out = MultiLaurent(self.nvars)
-            if other:
-                out.coeffs = {e: c * other for e, c in self.coeffs.items()}
-            return out
+            terms = {k: c * other for k, c in self._terms.items()} if other else {}
+            return self._of(terms, self.bound)
         if not isinstance(other, MultiLaurent):
             return NotImplemented
         if other.nvars != self.nvars:
             raise ValueError("mixed variable counts")
-        a, b = self.coeffs, other.coeffs
-        if len(a) > len(b):
-            a, b = b, a
-        d = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                v = d.get(e, 0) + c1 * c2
-                if v:
-                    d[e] = v
-                elif e in d:
-                    del d[e]
-        out = MultiLaurent(self.nvars)
-        out.coeffs = d
-        return out
+        return self._of(_sparse_mul(self._terms, other._terms), self.bound + other.bound)
 
     __rmul__ = __mul__
 
@@ -544,14 +567,12 @@ class MultiLaurent:
         if not isinstance(n, int):
             raise ValueError("polynomial powers take integer exponents")
         if n < 0:
-            if len(self.coeffs) != 1:
+            if len(self._terms) != 1:
                 raise ValueError("only monomials have Laurent inverses")
-            (exps, c), = self.coeffs.items()
+            (k, c), = self._terms.items()
             if c * c != 1:
                 raise ValueError("coefficient %d is not invertible" % c)
-            out = MultiLaurent(self.nvars)
-            out.coeffs = {tuple(e * n for e in exps): c ** (n & 1)}
-            return out
+            return self._of({k * n: c ** (n & 1)}, self.bound * -n)
         result = MultiLaurent.one(self.nvars)
         base = self
         while n:
@@ -592,17 +613,18 @@ class MultiLaurent:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.coeffs.items())))
+        return hash((self.nvars, frozenset(self._terms.items())))
 
     def __repr__(self):
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         parts = []
-        for exps in sorted(self.coeffs):
-            c = self.coeffs[exps]
+        for exps in sorted(coeffs):
+            c = coeffs[exps]
             factors = ["z%d^%d" % (i + 1, e) for i, e in enumerate(exps) if e]
             parts.append("*".join([str(c)] + factors) if factors else str(c))
         return " + ".join(parts)
@@ -611,10 +633,13 @@ class MultiLaurent:
 def _laurent_divide_exact(num, den):
     """Exact quotient num/den of MultiLaurent values; raises if inexact.
 
-    Negative exponents are cleared by a monomial shift, then ordinary
-    multivariate long division runs in lex order.  The divisors that occur
-    here (Vandermonde factors) have unit leading coefficients, but general
-    integer leading coefficients are handled as well.
+    Long division on the packed keys, whose int order is lex order with the
+    last variable most significant.  Every monomial is a unit, so each step
+    divides the leading term of the remainder by the one of den.  Exponents
+    of an exact quotient lie, per variable, between (min of num) - (min of
+    den) and (max of num) - (max of den); a quotient term outside that box
+    proves the division inexact, and inside it every remainder term stays in
+    the exponent box of num, so the loop ends.
     """
     if den.is_zero():
         raise ZeroDivisionError("Laurent division by zero")
@@ -622,44 +647,40 @@ def _laurent_divide_exact(num, den):
         return MultiLaurent.zero(num.nvars)
     v = num.nvars
 
-    def ords(p):
-        return tuple(min(exps[i] for exps in p.coeffs) for i in range(v))
+    def box(p):
+        cols = list(zip(*(_unpack(k, _EXP_BITS, v) for k in p._terms)))
+        return [min(c) for c in cols], [max(c) for c in cols]
 
-    # per-variable minimal exponents are additive for exact quotients, so
-    # these shifts make numerator, denominator and quotient all polynomial
-    o_num, o_den = ords(num), ords(den)
-    s_den = tuple(max(0, -o) for o in o_den)
-    s_num = tuple(max(0, -o_num[i], s_den[i] - o_num[i] + o_den[i]) for i in range(v))
-    nd = {tuple(e + s for e, s in zip(exps, s_num)): c for exps, c in num.coeffs.items()}
-    dd = {tuple(e + s for e, s in zip(exps, s_den)): c for exps, c in den.coeffs.items()}
-
+    (lo_n, hi_n), (lo_d, hi_d) = box(num), box(den)
+    dd = den._terms
     lead = max(dd)
     lead_c = dd[lead]
-    rest = [(e, c) for e, c in dd.items() if e != lead]
+    rest = [(k, c) for k, c in dd.items() if k != lead]
+    # the leading remainder term t gives the quotient term t - lead, so t
+    # must lie in the quotient box shifted by the exponents of lead
+    at = _unpack(lead, _EXP_BITS, v)
+    lo_t = [a + n - d for a, n, d in zip(at, lo_n, lo_d)]
+    hi_t = [a + n - d for a, n, d in zip(at, hi_n, hi_d)]
     quot = {}
-    rem = dict(nd)
+    rem = dict(num._terms)
     while rem:
         top = max(rem)
-        if any(top[i] < lead[i] for i in range(v)):
+        if any(not a <= e <= b for e, a, b in zip(_unpack(top, _EXP_BITS, v), lo_t, hi_t)):
             raise ValueError("inexact Laurent division")
-        c = rem[top]
-        q, r = divmod(c, lead_c)
+        q, r = divmod(rem.pop(top), lead_c)
         if r:
             raise ValueError("inexact Laurent division")
-        mono = tuple(top[i] - lead[i] for i in range(v))
+        mono = top - lead
         quot[mono] = q
-        del rem[top]
-        for e, dc in rest:
-            key = tuple(mono[i] + e[i] for i in range(v))
-            val = rem.get(key, 0) - q * dc
+        for k, dc in rest:
+            k += mono
+            val = rem.get(k, 0) - q * dc
             if val:
-                rem[key] = val
-            elif key in rem:
-                del rem[key]
-    back = tuple(s_den[i] - s_num[i] for i in range(v))
-    out = MultiLaurent(v)
-    out.coeffs = {tuple(e + b for e, b in zip(exps, back)): c for exps, c in quot.items()}
-    return out
+                rem[k] = val
+            else:
+                del rem[k]
+    bound = max([abs(n - d) for n, d in zip(lo_n + hi_n, lo_d + hi_d)], default=0)
+    return num._of(quot, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -201,6 +201,18 @@ def brute_series_compose(outer, inner, order):
     return out
 
 
+def brute_laurent_mul(a, b):
+    """Product of two Laurent polynomials given as dicts exponent tuple ->
+    coefficient, term by term, adding the exponent tuples; zero
+    coefficients dropped."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
 def brute_ballot_coefficient(alpha, k):
     """(alpha)_(2k) / (k! (alpha+1)_k) from the three products themselves."""
     num = den = Fraction(1)

@@ -8,7 +8,7 @@ from symident.exactalg import (MultiLaurent, Series, UniLaurent, _int_poly_mul,
                                _mul_coeffs, det_cofactor, det_fraction_free,
                                series_compose, series_sqrt)
 
-from oracles import (brute_series_compose, brute_series_mul,
+from oracles import (brute_laurent_mul, brute_series_compose, brute_series_mul,
                      det_permutation_expansion)
 
 
@@ -281,6 +281,123 @@ class TestMultiLaurent:
         z1 = MultiLaurent.variable(0, 2)
         p = z1 ** 3 - z1 + 2
         assert MultiLaurent(2, p.coeffs) == p
+
+
+def laurent_operands(rng, nvars):
+    """Seeded MultiLaurent operands: zero, one-term values with coefficients
+    other than 1, and sparse values with big and negative coefficients."""
+    ops = [MultiLaurent.zero(nvars), MultiLaurent.one(nvars)]
+    for c in (-1, 3, -7, 2 ** 70):
+        ops.append(MultiLaurent(nvars, {tuple(rng.randint(-5, 5) for _ in range(nvars)): c}))
+    for terms in (2, 3, 5, 9):
+        ops.append(MultiLaurent(nvars, {
+            tuple(rng.randint(-3, 3) for _ in range(nvars)):
+            rng.choice((1, -1, rng.randint(-9, 9), rng.randint(-2 ** 80, 2 ** 80)))
+            for _ in range(terms)}))
+    return ops
+
+
+def as_multi(p):
+    """A UniLaurent as a one-variable MultiLaurent coefficient dict."""
+    return {(e,): c for e, c in p.coeffs.items()}
+
+
+class TestPackedLaurent:
+    """Packed-key MultiLaurent and int-keyed UniLaurent against the
+    tuple-keyed schoolbook product."""
+
+    def test_products_match_schoolbook(self):
+        rng = random.Random(21)
+        for nvars in range(1, 7):
+            ops = laurent_operands(rng, nvars)
+            for a in ops:
+                for b in ops:
+                    assert (a * b).coeffs == brute_laurent_mul(a.coeffs, b.coeffs), (a, b)
+
+    def test_unilaurent_products_match_schoolbook(self):
+        rng = random.Random(22)
+        ops = [UniLaurent.zero(), UniLaurent.monomial(-5, 3), UniLaurent.monomial(2 ** 70, -4)]
+        ops += [rand_unilaurent(rng, terms) for terms in (2, 3, 6, 10) for _ in range(3)]
+        for a in ops:
+            for b in ops:
+                assert as_multi(a * b) == brute_laurent_mul(as_multi(a), as_multi(b)), (a, b)
+
+    def test_cancellation(self):
+        rng = random.Random(23)
+        for nvars in range(1, 7):
+            for a in laurent_operands(rng, nvars):
+                assert (a + (-a)).coeffs == {} and (a - a).is_zero()
+                assert (a * 0).is_zero() and a * 0 == 0
+                # a product whose middle terms cancel: (z1 + z2)(z1 - z2)
+                z = [MultiLaurent.variable(i, nvars) for i in range(nvars)]
+                w = z[-1] ** -2
+                assert (z[0] + w) * (z[0] - w) == z[0] ** 2 - w ** 2
+        q = UniLaurent.monomial(1, 1)
+        assert ((q + 1) * (q - 1)).coeffs == {2: 1, 0: -1}
+        assert (q - q).coeffs == {}
+
+    def test_ring_axioms(self):
+        rng = random.Random(24)
+        for nvars in range(1, 7):
+            ops = laurent_operands(rng, nvars)
+            for _ in range(15):
+                a, b, c = (rng.choice(ops) for _ in range(3))
+                assert a + b == b + a and a * b == b * a
+                assert (a + b) + c == a + (b + c)
+                assert (a * b) * c == a * (b * c)
+                assert a * (b + c) == a * b + a * c
+                assert a * 1 == a and a + 0 == a
+
+    def test_exact_division_roundtrip(self):
+        rng = random.Random(25)
+        for nvars in range(1, 7):
+            ops = laurent_operands(rng, nvars)
+            for a in ops:
+                for b in ops:
+                    if not b.is_zero():
+                        assert (a * b) / b == a, (a, b)
+
+    def test_coeffs_roundtrip(self):
+        rng = random.Random(26)
+        for nvars in range(1, 7):
+            for p in laurent_operands(rng, nvars):
+                assert MultiLaurent(nvars, p.coeffs) == p
+                d = {tuple(rng.randint(-9, 9) for _ in range(nvars)): rng.randint(-3, 3)
+                     for _ in range(8)}
+                assert MultiLaurent(nvars, d).coeffs == {e: c for e, c in d.items() if c}
+
+    def test_repr_sorts_by_exponent_tuple(self):
+        # the packed keys order these the other way round
+        p = MultiLaurent(2, {(1, -1): 2, (-1, 1): 3, (0, 0): -1, (-1, 2): 5})
+        assert repr(p) == "3*z1^-1*z2^1 + 5*z1^-1*z2^2 + -1 + 2*z1^1*z2^-1"
+        p = MultiLaurent(3, {(0, 0, 1): 1, (0, 1, 0): 2, (1, 0, 0): 3, (0, 0, -1): 4})
+        assert repr(p) == "4*z3^-1 + 1*z3^1 + 2*z2^1 + 3*z1^1"
+
+    def test_packing_edge(self):
+        top = 2 ** 31 - 1
+        edge = MultiLaurent(3, {(top, -top, 0): 1, (0, top, -top): -2, (-top, 0, top): 3})
+        assert edge.bound == top
+        assert edge.coeffs == {(top, -top, 0): 1, (0, top, -top): -2, (-top, 0, top): 3}
+        a = MultiLaurent(3, {(top - 3, 3 - top, 0): 2, (0, 0, 3 - top): -1, (1, 2, 3): 4})
+        b = MultiLaurent(3, {(3, 3, -3): 5, (-3, 0, 3): 1, (0, 0, 0): -1})
+        assert (a * b).coeffs == brute_laurent_mul(a.coeffs, b.coeffs)
+        assert (a * b).bound == top
+        assert (edge * 7 * MultiLaurent.one(3)).coeffs == {e: 7 * c for e, c in edge.coeffs.items()}
+        z = MultiLaurent.variable(1, 3, top)
+        assert (z ** -1).coeffs == {(0, -top, 0): 1}
+        assert ((a * b) / b) == a
+        # a bound of 2^31 could let two exponent vectors share a key
+        with pytest.raises(ValueError):
+            edge * MultiLaurent.variable(0, 3)
+        with pytest.raises(ValueError):
+            edge * MultiLaurent.variable(0, 3, -1)
+        with pytest.raises(ValueError):
+            a * b * MultiLaurent.variable(2, 3)
+        with pytest.raises(ValueError):
+            MultiLaurent(2, {(0, 2 ** 31): 1})
+        with pytest.raises(ValueError):
+            MultiLaurent.variable(0, 1, 2 ** 30) ** 2
+        assert (edge + MultiLaurent.variable(0, 3)).bound == top
 
 
 class TestDeterminants:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from symident.combinat import ballot
@@ -184,6 +186,23 @@ class TestCheckReport:
         assert rep.status == "fail"
         assert rep.counterexample
         assert not rep.passed
+
+    def test_long_laurent_sides_are_cut(self, monkeypatch):
+        from symident import identities
+        from symident.symfun import symbolic_vectors
+        complete = identities.complete
+        monkeypatch.setattr(identities, "complete", lambda n, v: complete(n, v) + 1)
+        rep = second_kind_h(3, 8, SYM)
+        lhs = complete(8, symbolic_vectors(3)[1]) + 1
+        assert rep.status == "fail" and len(repr(lhs)) > 8000
+        cut = "lhs=%s… (%d terms) rhs=" % (repr(lhs)[:identities._SHOWN], len(lhs.coeffs))
+        assert rep.counterexample.startswith("n=8 r=3 symbolic: " + cut)
+        assert rep.counterexample.endswith(" terms)")
+        assert len(rep.counterexample) < 3 * identities._SHOWN
+        # short sides, and sides that are not Laurent polynomials, stay whole
+        p = UniLaurent.monomial(3, -2)
+        big = Fraction(3 ** 700, 2 ** 700)
+        assert identities._shown(p) == repr(p) and identities._shown(big) == repr(big)
 
     def test_check_id_is_stable(self):
         rep = CheckReport("demo", {"b": 2, "a": 1}, "pass")

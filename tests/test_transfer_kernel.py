@@ -77,16 +77,12 @@ USERS = {
     ],
     ("second", "e"): [
         ("second_kind_e", lambda: identities.second_kind_e(2, T, SYM), r"\bn=%d\b" % T),
-        ("genfun e", lambda: identities.genfun_transfer_check(2, 8),
-         r"e coefficient y\^%d\b" % T),
         ("principal (1b)", lambda: identities.principal_combination_check(2, 10),
          r"\(1b\) n=%d\b" % T),
         ("unit sum", lambda: identities.unit_binomial_sum_check(2), r"\bn=%d\b" % T),
     ],
     ("second", "h"): [
         ("second_kind_h", lambda: identities.second_kind_h(2, T, SYM), r"\bn=%d\b" % T),
-        ("genfun h", lambda: identities.genfun_transfer_check(2, 8),
-         r"h coefficient y\^%d\b" % T),
         ("principal (2b)", lambda: identities.principal_combination_check(2, 10),
          r"\(2b\) n=%d\b" % T),
         ("composition", lambda: identities.composition_consistency_check(2, 6),
@@ -116,6 +112,31 @@ def test_every_kernel_user_can_fail(monkeypatch, direction, family):
         rep = check()
         assert rep.status == "fail", label
         assert re.search(pattern, rep.counterexample), (label, rep.counterexample)
+
+
+@pytest.mark.parametrize("family,r", [("e", 4), ("h", 2)])
+def test_genfun_transfer_is_its_own_route(monkeypatch, family, r):
+    # genfun_transfer_check substitutes x = y/(1+y^2) itself: a wrong
+    # second-kind kernel leaves it passing, and one of its own inputs e_T
+    # or h_T of the shifted vector off by one makes it fail from y^T on
+    _perturb(monkeypatch, "second", family)
+    assert identities.genfun_transfer_check(r, 8).passed
+    monkeypatch.undo()
+
+    name = {"e": "elementary_prefix", "h": "complete_prefix"}[family]
+    prefix = getattr(identities, name)
+
+    def wrong(n, v):
+        out = prefix(n, v)
+        if len(v) == r:  # the shifted vector; the doubled one has 2r entries
+            out[T] = out[T] + 1
+        return out
+
+    monkeypatch.setattr(identities, name, wrong)
+    rep = identities.genfun_transfer_check(r, 8)
+    assert rep.status == "fail"
+    assert re.match(r"%s coefficient y\^%d\b" % (family, T), rep.counterexample), \
+        rep.counterexample
 
 
 @pytest.mark.parametrize("check", [
