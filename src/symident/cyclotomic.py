@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exactalg import _int_poly_mul, det_cofactor
+from .exactalg import _int_poly_mul, _power, det_cofactor
 from .symfun import PointVector
 
 
@@ -177,17 +177,7 @@ class CycInt:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("cyclotomic powers take nonnegative integer exponents")
-        if n == 0:
-            return self.field.one
-        result = None
-        base = self
-        while True:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base
+        return _power(self, n) if n else self.field.one
 
     def is_rational_integer(self) -> bool:
         return all(c == 0 for c in self.coords[1:])

@@ -96,19 +96,33 @@ def _mul_coeffs(a, b, order):
 
 
 def _inv_coeffs(a, order):
-    # series inverse; needs a nonzero constant term
-    c0 = a[0] if a else Fraction(0)
-    if c0 == 0:
+    # series inverse; needs a nonzero constant term.  With a = A/d cleared
+    # to integers and c = A_0, the scaled coefficients u_n = c^(n+1) inv_n(A)
+    # are integers: u_0 = 1, u_n = -sum_j A_j c^(j-1) u_(n-j), and
+    # inv_n(a) = d u_n / c^(n+1)
+    a, d = _cleared(a[: order + 1]) if a else ([0], 1)
+    c = a[0]
+    if c == 0:
         raise ValueError("series inverse needs a nonzero constant term")
-    inv = [Fraction(0)] * (order + 1)
-    inv[0] = Fraction(1, 1) / c0
+    weighted = [0] + [a[j] * c ** (j - 1) for j in range(1, len(a))]
+    u = [1]
     for n in range(1, order + 1):
-        s = Fraction(0)
-        for j in range(1, min(n, len(a) - 1) + 1):
-            if a[j]:
-                s += a[j] * inv[n - j]
-        inv[n] = -s / c0
-    return inv
+        u.append(-sum(weighted[j] * u[n - j] for j in range(1, min(n, len(a) - 1) + 1)
+                      if weighted[j]))
+    return [Fraction(d * v, c ** (n + 1)) for n, v in enumerate(u)]
+
+
+def _power(x, n: int):
+    """x^n for n >= 1 by binary powering: one square per bit below the top
+    one and one product per further set bit, so x^5 takes 3 products."""
+    result = None
+    while True:
+        if n & 1:
+            result = x if result is None else result * x
+        n >>= 1
+        if not n:
+            return result
+        x = x * x
 
 
 class Series:
@@ -211,14 +225,7 @@ class Series:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("series powers take nonnegative integer exponents")
-        result = Series.one(self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n) if n else Series.one(self.order)
 
     def inverse(self):
         return Series(_inv_coeffs(self.coeffs, self.order), self.order)
@@ -414,14 +421,7 @@ class UniLaurent:
             if c * c != 1:
                 raise ValueError("coefficient %d is not invertible" % c)
             return UniLaurent({e * n: c ** (n & 1)}, self.var)
-        result = UniLaurent.one(self.var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n) if n else UniLaurent.one(self.var)
 
     def evaluate(self, x):
         """Exact value at x; x must be nonzero when negative powers occur."""
@@ -573,14 +573,7 @@ class MultiLaurent:
             if c * c != 1:
                 raise ValueError("coefficient %d is not invertible" % c)
             return self._of({k * n: c ** (n & 1)}, self.bound * -n)
-        result = MultiLaurent.one(self.nvars)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n) if n else MultiLaurent.one(self.nvars)
 
     def evaluate(self, point):
         """Exact value at a tuple of rationals.

@@ -8,7 +8,9 @@ Every verifier runs in one of two modes:
   compared structurally, which is a proof for the given (r, index);
 * random - both sides are evaluated at reproducibly drawn rational points
   (pairwise distinct, nonzero), which is a strong randomized check for
-  parameter ranges where the symbolic expansion would be too large.
+  parameter ranges where the symbolic expansion would be too large.  The
+  points are cleared of their denominators, so both sides are compared as
+  integers.
 
 A failed check never raises; it comes back as a CheckReport carrying a
 counterexample, so suite runners can aggregate and render outcomes.
@@ -23,7 +25,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .combinat import binom, expansion_kernel, q_binom
-from .exactalg import UniLaurent
+from .exactalg import UniLaurent, _cleared
 from .symfun import (PointVector, complete, complete_prefix, elementary,
                      elementary_prefix, power, symbolic_vectors)
 
@@ -110,29 +112,52 @@ def _rng_for(mode: VerifyMode, check: str, params: dict) -> random.Random:
 
 
 def _vector_pairs(r: int, mode: VerifyMode, check: str, params: dict):
-    """Yield (doubled, shifted) vector pairs for the requested mode."""
+    """Yield (doubled, shifted, scale) for the requested mode.
+
+    Symbolic mode yields the Laurent vectors with scale 1.  Random mode
+    draws rational points and yields them as integers: every entry times
+    the scale, the lcm of the denominators of all 3r entries.
+    """
     if mode.mode == "symbolic":
         _, doubled, shifted = symbolic_vectors(r)
-        yield doubled, shifted
+        yield doubled, shifted, 1
         return
     rng = _rng_for(mode, check, params)
     for _ in range(mode.trials):
         xs = random_rational_points(rng, r)
         inv = [Fraction(1) / x for x in xs]
-        yield (PointVector(tuple(xs) + tuple(inv)),
-               PointVector([x + y for x, y in zip(xs, inv)]))
+        entries, scale = _cleared(xs + inv + [x + y for x, y in zip(xs, inv)])
+        yield PointVector(entries[:2 * r]), PointVector(entries[2 * r:]), scale
 
 
-def _run_sides(check, params, r, mode, sides):
-    """Evaluate a (doubled, shifted) -> (lhs, rhs) body across the mode's
-    vectors and collect mismatches."""
+def _weighted(kernel, scale: int, degree: int) -> list:
+    """The kernel with each coefficient of index i times scale^(degree - i).
+
+    Both sides of an expansion identity are homogeneous of the given degree
+    in the entries, and a kernel term of index i has degree i, so the
+    weighted kernel over entries multiplied by the scale gives scale^degree
+    times each side.
+    """
+    if scale == 1:
+        return kernel
+    return [(i, c * scale ** (degree - i)) for i, c in kernel]
+
+
+def _run_sides(check, params, r, mode, kernel, degree, sides):
+    """Evaluate a (doubled, shifted, kernel) -> (lhs, rhs) body across the
+    mode's vectors, with the kernel weighted for each vector's scale, and
+    collect mismatches; a random-mode side is shown as the rational it
+    stands for, itself over scale^degree."""
     t0 = time.perf_counter()
     failures = []
     at = " ".join("%s=%s" % kv for kv in sorted(params.items()))
-    for trial, (doubled, shifted) in enumerate(_vector_pairs(r, mode, check, params)):
-        lhs, rhs = sides(doubled, shifted)
+    for trial, (doubled, shifted, scale) in enumerate(_vector_pairs(r, mode, check, params)):
+        lhs, rhs = sides(doubled, shifted, _weighted(kernel, scale, degree))
         if lhs != rhs:
-            where = "symbolic" if mode.mode == "symbolic" else "point %d" % trial
+            where = "symbolic"
+            if mode.mode == "random":
+                where = "point %d" % trial
+                lhs, rhs = Fraction(lhs, scale ** degree), Fraction(rhs, scale ** degree)
             failures.append("%s %s: lhs=%s rhs=%s" % (at, where, _shown(lhs), _shown(rhs)))
     out_params = dict(params)
     out_params["mode"] = mode.mode
@@ -157,12 +182,12 @@ def first_kind_e(r: int, m: int, mode: VerifyMode = VerifyMode()) -> CheckReport
         raise ValueError("need r >= 1 and m >= 0")
     kernel = expansion_kernel("first", "e", r, m)
 
-    def sides(doubled, shifted):
+    def sides(doubled, shifted, kernel):
         es = elementary_prefix(min(m, 2 * r), doubled)
         lhs = sum((es[i] * c for i, c in kernel), doubled.zero)
         return lhs, elementary(m, shifted)
 
-    return _run_sides("first_kind_e", {"r": r, "m": m}, r, mode, sides)
+    return _run_sides("first_kind_e", {"r": r, "m": m}, r, mode, kernel, m, sides)
 
 
 def first_kind_h(r: int, m: int, mode: VerifyMode = VerifyMode()) -> CheckReport:
@@ -172,11 +197,11 @@ def first_kind_h(r: int, m: int, mode: VerifyMode = VerifyMode()) -> CheckReport
         raise ValueError("need r >= 1 and m >= 0")
     kernel = expansion_kernel("first", "h", r, m)
 
-    def sides(doubled, shifted):
+    def sides(doubled, shifted, kernel):
         hs = complete_prefix(m, doubled)
         return complete(m, shifted), sum((hs[i] * c for i, c in kernel), doubled.zero)
 
-    return _run_sides("first_kind_h", {"r": r, "m": m}, r, mode, sides)
+    return _run_sides("first_kind_h", {"r": r, "m": m}, r, mode, kernel, m, sides)
 
 
 def first_kind_p(r: int, m: int, mode: VerifyMode = VerifyMode()) -> CheckReport:
@@ -190,11 +215,11 @@ def first_kind_p(r: int, m: int, mode: VerifyMode = VerifyMode()) -> CheckReport
         raise ValueError("need r >= 1 and m >= 1")
     kernel = expansion_kernel("first", "p", r, m)
 
-    def sides(doubled, shifted):
+    def sides(doubled, shifted, kernel):
         rhs = sum((_power_sum(i, doubled) * c for i, c in kernel), doubled.zero)
         return power(m, shifted) * 2, rhs
 
-    return _run_sides("first_kind_p", {"r": r, "m": m}, r, mode, sides)
+    return _run_sides("first_kind_p", {"r": r, "m": m}, r, mode, kernel, m, sides)
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +233,11 @@ def second_kind_e(r: int, n: int, mode: VerifyMode = VerifyMode()) -> CheckRepor
         raise ValueError("need r >= 1 and 0 <= n <= 2r")
     kernel = expansion_kernel("second", "e", r, n)
 
-    def sides(doubled, shifted):
+    def sides(doubled, shifted, kernel):
         es = elementary_prefix(min(n, r), shifted)
         return elementary(n, doubled), sum((es[i] * c for i, c in kernel), shifted.zero)
 
-    return _run_sides("second_kind_e", {"r": r, "n": n}, r, mode, sides)
+    return _run_sides("second_kind_e", {"r": r, "n": n}, r, mode, kernel, n, sides)
 
 
 def second_kind_h(r: int, n: int, mode: VerifyMode = VerifyMode()) -> CheckReport:
@@ -224,11 +249,11 @@ def second_kind_h(r: int, n: int, mode: VerifyMode = VerifyMode()) -> CheckRepor
         raise ValueError("need r >= 1 and n >= 0")
     kernel = expansion_kernel("second", "h", r, n)
 
-    def sides(doubled, shifted):
+    def sides(doubled, shifted, kernel):
         hs = complete_prefix(n, shifted)
         return complete(n, doubled), sum((hs[i] * c for i, c in kernel), shifted.zero)
 
-    return _run_sides("second_kind_h", {"r": r, "n": n}, r, mode, sides)
+    return _run_sides("second_kind_h", {"r": r, "n": n}, r, mode, kernel, n, sides)
 
 
 def second_kind_p(r: int, n: int, mode: VerifyMode = VerifyMode()) -> CheckReport:
@@ -239,11 +264,11 @@ def second_kind_p(r: int, n: int, mode: VerifyMode = VerifyMode()) -> CheckRepor
         raise ValueError("need r >= 1 and n >= 1")
     kernel = expansion_kernel("second", "p", r, n)
 
-    def sides(doubled, shifted):
+    def sides(doubled, shifted, kernel):
         rhs = sum((_power_sum(i, shifted) * c for i, c in kernel), shifted.zero)
         return power(n, doubled), rhs
 
-    return _run_sides("second_kind_p", {"r": r, "n": n}, r, mode, sides)
+    return _run_sides("second_kind_p", {"r": r, "n": n}, r, mode, kernel, n, sides)
 
 
 def genfun_transfer_check(r: int, order: int) -> CheckReport:

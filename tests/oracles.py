@@ -303,3 +303,50 @@ def brute_transfer_coefficients(direction, family, r, n):
             out[j] = _int_series_mul(ypow, weight, n)[n]
             ypow = _int_series_mul(ypow, y, n)
     return sorted(((i, c) for i, c in out.items() if c), reverse=True)
+
+
+def brute_series_inverse(a, order):
+    """Coefficients 0..order of 1/a by the Fraction recurrence
+    inv_n = -(sum_j a_j inv_(n-j)) / a_0."""
+    a = [Fraction(c) for c in a[: order + 1]]
+    inv = [1 / a[0]]
+    for n in range(1, order + 1):
+        s = sum((a[j] * inv[n - j] for j in range(1, min(n, len(a) - 1) + 1)), Fraction(0))
+        inv.append(-s / a[0])
+    return inv
+
+
+def _fraction_prefix(family, values, top):
+    """[f_0, ..., f_top] of rational values for f = e, h or p, straight from
+    the generating functions prod (1 + x y), prod 1/(1 - x y) and
+    sum_x 1/(1 - x y); p_0 is the number of values."""
+    if family == "p":
+        return [Fraction(len(values))] + [sum(x ** k for x in values) for k in range(1, top + 1)]
+    out = [Fraction(1)] + [Fraction(0)] * top
+    for x in values:
+        if family == "e":
+            out = [out[0]] + [out[k] + x * out[k - 1] for k in range(1, top + 1)]
+        else:
+            for k in range(1, top + 1):
+                out[k] += x * out[k - 1]
+    return out
+
+
+def fraction_sides(check, k, kernel, xs):
+    """(lhs, rhs) of the expansion check `check` (first_kind_e ..
+    second_kind_p) at index k, over Fractions at the points xs: the single
+    value f_k of one vector against the kernel sum over the other, with the
+    kernel unweighted.  The sides are oriented as the check reports them."""
+    inv = [1 / x for x in xs]
+    doubled = list(xs) + inv
+    shifted = [x + y for x, y in zip(xs, inv)]
+    direction, family = check.split("_")[0], check[-1]
+    one, many = (shifted, doubled) if direction == "first" else (doubled, shifted)
+    single = _fraction_prefix(family, one, k)[k]
+    prefix = _fraction_prefix(family, many, k)
+    expanded = sum((prefix[i] * c for i, c in kernel), Fraction(0))
+    if check == "first_kind_e":
+        return expanded, single
+    if check == "first_kind_p":
+        return 2 * single, expanded
+    return single, expanded

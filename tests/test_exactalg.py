@@ -5,11 +5,11 @@ import pytest
 
 from symident.cyclotomic import CycField
 from symident.exactalg import (MultiLaurent, Series, UniLaurent, _int_poly_mul,
-                               _mul_coeffs, det_cofactor, det_fraction_free,
+                               _inv_coeffs, _mul_coeffs, det_cofactor, det_fraction_free,
                                series_compose, series_sqrt)
 
-from oracles import (brute_laurent_mul, brute_series_compose, brute_series_mul,
-                     det_permutation_expansion)
+from oracles import (brute_laurent_mul, brute_series_compose, brute_series_inverse,
+                     brute_series_mul, det_permutation_expansion)
 
 
 def rand_series(rng, order):
@@ -184,6 +184,23 @@ class TestSeriesOracle:
             if s[0]:
                 one = [Fraction(1)] + [Fraction(0)] * s.order
                 assert brute_series_mul(s.coeffs, s.inverse().coeffs, s.order) == one
+
+    def test_inverse_against_the_recurrence(self):
+        rng = random.Random(16)
+        for c0 in (Fraction(3, 7), Fraction(-3, 7), Fraction(-1), big_fraction(rng)):
+            for order in (0, 1, 5, 17):
+                for coeffs in ([c0] + [big_fraction(rng) for _ in range(order)],
+                               [c0] + [Fraction(rng.randint(-9, 9), 7) for _ in range(order)],
+                               [c0, big_fraction(rng)]):
+                    want = brute_series_inverse(coeffs, order)
+                    assert _inv_coeffs(coeffs, order) == want, (coeffs, order)
+                    s = Series(coeffs, order)
+                    one = [Fraction(1)] + [Fraction(0)] * order
+                    assert list(s.inverse().coeffs) == want
+                    assert brute_series_mul(coeffs, want, order) == one
+        for zero_constant in ([], [Fraction(0), Fraction(1)]):
+            with pytest.raises(ValueError, match="series inverse needs a nonzero constant term"):
+                _inv_coeffs(zero_constant, 3)
 
 
 class TestUniLaurent:
@@ -398,6 +415,48 @@ class TestPackedLaurent:
         with pytest.raises(ValueError):
             MultiLaurent.variable(0, 1, 2 ** 30) ** 2
         assert (edge + MultiLaurent.variable(0, 3)).bound == top
+
+
+class TestPower:
+    """One binary powering routine serves every ring."""
+
+    def _values(self):
+        z = MultiLaurent.variable(0, 2)
+        return [Series([1, 2, Fraction(1, 3)], 6), UniLaurent({-1: 2, 3: 1}),
+                z + 3 * MultiLaurent.variable(1, 2, -1), CycField(9).element([1, -2, 0, 5])]
+
+    def test_fifth_power_takes_three_products(self, monkeypatch):
+        for x in self._values():
+            ring = type(x)
+            mul, calls = ring.__mul__, []
+
+            def counted(a, b, mul=mul, calls=calls):
+                calls.append(1)
+                return mul(a, b)
+
+            want = x * x * x * x * x
+            monkeypatch.setattr(ring, "__mul__", counted)
+            assert x ** 5 == want
+            assert len(calls) == 3, ring
+            assert x ** 1 == x and len(calls) == 3
+            monkeypatch.undo()
+
+    def test_small_exponents(self):
+        for x in self._values():
+            want = x ** 0
+            assert want * x == x
+            for n in range(1, 12):
+                want = want * x
+                assert x ** n == want, (type(x), n)
+
+    def test_largest_exponent_power_decodes(self):
+        z = MultiLaurent.variable(0, 1)
+        assert (z ** 2 ** 30).coeffs == {(2 ** 30,): 1}
+        w = MultiLaurent(3, {(0, -1, 1): 1})
+        assert (w ** (2 ** 30 + 2 ** 29 + 7)).coeffs == \
+            {(0, -(2 ** 30 + 2 ** 29 + 7), 2 ** 30 + 2 ** 29 + 7): 1}
+        with pytest.raises(ValueError):
+            z ** 2 ** 31
 
 
 class TestDeterminants:

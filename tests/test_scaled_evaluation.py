@@ -1,0 +1,121 @@
+"""Random mode evaluates the expansion identities on integer points: the
+drawn rationals times the lcm D of their denominators, with each kernel
+term of index i weighted by D^(degree - i).  Checked here against the
+Fraction evaluation at the same points, with the points themselves pinned."""
+
+from fractions import Fraction
+
+import pytest
+
+from symident import identities
+from symident.combinat import expansion_kernel
+
+from oracles import fraction_sides
+
+CHECKS = ("first_kind_e", "first_kind_h", "first_kind_p",
+          "second_kind_e", "second_kind_h", "second_kind_p")
+
+
+def _index_name(check):
+    return "m" if check.startswith("first") else "n"
+
+
+def _indices(check, r):
+    if check == "second_kind_e":
+        return range(2 * r + 1)
+    return range(1 if check.endswith("p") else 0, 17)
+
+
+def _sides_of(monkeypatch, check, r, k, mode):
+    """What one check hands to _run_sides: its kernel, its degree and its
+    (doubled, shifted, kernel) -> (lhs, rhs) body."""
+    got = {}
+
+    def capture(check, params, r, mode, kernel, degree, sides):
+        got.update(kernel=kernel, degree=degree, sides=sides)
+
+    with monkeypatch.context() as m:
+        m.setattr(identities, "_run_sides", capture)
+        getattr(identities, check)(r, k, mode)
+    return got["kernel"], got["degree"], got["sides"]
+
+
+def _drawn(check, r, k, mode):
+    """The rational points of each trial, drawn as random mode draws them."""
+    rng = identities._rng_for(mode, check, {"r": r, _index_name(check): k})
+    return [identities.random_rational_points(rng, r) for _ in range(mode.trials)]
+
+
+@pytest.mark.parametrize("check", CHECKS)
+def test_scaled_sides_match_the_fraction_route(monkeypatch, check):
+    for seed in (3, 7, 11):
+        mode = identities.VerifyMode("random", trials=1, seed=seed)
+        for r in range(1, 7):
+            for k in _indices(check, r):
+                kernel, degree, sides = _sides_of(monkeypatch, check, r, k, mode)
+                assert degree == k
+                assert kernel == expansion_kernel(check.split("_")[0], check[-1], r, k)
+                params = {"r": r, _index_name(check): k}
+                pairs = identities._vector_pairs(r, mode, check, params)
+                for (doubled, shifted, scale), xs in zip(pairs, _drawn(check, r, k, mode)):
+                    inv = [1 / x for x in xs]
+                    assert [Fraction(v, scale) for v in doubled] == xs + inv
+                    assert [Fraction(v, scale) for v in shifted] == \
+                        [x + y for x, y in zip(xs, inv)]
+                    lhs, rhs = sides(doubled, shifted, identities._weighted(kernel, scale, k))
+                    assert type(lhs) is int and type(rhs) is int
+                    want = fraction_sides(check, k, kernel, xs)
+                    assert (Fraction(lhs, scale ** k), Fraction(rhs, scale ** k)) == want, \
+                        (check, seed, r, k)
+
+
+def test_symbolic_mode_is_unscaled():
+    mode = identities.VerifyMode("symbolic")
+    (_, _, scale), = identities._vector_pairs(3, mode, "first_kind_h", {"r": 3, "m": 5})
+    assert scale == 1
+    kernel = expansion_kernel("first", "h", 3, 5)
+    assert identities._weighted(kernel, 1, 5) is kernel
+
+
+# the first trial's points at seed 7, one check per family
+PINNED = [
+    ("first_kind_e", 4, 10,
+     ["900883/365839", "453539/41993", "350524/27955", "191235/205999"]),
+    ("second_kind_h", 5, 12,
+     ["-567872/865255", "-173003/653391", "-18341/232346", "-5635/2784", "131125/100737"]),
+    ("first_kind_p", 6, 9,
+     ["584779/815454", "502010/888193", "-597587/455446", "116533/73111", "314123/453283",
+      "6792/5597"]),
+]
+
+
+@pytest.mark.parametrize("check,r,k,points", PINNED)
+def test_drawn_points_are_pinned(check, r, k, points):
+    mode = identities.VerifyMode("random", trials=5, seed=7)
+    xs = [Fraction(p) for p in points]
+    assert _drawn(check, r, k, mode)[0] == xs
+    params = {"r": r, _index_name(check): k}
+    doubled, shifted, scale = next(identities._vector_pairs(r, mode, check, params))
+    assert [Fraction(v, scale) for v in doubled] == xs + [1 / x for x in xs]
+
+
+@pytest.mark.parametrize("check,r,k", [("first_kind_h", 4, 6), ("second_kind_p", 5, 7)])
+def test_random_counterexample_reads_as_fractions(monkeypatch, check, r, k):
+    # one kernel coefficient off by one, as in test_transfer_kernel
+    def wrong(d, f, rr, n):
+        (i, c), *rest = expansion_kernel(d, f, rr, n)
+        return [(i, c + 1)] + rest
+
+    monkeypatch.setattr(identities, "expansion_kernel", wrong)
+    mode = identities.VerifyMode("random", trials=5, seed=7)
+    rep = getattr(identities, check)(r, k, mode)
+    assert rep.status == "fail"
+    kernel = wrong(check.split("_")[0], check[-1], r, k)
+    at = "%s=%d r=%d" % (_index_name(check), k, r)
+    want = []
+    for trial, xs in enumerate(_drawn(check, r, k, mode)):
+        lhs, rhs = fraction_sides(check, k, kernel, xs)
+        assert lhs != rhs
+        want.append("%s point %d: lhs=%r rhs=%r" % (at, trial, lhs, rhs))
+    assert rep.counterexample == "; ".join(want[:3])
+    assert rep.counterexample.startswith("%s point 0: lhs=Fraction(" % at)
