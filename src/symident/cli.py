@@ -279,7 +279,7 @@ def suite_roots(rs, n_mult=6):
     companion binomial identity."""
     import time
 
-    from .cyclotomic import as_integer, doubled_roots_vector
+    from .cyclotomic import doubled_roots_vector
     from .symfun import complete_prefix, elementary_prefix, power_prefix
 
     out = []
@@ -292,7 +292,7 @@ def suite_roots(rs, n_mult=6):
         es = elementary_prefix(2 * r + 4, doubled)
         for n in range(2 * r + 5):
             want = 1 if n <= 2 * r else 0
-            if as_integer(es[n]) != want:
+            if es[n] != want:
                 fails.append("e n=%d" % n)
         out.append(identities._report("roots_e", {"r": r}, fails, t0))
 
@@ -302,7 +302,7 @@ def suite_roots(rs, n_mult=6):
         for n in range(top + 1):
             m = n % (4 * r + 2)
             want = 1 if m in (0, 1) else (-1 if m in (p, p + 1) else 0)
-            if as_integer(hs[n]) != want:
+            if hs[n] != want:
                 fails.append("h n=%d" % n)
         out.append(identities._report("roots_h", {"r": r, "n_max": top}, fails, t0))
 
@@ -311,7 +311,7 @@ def suite_roots(rs, n_mult=6):
         ps = power_prefix(top, doubled)
         for n in range(1, top + 1):
             want = (-1 if n % 2 else 1) * (-1 + p * (1 if n % p == 0 else 0))
-            if as_integer(ps[n - 1]) != want:
+            if ps[n - 1] != want:
                 fails.append("p n=%d" % n)
         out.append(identities._report("roots_p", {"r": r, "n_max": top}, fails, t0))
 
@@ -333,9 +333,8 @@ def suite_discriminant(rs):
         if not _is_prime(2 * r + 1):
             continue
         t0 = time.perf_counter()
-        ok = discriminant_square_check(r)
-        out.append(identities._report("discriminant_square", {"r": r},
-                                      [] if ok else ["squared determinant mismatch"], t0))
+        fails = [] if discriminant_square_check(r) else ["squared determinant mismatch at r=%d" % r]
+        out.append(identities._report("discriminant_square", {"r": r}, fails, t0))
     return out
 
 

@@ -5,17 +5,23 @@ Working modulo the cyclotomic polynomial (rather than x^m - 1) keeps the
 ring an integral domain, so "this element is a rational integer" is
 decidable by looking at the coordinates.
 
-Products are one Kronecker-substitution big-int multiply (the kernel lives
-in ``exactalg``).  The unpacked product is folded modulo x^m - 1 (which
-Phi_m divides) and the remaining degrees m-1 .. deg Phi_m are cancelled
-against the nonzero terms of Phi_m, leaving the canonical remainder.
+Products run on the Kronecker-substitution kernel of ``exactalg``: each
+pair of operands is packed into big ints, and a dot product
+``CycInt.dot(xs, ys)`` adds the big-int products of all its pairs before
+one unpack, so it is reduced once rather than once per product (a single
+product is the one-pair dot).  A product with a one-term factor c x^e is
+not packed: the other operand is rotated by e modulo x^m - 1 and scaled
+by c.  Either way the result is folded modulo x^m - 1 (which Phi_m
+divides) and the remaining degrees m-1 .. deg Phi_m are cancelled against
+the nonzero terms of Phi_m, leaving the canonical remainder.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 
-from .exactalg import _int_poly_mul, _power, det_cofactor
+from .exactalg import _int_poly_dot, _power, det_cofactor
 from .symfun import PointVector
 
 
@@ -92,6 +98,24 @@ class CycField:
             out.extend([0] * (d - len(out)))
         return tuple(out)
 
+    def _dot(self, xs, ys) -> tuple:
+        """Canonical coordinates of sum_i xs[i] * ys[i] for coordinate
+        vectors of length at most the degree: one packed sum, one reduction."""
+        return self._reduce(_int_poly_dot(xs, ys, 2 * self.degree - 1))
+
+    def _rotate(self, coords, mono) -> tuple:
+        """Canonical coordinates of coords times the one-term mono = c x^e:
+        coords padded to length m, shifted cyclically by e (x^m = 1 modulo
+        Phi_m), scaled by c and reduced."""
+        c = sum(mono)  # the only nonzero coordinate
+        e = mono.index(c)
+        out = list(coords) + [0] * (self.m - len(coords))
+        if e:
+            out = out[-e:] + out[:-e]
+        if c != 1:
+            out = [c * a for a in out]
+        return self._reduce(out)
+
     def element(self, coords) -> "CycInt":
         return CycInt(self, self._reduce(list(coords)))
 
@@ -166,13 +190,28 @@ class CycInt:
             return CycInt(self.field, tuple(a * other for a in self.coords))
         if not isinstance(other, CycInt):
             return NotImplemented
-        if other.field != self.field:
+        field = self.field
+        if other.field != field:
             raise ValueError("mixed cyclotomic orders")
-        d = self.field.degree
-        conv = _int_poly_mul(self.coords, other.coords, 2 * d - 1)
-        return CycInt(self.field, self.field._reduce(conv))
+        a, b, d = self.coords, other.coords, field.degree
+        if a.count(0) == d - 1:
+            return CycInt(field, field._rotate(b, a))
+        if b.count(0) == d - 1:
+            return CycInt(field, field._rotate(a, b))
+        return CycInt(field, field._dot((a,), (b,)))
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def dot(xs, ys):
+        """sum_i xs[i] * ys[i] for two equally long, nonempty sequences of
+        CycInt values of one field and ints, reduced modulo Phi_m once;
+        an int when no entry is a CycInt."""
+        field = next((v.field for v in chain(xs, ys) if isinstance(v, CycInt)), None)
+        if field is None:
+            return sum(x * y for x, y in zip(xs, ys))
+        return CycInt(field, field._dot([_coords_in(field, x) for x in xs],
+                                        [_coords_in(field, y) for y in ys]))
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -183,6 +222,8 @@ class CycInt:
         return all(c == 0 for c in self.coords[1:])
 
     def __eq__(self, other):
+        if isinstance(other, int):  # the class of c is (c, 0, ..., 0)
+            return self.coords[0] == other and self.is_rational_integer()
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -193,6 +234,17 @@ class CycInt:
 
     def __repr__(self):
         return "CycInt(m=%d, %r)" % (self.field.m, self.coords)
+
+
+def _coords_in(field: CycField, x):
+    # coordinates of a CycInt of `field`, or of an int, for CycField._dot
+    if isinstance(x, CycInt):
+        if x.field is not field and x.field != field:
+            raise ValueError("mixed cyclotomic orders")
+        return x.coords
+    if isinstance(x, int):
+        return (x,)
+    raise TypeError("cannot take a cyclotomic dot product with %r" % (x,))
 
 
 def as_integer(x: CycInt) -> int:

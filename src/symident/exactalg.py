@@ -13,8 +13,9 @@ Dense polynomial products (``Series`` here, ``CycInt`` in ``cyclotomic``)
 run on one Kronecker-substitution kernel: each integer coefficient vector is
 packed into one signed Python int with slots wide enough that no
 coefficient of the product can overflow its slot, so the whole convolution
-is a single big-int multiply.  Rational series are cleared to integers over
-the lcm of their denominators first.
+is a single big-int multiply, and a sum of such products (a dot product) is
+added up as big ints before one unpack.  Rational series are cleared to
+integers over the lcm of their denominators first.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from operator import floordiv, truediv
 
 Rational = Fraction
@@ -63,17 +65,31 @@ def _unpack(packed: int, k: int, slots: int) -> list:
     return out
 
 
+def _int_poly_dot(xs, ys, slots: int) -> list:
+    """Coefficients 0 .. slots-1 of sum_i xs[i] * ys[i], for two equally
+    long, nonempty sequences of nonempty integer coefficient lists (index =
+    exponent).
+
+    Every pair is packed at one slot width k and the big-int products are
+    added before the one unpack.  A coefficient of the sum is a sum of at
+    most sum_i min(len xs[i], len ys[i]) terms, each of absolute value at
+    most max|xs| * max|ys|, so it stays below 2^(k-1) for the k below.
+    """
+    k = (max(map(abs, chain.from_iterable(xs))).bit_length()
+         + max(map(abs, chain.from_iterable(ys))).bit_length()
+         + sum(map(min, map(len, xs), map(len, ys))).bit_length() + 1)
+    pairs = zip(xs, ys)
+    a, b = next(pairs)
+    total = _pack(a, k) * _pack(b, k)  # starting from 0 would copy it
+    for a, b in pairs:
+        total += _pack(a, k) * _pack(b, k)
+    return _unpack(total, k, slots)
+
+
 def _int_poly_mul(a, b, slots: int) -> list:
     """Coefficients 0 .. slots-1 of the product of two nonempty integer
-    coefficient lists (index = exponent).
-
-    A product coefficient is a sum of at most min(len a, len b) terms, each
-    of absolute value at most max|a| * max|b|, so it stays below 2^(k-1)
-    for the slot width k below.
-    """
-    k = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
-         + min(len(a), len(b)).bit_length() + 1)
-    return _unpack(_pack(a, k) * _pack(b, k), k, slots)
+    coefficient lists: the one-pair dot product."""
+    return _int_poly_dot((a,), (b,), slots)
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +481,9 @@ class MultiLaurent:
 
     The terms are a map from packed exponent keys (see ``_pack``) to nonzero
     coefficients.  ``bound`` is an upper bound on every |exponent|: the max
-    of the operands' for a sum, their sum for a product, times |n| for an
-    n-th power.  A value whose bound reaches 2^31 raises ValueError, so
+    of the operands' for a sum, their sum for a product (the exact largest
+    |exponent| of a product of monomials whose sum reaches 2^31), times |n| for a negative n-th
+    power.  A value whose bound reaches 2^31 raises ValueError, so
     distinct exponent vectors always have distinct keys.  ``coeffs`` gives
     the terms keyed by exponent tuples of length nvars.
     """
@@ -559,7 +576,14 @@ class MultiLaurent:
             return NotImplemented
         if other.nvars != self.nvars:
             raise ValueError("mixed variable counts")
-        return self._of(_sparse_mul(self._terms, other._terms), self.bound + other.bound)
+        bound = self.bound + other.bound
+        if bound >= 1 << (_EXP_BITS - 1) and len(self._terms) == len(other._terms) == 1:
+            # monomials: the exact largest |exponent|, from the operands'
+            # keys (the product's key may have wrapped a slot)
+            (a,), (b,), v = self._terms, other._terms, self.nvars
+            bound = max(abs(x + y) for x, y in
+                        zip(_unpack(a, _EXP_BITS, v), _unpack(b, _EXP_BITS, v)))
+        return self._of(_sparse_mul(self._terms, other._terms), bound)
 
     __rmul__ = __mul__
 
@@ -681,6 +705,7 @@ def _laurent_divide_exact(num, den):
 
 
 def _dot(xs, ys):
+    # the ring-generic dot product, for entries whose type has no dot
     acc = xs[0] * ys[0]
     for x, y in zip(xs[1:], ys[1:]):
         acc = acc + x * y
@@ -695,10 +720,18 @@ def det_cofactor(rows):
     polynomial of [[a, R], [C, A]] is the Toeplitz product of the one of A
     with (1, -a, -RC, -RAC, ..., -RA^(s-2)C); the determinant is its
     constant term up to the sign (-1)^n.
+
+    The products R A^t C, the matrix-vector products A^t C and the sums of
+    the Toeplitz step are dot products.  When an entry's type supplies a
+    static ``dot(xs, ys)`` it computes all of them, so it must also take the
+    int entries of a mixed matrix; ``CycInt.dot`` adds the packed products
+    and reduces modulo Phi_m once per dot.  Otherwise a dot is a sum of ring
+    products.
     """
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("need a nonempty square matrix")
+    dot = next((type(x).dot for row in rows for x in row if hasattr(type(x), "dot")), _dot)
     # c[i - 1] is the coefficient c_i of x^(s-i) in det(x I - B) for the
     # trailing s x s submatrix B; c_0 = 1 stays implicit, so no ring one is
     # needed
@@ -707,16 +740,15 @@ def det_cofactor(rows):
         a, R = rows[k][k], rows[k][k + 1:]
         A = [row[k + 1:] for row in rows[k + 1:]]
         v = [row[k] for row in rows[k + 1:]]  # C, then A^t C
-        d = [_dot(R, v)]  # d[t] = R A^t C
+        d = [dot(R, v)]  # d[t] = R A^t C
         for _ in range(len(A) - 1):
-            v = [_dot(row, v) for row in A]
-            d.append(_dot(R, v))
+            v = [dot(row, v) for row in A]
+            d.append(dot(R, v))
         # Toeplitz step: c'_i = c_i - a c_(i-1) - sum_(t <= i-2) d[t] c_(i-2-t)
         new = [c[0] - a]
         for i in range(2, len(c) + 2):
-            acc = a * c[i - 2] + d[i - 2]
-            for t in range(i - 2):
-                acc = acc + d[t] * c[i - 3 - t]
+            # a c_(i-2) + sum_(t <= i-3) d[t] c_(i-3-t), then d[i-2] c_0
+            acc = dot([a] + d[:i - 2], c[i - 2::-1]) + d[i - 2]
             new.append(c[i - 1] - acc if i <= len(c) else -acc)
         c = new
     return -c[-1] if n % 2 else c[-1]

@@ -29,7 +29,7 @@ from .combinat import ballot, binom, centralizer_order, expansion_kernel, partit
 from .cyclotomic import CycField, _is_prime, as_integer, shifted_roots_vector
 from .exactalg import Series, det_cofactor, det_fraction_free
 from .identities import CheckReport, _report
-from .symfun import complete, complete_prefix, elementary_prefix, power, power_prefix
+from .symfun import complete_prefix, elementary_prefix, power_prefix
 
 
 # ---------------------------------------------------------------------------
@@ -210,25 +210,10 @@ def lucas_explicit(r: int, n: int) -> int:
 # exact root-of-unity route
 
 
-def fib_cyclotomic(r: int, n: int) -> int:
-    """F_(n+1) as the degree-n complete polynomial of the shifted roots,
-    evaluated exactly in Z[x]/Phi_(2r+1)."""
-    if r < 1 or n < 0:
-        raise ValueError("need r >= 1 and n >= 0")
-    return as_integer(complete(n, shifted_roots_vector(r)))
-
-
 def fib_cyclotomic_prefix(r: int, n_max: int) -> list:
     """[F_1, ..., F_(n_max+1)] via one prefix evaluation."""
     hs = complete_prefix(n_max, shifted_roots_vector(r))
     return [as_integer(h) for h in hs]
-
-
-def lucas_cyclotomic(r: int, n: int) -> int:
-    """L_n as the degree-n power sum of the shifted roots (n >= 1)."""
-    if r < 1 or n < 1:
-        raise ValueError("need r >= 1 and n >= 1")
-    return as_integer(power(n, shifted_roots_vector(r)))
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +255,11 @@ def char_coeffs(r: int) -> CharCoeffs:
     ballot_sum = [sum(c for _, c in expansion_kernel("first", "e", r, n)) for n in range(r + 1)]
     if closed != ballot_sum:
         raise ArithmeticError("ballot sum disagrees with the closed form at r=%d" % r)
-    cyc = [as_integer(e) for e in elementary_prefix(r, shifted_roots_vector(r))]
-    if closed != cyc:
-        raise ArithmeticError("root-of-unity values disagree with the closed form at r=%d" % r)
+    cyc = elementary_prefix(r, shifted_roots_vector(r))
+    for n, (c, e) in enumerate(zip(closed, cyc)):
+        if e != c:
+            raise ArithmeticError("root-of-unity value disagrees with the closed form "
+                                  "at r=%d n=%d" % (r, n))
     return CharCoeffs(r, closed)
 
 

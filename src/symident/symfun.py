@@ -1,6 +1,8 @@
 """Elementary, complete homogeneous, power-sum, monomial and Schur
 polynomials over any exact coefficient ring, together with the classical
-Wronski / Newton relations and generating-function truncations.
+Wronski / Newton relations.  The prefix routines give the generating
+functions prod (1 + z_j y), prod 1/(1 - z_j y) and sum_j 1/(1 - z_j y)
+truncated at y^n.
 
 All routines take a PointVector and work by duck typing: the entries only
 have to support +, -, * (with int) and ** on nonnegative exponents.  This
@@ -226,18 +228,3 @@ def newton_check(n: int, v: PointVector) -> bool:
         term = power(n - j + 1, v) * e[j]
         acc = acc + term if (n - j) % 2 == 0 else acc - term
     return acc == elementary(n + 1, v) * (n + 1)
-
-
-def genfun_coefficients(kind: str, v: PointVector, order: int) -> list:
-    """Coefficients of y^0..y^order of the e / h / p generating functions.
-
-    e: prod (1 + z_j y); h: prod 1/(1 - z_j y); p: sum_j 1/(1 - z_j y),
-    whose constant coefficient is the number of entries.
-    """
-    if kind == "e":
-        return elementary_prefix(order, v)
-    if kind == "h":
-        return complete_prefix(order, v)
-    if kind == "p":
-        return [v.one * v.arity] + power_prefix(order, v)
-    raise ValueError("kind must be one of e, h, p")

@@ -179,6 +179,21 @@ def brute_cyclotomic_mul(m, a, b):
     return rem + [0] * (len(phi) - 1 - len(rem))
 
 
+def brute_cyclotomic_dot(m, xs, ys):
+    """Coordinates of sum_i xs[i] * ys[i] in Z[x]/Phi_m, for coordinate
+    lists of any length: the schoolbook convolutions added up, then their
+    remainder by Phi_m."""
+    phi = brute_cyclotomic_poly(m)
+    total = [0]
+    for a, b in zip(xs, ys):
+        prod = _poly_mul(list(a), list(b))
+        total += [0] * (len(prod) - len(total))
+        for i, c in enumerate(prod):
+            total[i] += c
+    _, rem = _poly_divmod_monic(total, phi)
+    return rem + [0] * (len(phi) - 1 - len(rem))
+
+
 def brute_series_mul(a, b, order):
     """Coefficients 0..order of the product of two coefficient lists, by the
     schoolbook Fraction convolution."""

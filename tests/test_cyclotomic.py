@@ -3,12 +3,13 @@ import random
 import pytest
 
 from symident.combinat import ballot, binom
-from symident.cyclotomic import (CycField, as_integer, cyclotomic_poly,
+from symident.cyclotomic import (CycField, CycInt, as_integer, cyclotomic_poly,
                                  discriminant_square_check,
                                  doubled_roots_vector, shifted_roots_vector)
+from symident.exactalg import det_cofactor
 from symident.symfun import complete_prefix, elementary_prefix, power
 
-from oracles import brute_cyclotomic_mul
+from oracles import brute_cyclotomic_dot, brute_cyclotomic_mul, det_permutation_expansion
 
 
 def totient(m):
@@ -160,6 +161,117 @@ class TestProductOracle:
             coords = self.rand_coords(rng, 3 * m + 2, 30)
             want = brute_cyclotomic_mul(m, coords, [1])
             assert list(f.element(coords).coords) == want
+
+
+def coords_of(x):
+    return list(x.coords) if isinstance(x, CycInt) else [x]
+
+
+class TestDotOracle:
+    """CycInt.dot, one packed sum and one reduction, against the sum of
+    schoolbook products."""
+
+    ORDERS = range(1, 31)
+    rand_coords = staticmethod(TestProductOracle.rand_coords)
+
+    def check(self, f, xs, ys):
+        want = brute_cyclotomic_dot(f.m, [coords_of(x) for x in xs],
+                                    [coords_of(y) for y in ys])
+        got = CycInt.dot(xs, ys)
+        assert isinstance(got, CycInt) and got.field == f
+        assert list(got.coords) == want, (f.m, xs, ys)
+
+    def test_random_vectors(self):
+        rng = random.Random(21)
+        for m in self.ORDERS:
+            f = CycField(m)
+            for length in range(1, 9):
+                bits = rng.choice((1, 9, 64, 200))
+                xs, ys = ([f.element(self.rand_coords(rng, f.degree, bits, 0.7))
+                           for _ in range(length)] for _ in range(2))
+                self.check(f, xs, ys)
+
+    def test_zero_vectors(self):
+        rng = random.Random(22)
+        for m in self.ORDERS:
+            f = CycField(m)
+            for length in (1, 3, 8):
+                zeros = [f.zero] * length
+                dense = [f.element(self.rand_coords(rng, f.degree, 30)) for _ in range(length)]
+                self.check(f, zeros, zeros)
+                self.check(f, zeros, dense)
+                self.check(f, dense, zeros)
+
+    def test_all_coordinates_at_the_slot_edge(self):
+        # every coordinate +-(2^t - 1): each sum coefficient is as large as
+        # the slot width allows, len * d terms of (2^t - 1)^2 in the middle
+        for m in self.ORDERS:
+            f = CycField(m)
+            for t in (1, 7, 64, 200):
+                top = 2 ** t - 1
+                plus = f.element([top] * f.degree)
+                minus = f.element([-top] * f.degree)
+                alternating = f.element([(-1) ** i * top for i in range(f.degree)])
+                for length in range(1, 9):
+                    self.check(f, [plus] * length, [plus] * length)
+                    self.check(f, [plus] * length, [minus] * length)
+                    self.check(f, [alternating] * length, [alternating] * length)
+
+    def test_int_entries(self):
+        rng = random.Random(23)
+        for m in self.ORDERS:
+            f = CycField(m)
+            for length in range(1, 6):
+                xs = [rng.choice((0, 1, -5, 2 ** 90,
+                                  f.element(self.rand_coords(rng, f.degree, 40))))
+                      for _ in range(length)]
+                ys = [f.element(self.rand_coords(rng, f.degree, 40)) for _ in range(length)]
+                self.check(f, xs, ys)
+                self.check(f, ys, xs)
+        assert CycInt.dot([2, 3], [5, -7]) == -11
+
+    def test_mixed_fields_rejected(self):
+        a, b = CycField(5).zeta(1), CycField(7).zeta(1)
+        for xs, ys in (([a], [b]), ([a, b], [a, a]), ([a, a], [a, b]), ([3, b], [a, 1])):
+            with pytest.raises(ValueError):
+                CycInt.dot(xs, ys)
+
+
+class TestRotation:
+    """Products with a one-term factor c x^e, which are a cyclic shift, on
+    orders where Phi_m is x - 1 or x + 1, has gaps (9, 25) or terms of
+    both signs (15)."""
+
+    def test_against_schoolbook(self):
+        rng = random.Random(24)
+        for m in (1, 2, 9, 15, 25):
+            f = CycField(m)
+            for c in (1, -1, 7, -(2 ** 70)):
+                for e in range(f.degree):
+                    mono = [0] * f.degree
+                    mono[e] = c
+                    dense = TestProductOracle.rand_coords(rng, f.degree, rng.choice((3, 80)))
+                    want = brute_cyclotomic_mul(m, mono, dense)
+                    x, y = f.element(mono), f.element(dense)
+                    assert list((x * y).coords) == want, (m, c, e)
+                    assert list((y * x).coords) == want, (m, c, e)
+                    assert list((x * x).coords) == brute_cyclotomic_mul(m, mono, mono)
+
+
+class TestRingDeterminant:
+    def test_int_entries_in_a_cyclotomic_matrix(self):
+        f = CycField(9)
+        z = f.zeta(1)
+        assert det_cofactor([[z, 0, 1], [1, z, 0], [0, 2, z]]) == z ** 3 + 2
+        rng = random.Random(25)
+        for m in (9, 11, 25):
+            f = CycField(m)
+            for n in range(1, 6):
+                for _ in range(4):
+                    rows = [[rng.choice((0, 1, -3, 17, f.element(
+                                TestProductOracle.rand_coords(rng, f.degree, 12))))
+                             for _ in range(n)] for _ in range(n)]
+                    assert det_cofactor(rows) == det_permutation_expansion(rows), (m, rows)
 
 
 class TestShiftedVector:

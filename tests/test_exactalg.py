@@ -414,6 +414,13 @@ class TestPackedLaurent:
             MultiLaurent(2, {(0, 2 ** 31): 1})
         with pytest.raises(ValueError):
             MultiLaurent.variable(0, 1, 2 ** 30) ** 2
+        # products whose true exponent reaches 2^31 although the summed key
+        # wraps its slot to a small value
+        for nvars, i, e in ((1, 0, 3 * 2 ** 29), (2, 0, top), (2, 1, -3 * 2 ** 29), (3, 1, top)):
+            with pytest.raises(ValueError):
+                MultiLaurent.variable(i, nvars, e) ** 2
+            with pytest.raises(ValueError):
+                MultiLaurent.variable(i, nvars, e) * MultiLaurent.variable(i, nvars, e)
         assert (edge + MultiLaurent.variable(0, 3)).bound == top
 
 
@@ -457,6 +464,14 @@ class TestPower:
             {(0, -(2 ** 30 + 2 ** 29 + 7), 2 ** 30 + 2 ** 29 + 7): 1}
         with pytest.raises(ValueError):
             z ** 2 ** 31
+
+    def test_product_built_monomial_power_decodes(self):
+        # z2^-1 * z3 has every |exponent| 1, so its 2^30-th power still fits
+        w = MultiLaurent.variable(1, 3, -1) * MultiLaurent.variable(2, 3)
+        assert (w ** 2 ** 30).bound == 2 ** 30
+        assert (w ** 2 ** 30).coeffs == {(0, -(2 ** 30), 2 ** 30): 1}
+        with pytest.raises(ValueError):
+            w ** 2 ** 31
 
 
 class TestDeterminants:

@@ -3,18 +3,20 @@ from fractions import Fraction
 import pytest
 
 from symident.combinat import centralizer_order
+from symident.cyclotomic import as_integer, shifted_roots_vector
 from symident.exactalg import det_fraction_free
 from symident.sequences import (char_coeffs, compare_with_golden,
                                 congruence_check, fibonacci_sums_check,
                                 lucas_sums_check, cross_oracle_check,
-                                determinant_formulas_check, fib_cyclotomic,
+                                determinant_formulas_check,
                                 fib_cyclotomic_prefix, fib_explicit,
                                 fib_recurrence, sequence_genfun_check,
                                 golden_table, initial_block_check,
                                 inversion_check_F, inversion_check_L,
-                                known_typos, lucas_cyclotomic, lucas_explicit,
+                                known_typos, lucas_explicit,
                                 lucas_recurrence, partition_relations_check,
                                 recurrence_coefficients, table)
+from symident.symfun import power_prefix
 
 
 class TestRecurrences:
@@ -71,9 +73,9 @@ class TestExplicitForms:
 
 class TestCyclotomicRoute:
     def test_examples(self):
-        assert fib_cyclotomic(3, 6) == 28
-        assert lucas_cyclotomic(2, 3) == 4
-        assert all(fib_cyclotomic(1, n) == 1 for n in range(6))
+        assert fib_cyclotomic_prefix(3, 6)[6] == 28
+        assert as_integer(power_prefix(3, shifted_roots_vector(2))[2]) == 4
+        assert fib_cyclotomic_prefix(1, 5) == [1] * 6
 
     def test_prefix_matches_recurrence(self):
         for r in (2, 3, 5):

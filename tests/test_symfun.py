@@ -6,9 +6,9 @@ import pytest
 from symident.combinat import ballot
 from symident.cyclotomic import doubled_roots_vector, shifted_roots_vector
 from symident.exactalg import MultiLaurent, UniLaurent
+from symident.identities import _power_sum
 from symident.symfun import (PointVector, complete, complete_prefix,
-                             elementary, elementary_prefix,
-                             genfun_coefficients, monomial, newton_check,
+                             elementary, elementary_prefix, monomial, newton_check,
                              power, power_prefix, schur, symbolic_vectors,
                              wronski_check)
 
@@ -191,31 +191,36 @@ class TestRelations:
 
 
 class TestGenfun:
+    """The prefixes are the truncated generating functions prod (1 + z_j y),
+    prod 1/(1 - z_j y) and sum_j 1/(1 - z_j y)."""
+
     def test_e_kind_coefficients(self):
         a, b = Fraction(2), Fraction(3)
-        coeffs = genfun_coefficients("e", PointVector([a, b]), 2)
+        coeffs = elementary_prefix(2, PointVector([a, b]))
         assert coeffs == [1, a + b, a * b]
 
     def test_h_kind_frozen_value(self):
-        coeffs = genfun_coefficients("h", PointVector([Fraction(1), Fraction(1)]), 4)
+        coeffs = complete_prefix(4, PointVector([Fraction(1), Fraction(1)]))
         assert coeffs[3] == brute_complete(3, (1, 1)) == 4
 
     def test_p_kind_constant_is_arity(self):
+        # power_prefix starts at p_1; the checks read p_0 as the arity
         v = PointVector([Fraction(5), Fraction(7), Fraction(11)])
-        assert genfun_coefficients("p", v, 0)[0] == 3
+        assert power_prefix(0, v) == []
+        assert _power_sum(0, v) == 3
 
     def test_matches_direct_values(self):
         rng = random.Random(18)
         for r in (2, 3, 4):
             v = rand_vector(rng, r)
-            e = genfun_coefficients("e", v, 10)
-            h = genfun_coefficients("h", v, 10)
-            p = genfun_coefficients("p", v, 10)
+            e = elementary_prefix(10, v)
+            h = complete_prefix(10, v)
+            p = power_prefix(10, v)
             for n in range(11):
                 assert e[n] == elementary(n, v)
                 assert h[n] == complete(n, v)
                 if n >= 1:
-                    assert p[n] == power(n, v)
+                    assert p[n - 1] == power(n, v)
 
 
 class TestClebschGordan:
