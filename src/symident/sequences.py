@@ -26,7 +26,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .combinat import ballot, binom, centralizer_order, expansion_kernel, partitions_of
-from .cyclotomic import CycField, _is_prime, as_integer, shifted_roots_vector
+from .cyclotomic import CycField, _is_prime, shifted_roots_vector
 from .exactalg import Series, det_cofactor, det_fraction_free
 from .identities import CheckReport, _report
 from .symfun import complete_prefix, elementary_prefix, power_prefix
@@ -204,16 +204,6 @@ def lucas_explicit(r: int, n: int) -> int:
         raise ArithmeticError(
             "closed forms disagree at r=%d n=%d: %d vs %d" % (r, n, a, b))
     return a
-
-
-# ---------------------------------------------------------------------------
-# exact root-of-unity route
-
-
-def fib_cyclotomic_prefix(r: int, n_max: int) -> list:
-    """[F_1, ..., F_(n_max+1)] via one prefix evaluation."""
-    hs = complete_prefix(n_max, shifted_roots_vector(r))
-    return [as_integer(h) for h in hs]
 
 
 # ---------------------------------------------------------------------------
@@ -639,12 +629,14 @@ def cross_oracle_check(r: int, n_max: int, det_max: int = 10,
     failures = []
     F = fib_recurrence(r, n_max + 1)
     L = lucas_recurrence(r, n_max)
-    fib_cyc = fib_cyclotomic_prefix(r, n_max - 1)
+    # h_(n-1) and p_n of the shifted roots are F_n and L_n; a ring value is
+    # compared with the int, so one that is not a rational integer fails
+    fib_cyc = complete_prefix(n_max - 1, shifted_roots_vector(r))
     lucas_cyc = power_prefix(n_max, shifted_roots_vector(r))
     for n in range(1, n_max + 1):
         if fib_cyc[n - 1] != F[n]:
             failures.append("F cyclotomic vs recurrence n=%d" % n)
-        if as_integer(lucas_cyc[n - 1]) != L[n]:
+        if lucas_cyc[n - 1] != L[n]:
             failures.append("L cyclotomic vs recurrence n=%d" % n)
     # a closed-form pair that disagrees ends its route as a failure
     for name, explicit, values, start in (("F", fib_explicit, F, 1), ("L", lucas_explicit, L, 0)):

@@ -1,0 +1,302 @@
+"""The verification suites, in one table.
+
+``SUITES`` maps each suite's name to ``(suite, window)``.  ``window`` is the
+suite's default window: its keys are the options the suite takes (``r`` is
+a sequence of r values), and ``suite(**window)`` runs the suite and returns
+its CheckReports.  ``verify`` lays the options it is given over the default
+window; ``report --all`` is ``battery(seed)``.
+
+A suite reaches every verifier and substrate function through its module
+(``sequences.cross_oracle_check(...)``), looked up when the suite runs, so a
+function patched on its module is the one that runs.
+"""
+
+from __future__ import annotations
+
+import time
+from fractions import Fraction
+
+from . import combinat, cyclotomic, exactalg, identities, sequences, symfun
+
+
+def _families_and_mode(family, mode, trials, seed):
+    """The families tuple and the VerifyMode that an expansion suite's
+    family, mode, trials and seed options name."""
+    if mode == "random":
+        if seed is None:
+            raise ValueError("random mode needs --seed or SYMIDENT_SEED")
+        verify_mode = identities.VerifyMode("random", trials=trials, seed=seed)
+    else:
+        verify_mode = identities.VerifyMode("symbolic")
+    if family == "all":
+        return ("e", "h", "p"), verify_mode
+    if family in ("e", "h", "p"):
+        return (family,), verify_mode
+    raise ValueError("family must be e, h, p or all")
+
+
+def suite_first_kind(rs, m_max, families, mode):
+    """The first-kind expansion identities for m up to m_max (3r + 2 when
+    m_max is None)."""
+    out = []
+    for r in rs:
+        top = m_max if m_max is not None else 3 * r + 2
+        for fam in families:
+            check = getattr(identities, "first_kind_" + fam)
+            for m in range(1 if fam == "p" else 0, top + 1):
+                out.append(check(r, m, mode))
+    return out
+
+
+def suite_second_kind(rs, n_max, families, mode):
+    """The second-kind expansion identities for n up to n_max (2r + 6 when
+    n_max is None); e_n of the 2r doubled entries stops at n = 2r."""
+    out = []
+    for r in rs:
+        for fam in families:
+            top = n_max if n_max is not None else 2 * r + 6
+            if fam == "e":
+                top = min(top, 2 * r)
+            check = getattr(identities, "second_kind_" + fam)
+            for n in range(1 if fam == "p" else 0, top + 1):
+                out.append(check(r, n, mode))
+    return out
+
+
+def suite_series(order=30, alpha_max=8):
+    """Truncated-series facts about the ballot generating function family:
+    ballot coefficients, closed form via the square root, index law,
+    quadratic relation, and the inverse substitution x = y/(1+y^2)."""
+    Series = exactalg.Series
+    out = []
+    t0 = time.perf_counter()
+    fails = []
+    for alpha in range(0, alpha_max + 1):
+        s = combinat.ballot_series(alpha, order)
+        for k in range(order + 1):
+            if s[k] != combinat.ballot(alpha + 2 * k - 1, k):
+                fails.append("alpha=%d k=%d" % (alpha, k))
+    out.append(identities._report("series_ballot_coefficients",
+                                  {"order": order, "alpha_max": alpha_max}, fails, t0))
+
+    t0 = time.perf_counter()
+    fails = []
+    root = exactalg.series_sqrt(Series([1, -4], order + 1))
+    base = (Series.one(order + 1) - root).divided_by_x(1) * Fraction(1, 2)
+    for alpha in range(0, alpha_max + 1):
+        if base ** alpha != combinat.ballot_series(alpha, order):
+            fails.append("alpha=%d" % alpha)
+    out.append(identities._report("series_closed_form",
+                                  {"order": order, "alpha_max": alpha_max}, fails, t0))
+
+    t0 = time.perf_counter()
+    fails = []
+    for a in range(1, 7):
+        for b in range(1, 7):
+            if (combinat.ballot_series(a, order) * combinat.ballot_series(b, order)
+                    != combinat.ballot_series(a + b, order)):
+                fails.append("a=%d b=%d" % (a, b))
+    out.append(identities._report("series_index_law", {"order": order}, fails, t0))
+
+    t0 = time.perf_counter()
+    x = Series.x(order)
+    y = x * exactalg.series_compose(combinat.ballot_series(1, order),
+                                    Series([0, 0, 1], order))
+    fails = [] if x * y * y - y + x == Series.zero(order) else ["quadratic relation"]
+    out.append(identities._report("series_quadratic", {"order": order}, fails, t0))
+
+    t0 = time.perf_counter()
+    fails = []
+    for n in range(0, alpha_max + 1):
+        lhs = y ** n
+        rhs = (x ** n) * exactalg.series_compose(combinat.ballot_series(n, order),
+                                                 Series([0, 0, 1], order))
+        if lhs != rhs:
+            fails.append("power N=%d" % n)
+    inv = Series([0, 1], order) * Series([1, 0, 1], order).inverse()
+    short = min(order, 20)
+    if exactalg.series_compose(inv, y.truncated(short)) != Series.x(short):
+        fails.append("inverse substitution")
+    out.append(identities._report("series_substitution",
+                                  {"order": order, "n_max": alpha_max}, fails, t0))
+    return out
+
+
+def suite_principal(rs, n_max):
+    """The principal q-specialisations for n up to n_max, and their
+    combination check."""
+    out = []
+    for r in rs:
+        for n in range(0, n_max + 1):
+            out.append(identities.principal_spec_e(r, n))
+            out.append(identities.principal_spec_h(r, n))
+            if n >= 1:
+                out.append(identities.principal_spec_p(r, n))
+        out.append(identities.principal_combination_check(r, n_max))
+    return out
+
+
+def suite_roots(rs, n_mult=6):
+    """Exact evaluations at the doubled and shifted roots of unity: the
+    three closed patterns, the characteristic coefficients, and the
+    companion binomial identity."""
+    out = []
+    for r in rs:
+        p = 2 * r + 1
+        top = n_mult * p
+        t0 = time.perf_counter()
+        fails = []
+        doubled = cyclotomic.doubled_roots_vector(r)
+        es = symfun.elementary_prefix(2 * r + 4, doubled)
+        for n in range(2 * r + 5):
+            want = 1 if n <= 2 * r else 0
+            if es[n] != want:
+                fails.append("e n=%d" % n)
+        out.append(identities._report("roots_e", {"r": r}, fails, t0))
+
+        t0 = time.perf_counter()
+        fails = []
+        hs = symfun.complete_prefix(top, doubled)
+        for n in range(top + 1):
+            m = n % (4 * r + 2)
+            want = 1 if m in (0, 1) else (-1 if m in (p, p + 1) else 0)
+            if hs[n] != want:
+                fails.append("h n=%d" % n)
+        out.append(identities._report("roots_h", {"r": r, "n_max": top}, fails, t0))
+
+        t0 = time.perf_counter()
+        fails = []
+        ps = symfun.power_prefix(top, doubled)
+        for n in range(1, top + 1):
+            want = (-1 if n % 2 else 1) * (-1 + p * (1 if n % p == 0 else 0))
+            if ps[n - 1] != want:
+                fails.append("p n=%d" % n)
+        out.append(identities._report("roots_p", {"r": r, "n_max": top}, fails, t0))
+
+        t0 = time.perf_counter()
+        try:
+            sequences.char_coeffs(r)
+            fails = []
+        except ArithmeticError as exc:
+            fails = [str(exc)]
+        out.append(identities._report("roots_char_coeffs", {"r": r}, fails, t0))
+        out.append(identities.unit_binomial_sum_check(r))
+    return out
+
+
+def suite_discriminant(rs):
+    """The squared discriminant of the shifted roots, for each r with 2r + 1
+    prime; the other r are skipped."""
+    out = []
+    for r in rs:
+        if not cyclotomic._is_prime(2 * r + 1):
+            continue
+        t0 = time.perf_counter()
+        fails = ([] if cyclotomic.discriminant_square_check(r)
+                 else ["squared determinant mismatch at r=%d" % r])
+        out.append(identities._report("discriminant_square", {"r": r}, fails, t0))
+    return out
+
+
+def suite_inversion(rs, n_max):
+    """The inversion checks over F (n >= 0) and L (n >= 1) up to n_max."""
+    out = []
+    for r in rs:
+        for n in range(0, n_max + 1):
+            out.append(sequences.inversion_check_F(r, n))
+            if n >= 1:
+                out.append(sequences.inversion_check_L(r, n))
+    return out
+
+
+DEFAULT_CONGRUENCE_PAIRS = [(2, 11), (2, 19), (2, 29), (2, 31),
+                            (3, 13), (3, 29), (3, 41), (3, 43),
+                            (5, 23), (5, 43)]
+
+
+def suite_congruence(r, q, n_max, k_max):
+    """The congruences for the one pair (r, q) given, or without q for the
+    default pairs (those of the given r, when r is given)."""
+    if q is None:
+        pairs = [(pr, pq) for pr, pq in DEFAULT_CONGRUENCE_PAIRS if r is None or pr in r]
+    elif r is None or len(r) != 1:
+        raise ValueError("congruence with --q needs a single --r")
+    else:
+        pairs = [(r[0], q)]
+    return [sequences.congruence_check(pr, pq, n_max, k_max) for pr, pq in pairs]
+
+
+_EXPANSION_OPTIONS = {"family": "all", "mode": "symbolic", "trials": 5, "seed": None}
+
+# name -> (suite, default window), in the order the README lists them.  A
+# window value of None stands for a default that depends on r (m_max,
+# n_max, order) or, for congruence, for the default pairs.
+SUITES = {
+    "first-kind": (lambda r, m_max, **opts:
+                   suite_first_kind(r, m_max, *_families_and_mode(**opts)),
+                   dict(r=(1, 2, 3), m_max=None, **_EXPANSION_OPTIONS)),
+    "second-kind": (lambda r, n_max, **opts:
+                    suite_second_kind(r, n_max, *_families_and_mode(**opts)),
+                    dict(r=(1, 2, 3), n_max=None, **_EXPANSION_OPTIONS)),
+    "genfun-transfer": (lambda r, order:
+                        [identities.genfun_transfer_check(x, 2 * x + 4 if order is None
+                                                          else order) for x in r],
+                        {"r": (1, 2, 3), "order": None}),
+    "series": (suite_series, {"order": 30, "alpha_max": 8}),
+    "principal": (lambda r, n_max: suite_principal(r, n_max),
+                  {"r": (1, 2, 3, 4), "n_max": 10}),
+    "principal-combined": (lambda r, bound:
+                           [identities.principal_combination_check(x, bound) for x in r],
+                           {"r": (1, 2, 3, 4), "bound": 10}),
+    "binomial-unit": (lambda r: [identities.unit_binomial_sum_check(x) for x in r],
+                      {"r": range(1, 9)}),
+    "roots": (lambda r: suite_roots(r), {"r": range(1, 9)}),
+    "discriminant": (lambda r: suite_discriminant(r), {"r": (1, 2, 3, 5, 6)}),
+    "cross-oracle": (lambda r, n_max: [sequences.cross_oracle_check(x, n_max) for x in r],
+                     {"r": range(1, 9), "n_max": 60}),
+    "inversion": (lambda r, n_max: suite_inversion(r, n_max),
+                  {"r": range(1, 9), "n_max": 60}),
+    "fibonacci-sums": (lambda bound: [sequences.fibonacci_sums_check(bound)],
+                       {"bound": 60}),
+    "lucas-sums": (lambda bound: [sequences.lucas_sums_check(bound)], {"bound": 60}),
+    "congruence": (suite_congruence, {"r": None, "q": None, "n_max": 200, "k_max": 3}),
+    "determinants": (lambda r, n_max:
+                     [sequences.determinant_formulas_check(x, n_max) for x in r],
+                     {"r": (1, 2, 3), "n_max": 8}),
+    "genfun-sequences": (lambda r, order:
+                         [sequences.sequence_genfun_check(x, order) for x in r],
+                         {"r": (1, 2, 3, 4, 5, 6), "order": 30}),
+    "partition-relations": (lambda r, n_max:
+                            [sequences.partition_relations_check(x, n_max) for x in r],
+                            {"r": (1, 2, 3), "n_max": 12}),
+    "initial-block": (lambda r: [sequences.initial_block_check(x) for x in r],
+                      {"r": range(1, 9)}),
+    "consistency": (lambda r, m_max:
+                    [identities.composition_consistency_check(x, m_max) for x in r],
+                    {"r": (1, 2), "m_max": 6}),
+    "tables": (lambda: [sequences.compare_with_golden(k) for k in ("cnk", "fib", "lucas")],
+               {}),
+}
+
+# report --all: every suite at its default window, and the expansion
+# identities again at random points past the symbolic window.  It leaves
+# out the four suites that another one already runs in full:
+# principal-combined (in principal), binomial-unit (in roots), determinants
+# and genfun-sequences (in cross-oracle, at a wider window).
+BATTERY = [(name, {}) for name in SUITES
+           if name not in ("principal-combined", "binomial-unit",
+                           "determinants", "genfun-sequences")]
+BATTERY += [("first-kind", {"r": (4, 5, 6), "m_max": 16, "mode": "random", "trials": 5}),
+            ("second-kind", {"r": (4, 5, 6), "n_max": 16, "mode": "random", "trials": 5})]
+
+
+def battery(seed: int) -> list:
+    """Every battery row's reports; the seed drives the random rows."""
+    reports = []
+    for name, options in BATTERY:
+        suite, window = SUITES[name]
+        window = {**window, **options}
+        if "seed" in window:
+            window["seed"] = seed
+        reports += suite(**window)
+    return reports

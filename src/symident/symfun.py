@@ -1,8 +1,8 @@
-"""Elementary, complete homogeneous, power-sum, monomial and Schur
-polynomials over any exact coefficient ring, together with the classical
-Wronski / Newton relations.  The prefix routines give the generating
-functions prod (1 + z_j y), prod 1/(1 - z_j y) and sum_j 1/(1 - z_j y)
-truncated at y^n.
+"""Elementary, complete homogeneous, power-sum and Schur polynomials over
+any exact coefficient ring, together with the classical Wronski / Newton
+relations.  The prefix routines give the generating functions
+prod (1 + z_j y), prod 1/(1 - z_j y) and sum_j 1/(1 - z_j y) truncated at
+y^n.
 
 All routines take a PointVector and work by duck typing: the entries only
 have to support +, -, * (with int) and ** on nonnegative exponents.  This
@@ -21,9 +21,7 @@ Conventions fixed here once and used everywhere downstream:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
 
-from .combinat import Partition
 from .exactalg import MultiLaurent, det_cofactor, det_fraction_free
 
 
@@ -147,27 +145,6 @@ def power_prefix(nmax: int, v: PointVector) -> list:
         for _ in range(nmax - 1):
             powers.append(powers[-1] * z)
         acc = powers if acc is None else [s + t for s, t in zip(acc, powers)]
-    return acc
-
-
-def monomial(lam, v: PointVector):
-    """Orbit sum of z^lam over distinct permutations of the exponent tuple."""
-    if not isinstance(lam, Partition):
-        lam = Partition(lam)
-    if lam.length > v.arity:
-        raise ValueError("partition longer than the vector")
-    exps = tuple(lam.parts) + (0,) * (v.arity - lam.length)
-    acc = None
-    for perm in set(permutations(exps)):
-        term = None
-        for z, e in zip(v, perm):
-            if e == 0:
-                continue
-            f = z ** e
-            term = f if term is None else term * f
-        if term is None:
-            term = v.one
-        acc = term if acc is None else acc + term
     return acc
 
 

@@ -1,8 +1,7 @@
 """Independent brute-force oracles used to derive expected values.
 
-Everything here enumerates definitions directly (combinations, orbit sums,
-tableaux, permutations) and never calls the library code paths it is used
-to check.
+Everything here enumerates definitions directly (combinations, tableaux,
+permutations) and never calls the library code paths it is used to check.
 """
 
 from fractions import Fraction
@@ -39,18 +38,6 @@ def brute_complete(n, values):
 
 def brute_power(n, values):
     return sum((Fraction(x) ** n for x in values), Fraction(0))
-
-
-def brute_monomial(parts, values):
-    r = len(values)
-    exps = tuple(parts) + (0,) * (r - len(parts))
-    total = Fraction(0)
-    for perm in set(permutations(exps)):
-        prod = Fraction(1)
-        for x, e in zip(values, perm):
-            prod *= Fraction(x) ** e
-        total += prod
-    return total
 
 
 def count_standard_tableaux_two_rows(a, b):

@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 
 from symident import identities, sequences
-from symident.cli import suite_first_kind, suite_second_kind
+from symident.suites import suite_first_kind, suite_second_kind
 from symident.combinat import ballot, ballot_series
 from symident.cyclotomic import (as_integer, discriminant_square_check,
                                  doubled_roots_vector)

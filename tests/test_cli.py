@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from symident import suites
 from symident.cli import main, parse_range, render_table
 from symident.sequences import table
 
@@ -201,6 +202,80 @@ class TestVerifyCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["passed"] == 3
+
+
+# a small window for every suite in the table
+SMALL_WINDOWS = {
+    "first-kind": ("--r", "1", "--m-max", "2"),
+    "second-kind": ("--r", "1", "--n-max", "2"),
+    "genfun-transfer": ("--r", "1"),
+    "series": ("--order", "5", "--alpha-max", "2"),
+    "principal": ("--r", "1", "--n-max", "2"),
+    "principal-combined": ("--r", "1", "--bound", "3"),
+    "binomial-unit": ("--r", "1"),
+    "roots": ("--r", "1"),
+    "discriminant": ("--r", "1"),
+    "cross-oracle": ("--r", "1", "--n-max", "5"),
+    "inversion": ("--r", "1", "--n-max", "2"),
+    "fibonacci-sums": ("--bound", "5"),
+    "lucas-sums": ("--bound", "5"),
+    "congruence": ("--r", "2", "--q", "11", "--n-max", "30"),
+    "determinants": ("--r", "1", "--n-max", "3"),
+    "genfun-sequences": ("--r", "1", "--order", "5"),
+    "partition-relations": ("--r", "1", "--n-max", "3"),
+    "initial-block": ("--r", "1"),
+    "consistency": ("--r", "1", "--m-max", "2"),
+    "tables": (),
+}
+
+
+class TestSuiteTable:
+    def test_small_windows_cover_the_table(self):
+        assert SMALL_WINDOWS.keys() == suites.SUITES.keys()
+
+    @pytest.mark.parametrize("suite", list(suites.SUITES))
+    def test_every_suite_runs_through_verify(self, capsys, suite):
+        code, out, err = run_cli(capsys, "verify", suite, *SMALL_WINDOWS[suite],
+                                 "--format", "json")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["passed"] >= 1 and payload["failed"] == 0
+
+    def test_battery_rows_name_table_suites(self):
+        for name, options in suites.BATTERY:
+            assert name in suites.SUITES
+            assert set(options) <= set(suites.SUITES[name][1]), name
+
+    @pytest.mark.parametrize("argv, refused, takes", [
+        (("roots", "--r", "2", "--n-max", "100"), "--n-max", "--r"),
+        (("tables", "--r", "5"), "--r", "no options"),
+        (("initial-block", "--family", "q"), "--family", "--r"),
+        (("roots", "--r", "2", "--mode", "random"), "--mode", "--r"),
+        (("series", "--r", "1", "--seed", "3"), "--r, --seed", "--order, --alpha-max"),
+    ])
+    def test_option_the_suite_does_not_take_is_refused(self, capsys, argv, refused, takes):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: suite %s does not take %s (it takes %s)\n" % (argv[0], refused, takes)
+
+    def test_bad_family_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "first-kind", "--family", "q")
+        assert code == 2
+        assert out == ""
+        assert "family must be e, h, p or all" in err
+
+    def test_congruence_needs_a_single_r_with_q(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "congruence", "--r", "2:3", "--q", "11")
+        assert code == 2
+        assert out == ""
+        assert "congruence with --q needs a single --r" in err
+
+    def test_congruence_r_without_q_selects_its_default_pairs(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "congruence", "--r", "5",
+                               "--n-max", "30", "--format", "json")
+        assert code == 0
+        assert [rec["params"]["q"] for rec in json.loads(out)["reports"]] == [23, 43]
 
 
 class TestRenderTable:

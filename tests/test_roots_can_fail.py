@@ -4,7 +4,7 @@ of them to `fail` with the index named in the counterexample."""
 
 import re
 
-from symident import cli, cyclotomic, sequences
+from symident import cyclotomic, sequences, suites
 from symident.symfun import PointVector
 
 R = 3  # zeta of order 7
@@ -37,13 +37,13 @@ def _one(check, reports):
 
 def test_roots_patterns_fail_on_a_swapped_root(monkeypatch):
     for check in ("roots_e", "roots_h", "roots_p"):
-        assert _one(check, cli.suite_roots([R])).passed
+        assert _one(check, suites.suite_roots([R])).passed
     # -zeta becomes -zeta^0 = -1: every pattern goes wrong from its index 1
     # on, where the sum of the entries first enters, and the value there is
     # not even a rational integer
     monkeypatch.setattr(cyclotomic, "doubled_roots_vector",
                         _swap_first(cyclotomic.doubled_roots_vector, lambda f: -f.one))
-    reports = cli.suite_roots([R])
+    reports = suites.suite_roots([R])
     for check, name in (("roots_e", "e"), ("roots_h", "h"), ("roots_p", "p")):
         rep = _one(check, reports)
         assert rep.status == "fail", check
@@ -52,20 +52,20 @@ def test_roots_patterns_fail_on_a_swapped_root(monkeypatch):
 
 def test_char_coeffs_fail_on_a_shifted_elementary_value(monkeypatch):
     r = 6
-    assert _one("roots_char_coeffs", cli.suite_roots([r])).passed
+    assert _one("roots_char_coeffs", suites.suite_roots([r])).passed
     monkeypatch.setattr(sequences, "elementary_prefix",
                         _shift_at(sequences.elementary_prefix, T, r))
-    rep = _one("roots_char_coeffs", cli.suite_roots([r]))
+    rep = _one("roots_char_coeffs", suites.suite_roots([r]))
     assert rep.status == "fail"
     assert rep.counterexample.endswith("at r=%d n=%d" % (r, T)), rep.counterexample
 
 
 def test_discriminant_fails_on_a_swapped_root(monkeypatch):
-    assert cli.suite_discriminant([R])[0].passed
+    assert suites.suite_discriminant([R])[0].passed
     # -(zeta + zeta^-1) becomes -zeta
     monkeypatch.setattr(cyclotomic, "shifted_roots_vector",
                         _swap_first(cyclotomic.shifted_roots_vector, lambda f: -f.zeta(1)))
-    rep = cli.suite_discriminant([R])[0]
+    rep = suites.suite_discriminant([R])[0]
     assert rep.status == "fail"
     assert rep.counterexample == "squared determinant mismatch at r=%d" % R
 
@@ -109,3 +109,14 @@ def test_cross_oracle_bialternant_route_can_fail(monkeypatch):
     assert rep.status == "fail"
     assert rep.counterexample == "determinants: bialternant n=%d" % T
 
+
+
+def test_cross_oracle_fails_on_a_swapped_root(monkeypatch):
+    # -(zeta + zeta^-1) becomes -zeta: the values from index 1 on are not
+    # even rational integers, which is a failure, not a usage error
+    monkeypatch.setattr(sequences, "shifted_roots_vector",
+                        _swap_first(sequences.shifted_roots_vector, lambda f: -f.zeta(1)))
+    rep = _cross_oracle()
+    assert rep.status == "fail"
+    assert rep.counterexample.startswith(
+        "L cyclotomic vs recurrence n=1; F cyclotomic vs recurrence n=2;"), rep.counterexample

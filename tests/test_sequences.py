@@ -9,14 +9,14 @@ from symident.sequences import (char_coeffs, compare_with_golden,
                                 congruence_check, fibonacci_sums_check,
                                 lucas_sums_check, cross_oracle_check,
                                 determinant_formulas_check,
-                                fib_cyclotomic_prefix, fib_explicit,
+                                fib_explicit,
                                 fib_recurrence, sequence_genfun_check,
                                 golden_table, initial_block_check,
                                 inversion_check_F, inversion_check_L,
                                 known_typos, lucas_explicit,
                                 lucas_recurrence, partition_relations_check,
                                 recurrence_coefficients, table)
-from symident.symfun import power_prefix
+from symident.symfun import complete_prefix, power_prefix
 
 
 class TestRecurrences:
@@ -69,6 +69,11 @@ class TestExplicitForms:
                 assert fib_explicit(r, n) == F[n], (r, n)
                 assert lucas_explicit(r, n) == L[n], (r, n)
             assert lucas_explicit(r, 0) == L[0] == r
+
+
+def fib_cyclotomic_prefix(r, n_max):
+    """[F_1, ..., F_(n_max+1)]: h_0..h_(n_max) of the shifted roots."""
+    return [as_integer(h) for h in complete_prefix(n_max, shifted_roots_vector(r))]
 
 
 class TestCyclotomicRoute:

@@ -8,12 +8,12 @@ from symident.cyclotomic import doubled_roots_vector, shifted_roots_vector
 from symident.exactalg import MultiLaurent, UniLaurent
 from symident.identities import _power_sum
 from symident.symfun import (PointVector, complete, complete_prefix,
-                             elementary, elementary_prefix, monomial, newton_check,
+                             elementary, elementary_prefix, newton_check,
                              power, power_prefix, schur, symbolic_vectors,
                              wronski_check)
 
-from oracles import (brute_complete, brute_elementary, brute_monomial,
-                     brute_power, count_standard_tableaux_two_rows)
+from oracles import (brute_complete, brute_elementary, brute_power,
+                     count_standard_tableaux_two_rows)
 
 
 def rand_vector(rng, r):
@@ -95,30 +95,6 @@ class TestPower:
         v = rand_vector(rng, 4)
         for n in range(1, 7):
             assert power(n, v) == brute_power(n, v.entries)
-
-
-class TestMonomial:
-    def test_one_row_is_power(self):
-        rng = random.Random(14)
-        v = rand_vector(rng, 3)
-        for n in range(1, 5):
-            assert monomial((n,), v) == power(n, v)
-
-    def test_one_column_is_elementary(self):
-        v = PointVector([Fraction(1), Fraction(2), Fraction(5)])
-        assert monomial((1, 1), v) == elementary(2, v)
-
-    def test_orbit_example(self):
-        a, b = Fraction(3), Fraction(4)
-        v = PointVector([a, b])
-        assert monomial((2, 1), v) == brute_monomial((2, 1), v.entries)
-        assert monomial((2, 1), v) == a * a * b + a * b * b
-
-    def test_against_enumeration(self):
-        rng = random.Random(15)
-        v = rand_vector(rng, 3)
-        for lam in ((2,), (1, 1), (2, 1), (2, 2), (3, 1, 1)):
-            assert monomial(lam, v) == brute_monomial(lam, v.entries)
 
 
 class TestSchur:
