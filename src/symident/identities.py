@@ -143,31 +143,11 @@ def _weighted(kernel, scale: int, degree: int) -> list:
     return [(i, c * scale ** (degree - i)) for i, c in kernel]
 
 
-def _run_sides(check, params, r, mode, kernel, degree, sides):
-    """Evaluate a (doubled, shifted, kernel) -> (lhs, rhs) body across the
-    mode's vectors, with the kernel weighted for each vector's scale, and
-    collect mismatches; a random-mode side is shown as the rational it
-    stands for, itself over scale^degree."""
-    t0 = time.perf_counter()
-    failures = []
-    at = " ".join("%s=%s" % kv for kv in sorted(params.items()))
-    for trial, (doubled, shifted, scale) in enumerate(_vector_pairs(r, mode, check, params)):
-        lhs, rhs = sides(doubled, shifted, _weighted(kernel, scale, degree))
-        if lhs != rhs:
-            where = "symbolic"
-            if mode.mode == "random":
-                where = "point %d" % trial
-                lhs, rhs = Fraction(lhs, scale ** degree), Fraction(rhs, scale ** degree)
-            failures.append("%s %s: lhs=%s rhs=%s" % (at, where, _shown(lhs), _shown(rhs)))
-    out_params = dict(params)
-    out_params["mode"] = mode.mode
-    if mode.mode == "random":
-        out_params["seed"] = mode.seed
-    return _report(check, out_params, failures, t0)
-
-
 # ---------------------------------------------------------------------------
-# expansions of f^(r)(z + z^-1) in terms of f^(2r)(z, z^-1)
+# the expansion identities, in both directions:
+#   first kind   f_n^(r)(z + z^-1) = sum_i c_i f_i^(2r)(z, z^-1)
+#   second kind  f_n^(2r)(z, z^-1) = sum_i c_i f_i^(r)(z + z^-1)
+# for f = e, h, p, with [(i, c_i)] = expansion_kernel(direction, f, r, n)
 
 
 def _power_sum(n: int, v: PointVector):
@@ -175,100 +155,83 @@ def _power_sum(n: int, v: PointVector):
     return power(n, v) if n else v.one * v.arity
 
 
+def _expansion_sides(direction, family, n, doubled, shifted, kernel):
+    """(lhs, rhs): f_n of one vector, and the kernel applied to f_0..f_n of
+    the other.  The first kind reads f_n at the shifted vector, the second
+    at the doubled one; the first-kind p kernel expands 2 p_n."""
+    one, many = (shifted, doubled) if direction == "first" else (doubled, shifted)
+    if family == "p":
+        terms = ((_power_sum(i, many), c) for i, c in kernel)
+        single = power(n, one) * 2 if direction == "first" else power(n, one)
+    else:
+        prefix = (elementary_prefix(min(n, many.arity), many) if family == "e"
+                  else complete_prefix(n, many))
+        terms = ((prefix[i], c) for i, c in kernel)
+        single = (elementary if family == "e" else complete)(n, one)
+    return single, sum((f * c for f, c in terms), many.zero)
+
+
+def expansion_check(direction: str, family: str, r: int, n: int,
+                    mode: VerifyMode = VerifyMode()) -> CheckReport:
+    """The expansion identity of f = family ("e", "h" or "p") in the given
+    direction ("first" or "second") at index n, evaluated across the mode's
+    vectors with the kernel weighted for each vector's scale; a random-mode
+    side is shown as the rational it stands for, itself over scale^n.
+
+    The index is m in the first kind and n in the second; p starts at 1,
+    and e_n of the 2r doubled entries stops at n = 2r.
+    """
+    index, low = ("m" if direction == "first" else "n"), (1 if family == "p" else 0)
+    if (direction, family) == ("second", "e"):
+        if r < 1 or not 0 <= n <= 2 * r:
+            raise ValueError("need r >= 1 and 0 <= n <= 2r")
+    elif r < 1 or n < low:
+        raise ValueError("need r >= 1 and %s >= %d" % (index, low))
+    kernel = expansion_kernel(direction, family, r, n)
+    check, params = "%s_kind_%s" % (direction, family), {"r": r, index: n}
+    t0 = time.perf_counter()
+    failures = []
+    at = " ".join("%s=%s" % kv for kv in sorted(params.items()))
+    for trial, (doubled, shifted, scale) in enumerate(_vector_pairs(r, mode, check, params)):
+        lhs, rhs = _expansion_sides(direction, family, n, doubled, shifted,
+                                    _weighted(kernel, scale, n))
+        if lhs != rhs:
+            where = "symbolic"
+            if mode.mode == "random":
+                where = "point %d" % trial
+                lhs, rhs = Fraction(lhs, scale ** n), Fraction(rhs, scale ** n)
+            failures.append("%s %s: lhs=%s rhs=%s" % (at, where, _shown(lhs), _shown(rhs)))
+    reported = dict(params, mode=mode.mode)
+    if mode.mode == "random":
+        reported["seed"] = mode.seed
+    return _report(check, reported, failures, t0)
+
+
+# the six named expansion checks
+
+
 def first_kind_e(r: int, m: int, mode: VerifyMode = VerifyMode()) -> CheckReport:
-    """sum_k ballot(m-r-1, k) e_(m-2k) of the doubled vector equals
-    e_m of the shifted vector for 0 <= m <= r, and 0 for larger m."""
-    if r < 1 or m < 0:
-        raise ValueError("need r >= 1 and m >= 0")
-    kernel = expansion_kernel("first", "e", r, m)
-
-    def sides(doubled, shifted, kernel):
-        es = elementary_prefix(min(m, 2 * r), doubled)
-        lhs = sum((es[i] * c for i, c in kernel), doubled.zero)
-        return lhs, elementary(m, shifted)
-
-    return _run_sides("first_kind_e", {"r": r, "m": m}, r, mode, kernel, m, sides)
+    return expansion_check("first", "e", r, m, mode)
 
 
 def first_kind_h(r: int, m: int, mode: VerifyMode = VerifyMode()) -> CheckReport:
-    """h_m of the shifted vector equals sum_k ballot(m+r-1, k) h_(m-2k) of
-    the doubled vector."""
-    if r < 1 or m < 0:
-        raise ValueError("need r >= 1 and m >= 0")
-    kernel = expansion_kernel("first", "h", r, m)
-
-    def sides(doubled, shifted, kernel):
-        hs = complete_prefix(m, doubled)
-        return complete(m, shifted), sum((hs[i] * c for i, c in kernel), doubled.zero)
-
-    return _run_sides("first_kind_h", {"r": r, "m": m}, r, mode, kernel, m, sides)
+    return expansion_check("first", "h", r, m, mode)
 
 
 def first_kind_p(r: int, m: int, mode: VerifyMode = VerifyMode()) -> CheckReport:
-    """2 p_m of the shifted vector equals sum_k binom(m, k) p_|m-2k| of the
-    doubled vector, reading the degree-0 power sum as 2r (the arity).
-
-    Both sides are doubled once so that everything stays in the integer
-    coefficient ring.
-    """
-    if r < 1 or m < 1:
-        raise ValueError("need r >= 1 and m >= 1")
-    kernel = expansion_kernel("first", "p", r, m)
-
-    def sides(doubled, shifted, kernel):
-        rhs = sum((_power_sum(i, doubled) * c for i, c in kernel), doubled.zero)
-        return power(m, shifted) * 2, rhs
-
-    return _run_sides("first_kind_p", {"r": r, "m": m}, r, mode, kernel, m, sides)
-
-
-# ---------------------------------------------------------------------------
-# expansions of f^(2r)(z, z^-1) in terms of f^(r)(z + z^-1)
+    return expansion_check("first", "p", r, m, mode)
 
 
 def second_kind_e(r: int, n: int, mode: VerifyMode = VerifyMode()) -> CheckReport:
-    """e_n of the doubled vector equals
-    sum_k binom(r-n+2k, k) e_(n-2k) of the shifted vector, 0 <= n <= 2r."""
-    if r < 1 or not 0 <= n <= 2 * r:
-        raise ValueError("need r >= 1 and 0 <= n <= 2r")
-    kernel = expansion_kernel("second", "e", r, n)
-
-    def sides(doubled, shifted, kernel):
-        es = elementary_prefix(min(n, r), shifted)
-        return elementary(n, doubled), sum((es[i] * c for i, c in kernel), shifted.zero)
-
-    return _run_sides("second_kind_e", {"r": r, "n": n}, r, mode, kernel, n, sides)
+    return expansion_check("second", "e", r, n, mode)
 
 
 def second_kind_h(r: int, n: int, mode: VerifyMode = VerifyMode()) -> CheckReport:
-    """h_n of the doubled vector equals
-    sum_k (-1)^k binom(n-k+r-1, k) h_(n-2k) of the shifted vector; the
-    alternating sign is forced by the expansion of (1+y^2)^(-m-r).
-    """
-    if r < 1 or n < 0:
-        raise ValueError("need r >= 1 and n >= 0")
-    kernel = expansion_kernel("second", "h", r, n)
-
-    def sides(doubled, shifted, kernel):
-        hs = complete_prefix(n, shifted)
-        return complete(n, doubled), sum((hs[i] * c for i, c in kernel), shifted.zero)
-
-    return _run_sides("second_kind_h", {"r": r, "n": n}, r, mode, kernel, n, sides)
+    return expansion_check("second", "h", r, n, mode)
 
 
 def second_kind_p(r: int, n: int, mode: VerifyMode = VerifyMode()) -> CheckReport:
-    """p_n of the doubled vector equals
-    2 sum_k binom(2k-n-1, k) p_(n-2k) - sum_k binom(2k-n, k) p_(n-2k) of the
-    shifted vector, with the degree-0 power sum read as r."""
-    if r < 1 or n < 1:
-        raise ValueError("need r >= 1 and n >= 1")
-    kernel = expansion_kernel("second", "p", r, n)
-
-    def sides(doubled, shifted, kernel):
-        rhs = sum((_power_sum(i, shifted) * c for i, c in kernel), shifted.zero)
-        return power(n, doubled), rhs
-
-    return _run_sides("second_kind_p", {"r": r, "n": n}, r, mode, kernel, n, sides)
+    return expansion_check("second", "p", r, n, mode)
 
 
 def genfun_transfer_check(r: int, order: int) -> CheckReport:

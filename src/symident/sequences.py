@@ -26,7 +26,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .combinat import ballot, binom, centralizer_order, expansion_kernel, partitions_of
-from .cyclotomic import CycField, _is_prime, shifted_roots_vector
+from .cyclotomic import _is_prime, shifted_roots_vector
 from .exactalg import Series, det_cofactor, det_fraction_free
 from .identities import CheckReport, _report
 from .symfun import complete_prefix, elementary_prefix, power_prefix
@@ -505,10 +505,7 @@ def determinant_formulas_check(r: int, n_max: int) -> CheckReport:
 
     # bialternant form over Z[x]/Phi: det(top row alpha^(n+r-1)) equals
     # F_(n+1) times the Vandermonde determinant of the shifted roots
-    field = CycField(2 * r + 1)
-    mm = field.m
-    alphas = [-(field.zeta(r + 1 - j) + field.zeta(mm - (r + 1 - j)))
-              for j in range(1, r + 1)]
+    alphas = shifted_roots_vector(r).entries
     vdm_rows = [[alphas[j] ** (r - 1 - i) for j in range(r)] for i in range(r)]
     vdm = det_cofactor(vdm_rows)
     for n in range(1, n_max + 1):
@@ -631,8 +628,9 @@ def cross_oracle_check(r: int, n_max: int, det_max: int = 10,
     L = lucas_recurrence(r, n_max)
     # h_(n-1) and p_n of the shifted roots are F_n and L_n; a ring value is
     # compared with the int, so one that is not a rational integer fails
-    fib_cyc = complete_prefix(n_max - 1, shifted_roots_vector(r))
-    lucas_cyc = power_prefix(n_max, shifted_roots_vector(r))
+    roots = shifted_roots_vector(r)
+    fib_cyc = complete_prefix(n_max - 1, roots)
+    lucas_cyc = power_prefix(n_max, roots)
     for n in range(1, n_max + 1):
         if fib_cyc[n - 1] != F[n]:
             failures.append("F cyclotomic vs recurrence n=%d" % n)

@@ -35,31 +35,18 @@ def _families_and_mode(family, mode, trials, seed):
     raise ValueError("family must be e, h, p or all")
 
 
-def suite_first_kind(rs, m_max, families, mode):
-    """The first-kind expansion identities for m up to m_max (3r + 2 when
-    m_max is None)."""
-    out = []
-    for r in rs:
-        top = m_max if m_max is not None else 3 * r + 2
-        for fam in families:
-            check = getattr(identities, "first_kind_" + fam)
-            for m in range(1 if fam == "p" else 0, top + 1):
-                out.append(check(r, m, mode))
-    return out
-
-
-def suite_second_kind(rs, n_max, families, mode):
-    """The second-kind expansion identities for n up to n_max (2r + 6 when
-    n_max is None); e_n of the 2r doubled entries stops at n = 2r."""
+def suite_expansion(direction, rs, top, families, mode):
+    """The expansion identities of one direction ("first" or "second") for
+    index up to top; by default 3r + 2 in the first kind and 2r + 6 in the
+    second, where e_n of the 2r doubled entries stops at n = 2r."""
     out = []
     for r in rs:
         for fam in families:
-            top = n_max if n_max is not None else 2 * r + 6
-            if fam == "e":
-                top = min(top, 2 * r)
-            check = getattr(identities, "second_kind_" + fam)
-            for n in range(1 if fam == "p" else 0, top + 1):
-                out.append(check(r, n, mode))
+            hi = top if top is not None else (3 * r + 2 if direction == "first" else 2 * r + 6)
+            if (direction, fam) == ("second", "e"):
+                hi = min(hi, 2 * r)
+            for n in range(1 if fam == "p" else 0, hi + 1):
+                out.append(identities.expansion_check(direction, fam, r, n, mode))
     return out
 
 
@@ -67,6 +54,8 @@ def suite_series(order=30, alpha_max=8):
     """Truncated-series facts about the ballot generating function family:
     ballot coefficients, closed form via the square root, index law,
     quadratic relation, and the inverse substitution x = y/(1+y^2)."""
+    if order < 0 or alpha_max < 0:
+        raise ValueError("series needs --order >= 0 and --alpha-max >= 0")
     Series = exactalg.Series
     out = []
     t0 = time.perf_counter()
@@ -125,6 +114,8 @@ def suite_series(order=30, alpha_max=8):
 def suite_principal(rs, n_max):
     """The principal q-specialisations for n up to n_max, and their
     combination check."""
+    if n_max < 1:
+        raise ValueError("principal needs --n-max >= 1")
     out = []
     for r in rs:
         for n in range(0, n_max + 1):
@@ -233,10 +224,10 @@ _EXPANSION_OPTIONS = {"family": "all", "mode": "symbolic", "trials": 5, "seed": 
 # n_max, order) or, for congruence, for the default pairs.
 SUITES = {
     "first-kind": (lambda r, m_max, **opts:
-                   suite_first_kind(r, m_max, *_families_and_mode(**opts)),
+                   suite_expansion("first", r, m_max, *_families_and_mode(**opts)),
                    dict(r=(1, 2, 3), m_max=None, **_EXPANSION_OPTIONS)),
     "second-kind": (lambda r, n_max, **opts:
-                    suite_second_kind(r, n_max, *_families_and_mode(**opts)),
+                    suite_expansion("second", r, n_max, *_families_and_mode(**opts)),
                     dict(r=(1, 2, 3), n_max=None, **_EXPANSION_OPTIONS)),
     "genfun-transfer": (lambda r, order:
                         [identities.genfun_transfer_check(x, 2 * x + 4 if order is None

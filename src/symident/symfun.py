@@ -1,6 +1,5 @@
 """Elementary, complete homogeneous, power-sum and Schur polynomials over
-any exact coefficient ring, together with the classical Wronski / Newton
-relations.  The prefix routines give the generating functions
+any exact coefficient ring.  The prefix routines give the generating functions
 prod (1 + z_j y), prod 1/(1 - z_j y) and sum_j 1/(1 - z_j y) truncated at
 y^n.
 
@@ -176,32 +175,3 @@ def schur(lam, v: PointVector):
     alternant = _det([[v[i] ** exps[j] for j in range(r)] for i in range(r)])
     vandermonde = _det([[v[i] ** (r - 1 - j) for j in range(r)] for i in range(r)])
     return alternant / vandermonde
-
-
-# ---------------------------------------------------------------------------
-# classical relations
-
-
-def wronski_check(n: int, v: PointVector) -> bool:
-    """True iff sum_j (-1)^(j-1) e_j h_(n-j) vanishes (n >= 1)."""
-    if n < 1:
-        raise ValueError("the alternating convolution starts at n = 1")
-    top = min(n, v.arity)
-    e = elementary_prefix(top, v)
-    h = complete_prefix(n, v)
-    acc = v.zero
-    for j in range(top + 1):
-        term = e[j] * h[n - j]
-        acc = acc - term if j % 2 == 0 else acc + term
-    return acc == v.zero
-
-
-def newton_check(n: int, v: PointVector) -> bool:
-    """True iff sum_j (-1)^(n-j) p_(n-j+1) e_j equals (n+1) e_(n+1)."""
-    top = min(n, v.arity)
-    e = elementary_prefix(top, v)
-    acc = v.zero
-    for j in range(top + 1):
-        term = power(n - j + 1, v) * e[j]
-        acc = acc + term if (n - j) % 2 == 0 else acc - term
-    return acc == elementary(n + 1, v) * (n + 1)

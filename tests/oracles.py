@@ -338,7 +338,7 @@ def fraction_sides(check, k, kernel, xs):
     """(lhs, rhs) of the expansion check `check` (first_kind_e ..
     second_kind_p) at index k, over Fractions at the points xs: the single
     value f_k of one vector against the kernel sum over the other, with the
-    kernel unweighted.  The sides are oriented as the check reports them."""
+    kernel unweighted, in the order the check reports them."""
     inv = [1 / x for x in xs]
     doubled = list(xs) + inv
     shifted = [x + y for x, y in zip(xs, inv)]
@@ -347,8 +347,6 @@ def fraction_sides(check, k, kernel, xs):
     single = _fraction_prefix(family, one, k)[k]
     prefix = _fraction_prefix(family, many, k)
     expanded = sum((prefix[i] * c for i, c in kernel), Fraction(0))
-    if check == "first_kind_e":
-        return expanded, single
     if check == "first_kind_p":
         return 2 * single, expanded
     return single, expanded

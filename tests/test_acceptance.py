@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 
 from symident import identities, sequences
-from symident.suites import suite_first_kind, suite_second_kind
+from symident.suites import suite_expansion
 from symident.combinat import ballot, ballot_series
 from symident.cyclotomic import (as_integer, discriminant_square_check,
                                  doubled_roots_vector)
@@ -39,8 +39,8 @@ def test_criterion_01_table_reproduction():
 def test_criterion_02_symbolic_suites():
     t0 = time.perf_counter()
     sym = VerifyMode("symbolic")
-    reports = suite_first_kind((1, 2, 3), None, ("e", "h", "p"), sym)
-    reports += suite_second_kind((1, 2, 3), None, ("e", "h", "p"), sym)
+    reports = suite_expansion("first", (1, 2, 3), None, ("e", "h", "p"), sym)
+    reports += suite_expansion("second", (1, 2, 3), None, ("e", "h", "p"), sym)
     bad = [r.check_id for r in reports if not r.passed]
     assert not bad, bad
     elapsed = time.perf_counter() - t0
@@ -54,8 +54,8 @@ def test_criterion_03_random_suites():
     total = 0
     for seed in (11, 22, 33):
         mode = VerifyMode("random", trials=5, seed=seed)
-        reports = suite_first_kind((4, 5, 6), 16, ("e", "h", "p"), mode)
-        reports += suite_second_kind((4, 5, 6), 16, ("e", "h", "p"), mode)
+        reports = suite_expansion("first", (4, 5, 6), 16, ("e", "h", "p"), mode)
+        reports += suite_expansion("second", (4, 5, 6), 16, ("e", "h", "p"), mode)
         bad = [r.check_id for r in reports if not r.passed]
         assert not bad, (seed, bad)
         total += len(reports)

@@ -271,6 +271,18 @@ class TestSuiteTable:
         assert out == ""
         assert "congruence with --q needs a single --r" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("series", "--alpha-max", "-1"), "series needs --order >= 0 and --alpha-max >= 0"),
+        (("series", "--order", "-1"), "series needs --order >= 0 and --alpha-max >= 0"),
+        (("principal", "--r", "1", "--n-max", "0"), "principal needs --n-max >= 1"),
+        (("principal", "--r", "1", "--n-max", "-1"), "principal needs --n-max >= 1"),
+    ])
+    def test_window_that_checks_nothing_is_refused(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: %s\n" % message
+
     def test_congruence_r_without_q_selects_its_default_pairs(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "congruence", "--r", "5",
                                "--n-max", "30", "--format", "json")

@@ -27,17 +27,21 @@ def _indices(check, r):
 
 
 def _sides_of(monkeypatch, check, r, k, mode):
-    """What one check hands to _run_sides: its kernel, its degree and its
-    (doubled, shifted, kernel) -> (lhs, rhs) body."""
-    got = {}
+    """What one check hands to _expansion_sides, trial by trial: the
+    direction, family, index and weighted kernel, the (doubled, shifted)
+    vectors, and the (lhs, rhs) that came back."""
+    calls = []
+    sides = identities._expansion_sides
 
-    def capture(check, params, r, mode, kernel, degree, sides):
-        got.update(kernel=kernel, degree=degree, sides=sides)
+    def spy(direction, family, n, doubled, shifted, kernel):
+        out = sides(direction, family, n, doubled, shifted, kernel)
+        calls.append(((direction, family, n), doubled, shifted, kernel, out))
+        return out
 
     with monkeypatch.context() as m:
-        m.setattr(identities, "_run_sides", capture)
+        m.setattr(identities, "_expansion_sides", spy)
         getattr(identities, check)(r, k, mode)
-    return got["kernel"], got["degree"], got["sides"]
+    return calls
 
 
 def _drawn(check, r, k, mode):
@@ -48,21 +52,27 @@ def _drawn(check, r, k, mode):
 
 @pytest.mark.parametrize("check", CHECKS)
 def test_scaled_sides_match_the_fraction_route(monkeypatch, check):
+    direction, family = check.split("_")[0], check[-1]
     for seed in (3, 7, 11):
         mode = identities.VerifyMode("random", trials=1, seed=seed)
         for r in range(1, 7):
             for k in _indices(check, r):
-                kernel, degree, sides = _sides_of(monkeypatch, check, r, k, mode)
-                assert degree == k
-                assert kernel == expansion_kernel(check.split("_")[0], check[-1], r, k)
+                kernel = expansion_kernel(direction, family, r, k)
+                calls = _sides_of(monkeypatch, check, r, k, mode)
                 params = {"r": r, _index_name(check): k}
-                pairs = identities._vector_pairs(r, mode, check, params)
-                for (doubled, shifted, scale), xs in zip(pairs, _drawn(check, r, k, mode)):
+                pairs = list(identities._vector_pairs(r, mode, check, params))
+                drawn = _drawn(check, r, k, mode)
+                assert len(calls) == len(pairs) == len(drawn) == 1
+                for call, (doubled, shifted, scale), xs in zip(calls, pairs, drawn):
+                    at, seen_doubled, seen_shifted, weighted, (lhs, rhs) = call
+                    assert at == (direction, family, k)
+                    assert seen_doubled.entries == doubled.entries
+                    assert seen_shifted.entries == shifted.entries
+                    assert weighted == identities._weighted(kernel, scale, k)
                     inv = [1 / x for x in xs]
                     assert [Fraction(v, scale) for v in doubled] == xs + inv
                     assert [Fraction(v, scale) for v in shifted] == \
                         [x + y for x, y in zip(xs, inv)]
-                    lhs, rhs = sides(doubled, shifted, identities._weighted(kernel, scale, k))
                     assert type(lhs) is int and type(rhs) is int
                     want = fraction_sides(check, k, kernel, xs)
                     assert (Fraction(lhs, scale ** k), Fraction(rhs, scale ** k)) == want, \
@@ -119,3 +129,17 @@ def test_random_counterexample_reads_as_fractions(monkeypatch, check, r, k):
         want.append("%s point %d: lhs=%r rhs=%r" % (at, trial, lhs, rhs))
     assert rep.counterexample == "; ".join(want[:3])
     assert rep.counterexample.startswith("%s point 0: lhs=Fraction(" % at)
+
+
+@pytest.mark.parametrize("check", CHECKS)
+def test_lhs_is_the_single_side(monkeypatch, check):
+    # with an empty kernel the expanded side is 0, and lhs is f_k itself
+    monkeypatch.setattr(identities, "expansion_kernel", lambda d, f, rr, n: [])
+    r, k = 2, 2
+    mode = identities.VerifyMode("random", trials=1, seed=7)
+    rep = getattr(identities, check)(r, k, mode)
+    xs, = _drawn(check, r, k, mode)
+    single, expanded = fraction_sides(check, k, [], xs)
+    assert single != 0 and expanded == 0
+    at = "%s=%d r=%d" % (_index_name(check), k, r)
+    assert rep.counterexample == "%s point 0: lhs=%r rhs=%r" % (at, single, expanded)

@@ -8,9 +8,8 @@ from symident.cyclotomic import doubled_roots_vector, shifted_roots_vector
 from symident.exactalg import MultiLaurent, UniLaurent
 from symident.identities import _power_sum
 from symident.symfun import (PointVector, complete, complete_prefix,
-                             elementary, elementary_prefix, newton_check,
-                             power, power_prefix, schur, symbolic_vectors,
-                             wronski_check)
+                             elementary, elementary_prefix, power, power_prefix,
+                             schur, symbolic_vectors)
 
 from oracles import (brute_complete, brute_elementary, brute_power,
                      count_standard_tableaux_two_rows)
@@ -134,36 +133,6 @@ class TestSchur:
         v = PointVector([Fraction(1), Fraction(2)])
         with pytest.raises(ValueError):
             schur((1, -1), v)
-
-
-class TestRelations:
-    def test_wronski_small(self):
-        v = PointVector([Fraction(2), Fraction(3)])
-        assert wronski_check(1, v)
-        with pytest.raises(ValueError):
-            wronski_check(0, v)
-
-    def test_newton_base(self):
-        v = PointVector([Fraction(2), Fraction(3), Fraction(5)])
-        assert newton_check(0, v)
-
-    def test_symbolic_and_random(self):
-        rng = random.Random(17)
-        for r in (1, 2, 3, 4):
-            plain, _, _ = symbolic_vectors(r)
-            for n in range(1, 11):
-                assert wronski_check(n, plain), (r, n)
-                assert newton_check(n, plain), (r, n)
-            for _ in range(20):
-                v = rand_vector(rng, r)
-                n = rng.randint(1, 10)
-                assert wronski_check(n, v)
-                assert newton_check(n, v)
-
-    def test_truncation_beyond_variable_count(self):
-        # e_(n+1) = 0 once n+1 > r, so the alternating sum telescopes to 0
-        v = PointVector([Fraction(4), Fraction(9)])
-        assert newton_check(5, v)
 
 
 class TestGenfun:
