@@ -191,6 +191,8 @@ def cmd_verify(args) -> int:
                          % (args.suite, _flags(refused), _flags(window) or "no options"))
     if "r" in given:
         given["r"] = parse_range(given["r"], "r")
+        if given["r"][0] < 1:
+            raise UsageError("--r must be >= 1, got %s" % args.r)
     window = {**window, **given}
     seed = None
     if window.get("mode") == "random":

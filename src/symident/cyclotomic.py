@@ -9,19 +9,31 @@ Products run on the Kronecker-substitution kernel of ``exactalg``: each
 pair of operands is packed into big ints, and a dot product
 ``CycInt.dot(xs, ys)`` adds the big-int products of all its pairs before
 one unpack, so it is reduced once rather than once per product (a single
-product is the one-pair dot).  A product with a one-term factor c x^e is
-not packed: the other operand is rotated by e modulo x^m - 1 and scaled
-by c.  Either way the result is folded modulo x^m - 1 (which Phi_m
-divides) and the remaining degrees m-1 .. deg Phi_m are cancelled against
-the nonzero terms of Phi_m, leaving the canonical remainder.
+product is the one-pair dot).  ``CycInt.krylov(R, A, C)`` is the Krylov
+pass of one step of ``det_cofactor`` (Berkowitz), the values R A^t C: it
+packs the rows of R and A once for the step (again, wider, only when a
+growing A^t C needs wider slots), packs each A^t C once for all the rows
+and reduces each value once.  A packed sum is folded modulo x^m - 1
+(which Phi_m divides) before it is unpacked.  A product with a factor
+c x^e, that is one nonzero coordinate or +-x^e past the degree, is not
+packed: the other operand is rotated by e modulo x^m - 1 and scaled by c.
+
+The remaining degrees m-1 .. deg Phi_m are then cancelled, leaving the
+canonical remainder.  With w = m/p for the smallest prime p dividing m,
+Phi_m divides 1 + x^w + ... + x^(m-w), modulo which one pass cancels the
+degrees from m - w up; for a prime power m that is Phi_m itself, and
+otherwise the few degrees left are cancelled against the nonzero terms of
+Phi_m.  Sums, differences and negations map over the coordinate tuples,
+and results are built without re-validating their coordinates.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, cycle
+from operator import add, neg, sub
 
-from .exactalg import _int_poly_dot, _power, det_cofactor
+from .exactalg import _int_poly_dot, _int_poly_krylov, _krylov, _power, _unpack, det_cofactor
 from .symfun import PointVector
 
 
@@ -67,7 +79,7 @@ def cyclotomic_poly(m: int) -> tuple:
 class CycField:
     """The ring Z[x]/Phi_m(x); elements are CycInt values in the power basis."""
 
-    __slots__ = ("m", "phi", "degree", "_tail")
+    __slots__ = ("m", "phi", "degree", "_tail", "_period", "_units")
 
     def __init__(self, m: int):
         self.m = m
@@ -76,16 +88,40 @@ class CycField:
         # nonzero lower terms of the monic Phi_m, the only ones a reduction
         # step touches
         self._tail = tuple((j, c) for j, c in enumerate(self.phi[:-1]) if c)
+        # w = m/p for the smallest prime p dividing m (0 for m = 1): Phi_m
+        # divides 1 + x^w + x^(2w) + ... + x^(m-w) = (x^m - 1)/(x^w - 1),
+        # and equals it when m is a power of p
+        p = next((p for p in range(2, m + 1) if m % p == 0), None)
+        self._period = m // p if p else 0
+        # the units +-x^e with e from the degree to m - 1, by coordinates
+        self._units = {}
+        for e in range(self.degree, m):
+            coords = self._reduce([0] * e + [1])
+            self._units[coords] = (1, e)
+            self._units[tuple(map(neg, coords))] = (-1, e)
 
     def _reduce(self, coeffs: list) -> tuple:
         """Canonical coordinates of sum_i coeffs[i] x^i; may consume coeffs."""
-        m, d = self.m, self.degree
-        if len(coeffs) > m:
+        m, d, w = self.m, self.degree, self._period
+        if len(coeffs) > m:  # fold modulo x^m - 1
             out = coeffs[:m]
-            for i in range(m, len(coeffs)):
-                out[i % m] += coeffs[i]
+            for i in range(m, len(coeffs), m):
+                hi = coeffs[i:i + m]
+                out[:len(hi)] = map(add, out, hi)
         else:
             out = coeffs
+        if len(out) > m - w:
+            # modulo 1 + x^w + ... + x^(m-w), in one pass: x^(m-w+j) =
+            # -(x^j + x^(w+j) + ... + x^(m-2w+j)) for j < w
+            out.extend([0] * (m - len(out)))
+            if w == 1:
+                top = out.pop()
+                out = [a - top for a in out]
+            else:
+                top = out[m - w:]
+                out = [a - t for a, t in zip(out[:m - w], cycle(top))]
+            if m - w == d:  # m is a prime power: that was Phi_m
+                return tuple(out)
         for top in range(len(out) - 1, d - 1, -1):
             c = out[top]
             if c:
@@ -98,26 +134,56 @@ class CycField:
             out.extend([0] * (d - len(out)))
         return tuple(out)
 
+    def _unpack(self, packed: int, k: int) -> tuple:
+        """Canonical coordinates of a polynomial packed at slot width k, of
+        degree below 2m - 1, whose coefficients and whose sums of two
+        coefficients m apart are all below 2^(k-1) in absolute value.
+
+        It is folded modulo x^m - 1 while packed: with B = 2^k, the low m
+        slots, taken as a signed residue modulo B^m, are exactly the
+        polynomial's terms of degree below m, and the rest of the int its
+        higher terms divided by x^m.  Then m slots are unpacked and
+        reduced."""
+        shift = k * self.m
+        low, high = packed & ((1 << shift) - 1), packed >> shift
+        if low >> (shift - 1):  # a negative residue
+            low -= 1 << shift
+            high += 1
+        return self._reduce(_unpack(low + high, k, self.m))
+
     def _dot(self, xs, ys) -> tuple:
         """Canonical coordinates of sum_i xs[i] * ys[i] for coordinate
-        vectors of length at most the degree: one packed sum, one reduction."""
-        return self._reduce(_int_poly_dot(xs, ys, 2 * self.degree - 1))
+        vectors of length at most the degree: one packed sum, one reduction.
+        The slot width covers the folded sums too: a coefficient of degree
+        i of the folded product of two such vectors collects at most the
+        shorter one's length of products, as one of the two degrees i and
+        i + m is fixed by each coordinate of the other."""
+        return _int_poly_dot(xs, ys, self._unpack)
 
-    def _rotate(self, coords, mono) -> tuple:
-        """Canonical coordinates of coords times the one-term mono = c x^e:
-        coords padded to length m, shifted cyclically by e (x^m = 1 modulo
-        Phi_m), scaled by c and reduced."""
-        c = sum(mono)  # the only nonzero coordinate
-        e = mono.index(c)
+    def _monomial(self, coords):
+        """(c, e) when coords are those of c x^e: one nonzero coordinate, or
+        +-x^e past the degree, whose coordinates are not one-term; else
+        None."""
+        if coords.count(0) == self.degree - 1:
+            c = sum(coords)  # the only nonzero coordinate
+            return c, coords.index(c)
+        return self._units.get(coords)
+
+    def _rotate(self, coords, c: int, e: int) -> tuple:
+        """Canonical coordinates of coords times c x^e: coords padded to
+        length m, shifted cyclically by e (x^m = 1 modulo Phi_m), scaled by
+        c and reduced."""
         out = list(coords) + [0] * (self.m - len(coords))
         if e:
             out = out[-e:] + out[:-e]
-        if c != 1:
+        if c == -1:
+            out = list(map(neg, out))
+        elif c != 1:
             out = [c * a for a in out]
         return self._reduce(out)
 
     def element(self, coords) -> "CycInt":
-        return CycInt(self, self._reduce(list(coords)))
+        return _cyc(self, self._reduce(list(coords)))
 
     def from_int(self, c: int) -> "CycInt":
         return self.element([c])
@@ -156,49 +222,48 @@ class CycInt:
         if len(self.coords) != field.degree:
             raise ValueError("coordinate vector of wrong length")
 
-    def _coerce(self, other):
-        if isinstance(other, CycInt):
-            if other.field != self.field:
-                raise ValueError("mixed cyclotomic orders")
-            return other
-        if isinstance(other, int):
-            return self.field.from_int(other)
-        return None
+    def _same_field(self, other: "CycInt") -> CycField:
+        field = self.field
+        if other.field is not field and other.field != field:
+            raise ValueError("mixed cyclotomic orders")
+        return field
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return CycInt(self.field, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        if isinstance(other, CycInt):
+            return _cyc(self._same_field(other), tuple(map(add, self.coords, other.coords)))
+        if isinstance(other, int):  # the class of c is (c, 0, ..., 0)
+            return _cyc(self.field, (self.coords[0] + other,) + self.coords[1:])
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycInt(self.field, tuple(-a for a in self.coords))
+        return _cyc(self.field, tuple(map(neg, self.coords)))
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        if isinstance(other, CycInt):
+            return _cyc(self._same_field(other), tuple(map(sub, self.coords, other.coords)))
+        if isinstance(other, int):
+            return _cyc(self.field, (self.coords[0] - other,) + self.coords[1:])
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return CycInt(self.field, tuple(a * other for a in self.coords))
+            return _cyc(self.field, tuple([a * other for a in self.coords]))
         if not isinstance(other, CycInt):
             return NotImplemented
-        field = self.field
-        if other.field != field:
-            raise ValueError("mixed cyclotomic orders")
-        a, b, d = self.coords, other.coords, field.degree
-        if a.count(0) == d - 1:
-            return CycInt(field, field._rotate(b, a))
-        if b.count(0) == d - 1:
-            return CycInt(field, field._rotate(a, b))
-        return CycInt(field, field._dot((a,), (b,)))
+        field = self._same_field(other)
+        a, b = self.coords, other.coords
+        mono = field._monomial(a)
+        if mono:
+            return _cyc(field, field._rotate(b, *mono))
+        mono = field._monomial(b)
+        if mono:
+            return _cyc(field, field._rotate(a, *mono))
+        return _cyc(field, field._dot((a,), (b,)))
 
     __rmul__ = __mul__
 
@@ -207,11 +272,26 @@ class CycInt:
         """sum_i xs[i] * ys[i] for two equally long, nonempty sequences of
         CycInt values of one field and ints, reduced modulo Phi_m once;
         an int when no entry is a CycInt."""
-        field = next((v.field for v in chain(xs, ys) if isinstance(v, CycInt)), None)
+        field = _field_of(chain(xs, ys))
         if field is None:
             return sum(x * y for x, y in zip(xs, ys))
-        return CycInt(field, field._dot([_coords_in(field, x) for x in xs],
-                                        [_coords_in(field, y) for y in ys]))
+        return _cyc(field, field._dot(_coords_in(field, xs), _coords_in(field, ys)))
+
+    @staticmethod
+    def krylov(R, A, v):
+        """[R v, R A v, ..., R A^(s-1) v] for a row R, an s x s matrix A
+        and a column v of CycInt values of one field and ints, as
+        ``det_cofactor`` asks for in each Berkowitz step: the rows of R and
+        A are packed once (again only if the slots must widen), each A^t v
+        is packed once for all the rows, and each value is reduced modulo
+        Phi_m once (the slot widths cover the folded sums as in
+        ``CycField._dot``).  Ints when no entry is a CycInt."""
+        field = _field_of(chain(R, v, chain.from_iterable(A)))
+        if field is None:
+            return _krylov(R, A, v, CycInt.dot)
+        return [_cyc(field, x) for x in _int_poly_krylov(
+            _coords_in(field, R), [_coords_in(field, row) for row in A], _coords_in(field, v),
+            field._unpack)]
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -224,9 +304,9 @@ class CycInt:
     def __eq__(self, other):
         if isinstance(other, int):  # the class of c is (c, 0, ..., 0)
             return self.coords[0] == other and self.is_rational_integer()
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, CycInt):
             return NotImplemented
+        self._same_field(other)
         return self.coords == other.coords
 
     def __hash__(self):
@@ -236,15 +316,32 @@ class CycInt:
         return "CycInt(m=%d, %r)" % (self.field.m, self.coords)
 
 
-def _coords_in(field: CycField, x):
-    # coordinates of a CycInt of `field`, or of an int, for CycField._dot
-    if isinstance(x, CycInt):
-        if x.field is not field and x.field != field:
-            raise ValueError("mixed cyclotomic orders")
-        return x.coords
-    if isinstance(x, int):
-        return (x,)
-    raise TypeError("cannot take a cyclotomic dot product with %r" % (x,))
+def _cyc(field: CycField, coords: tuple) -> CycInt:
+    # a CycInt from canonical coordinates, without CycInt.__init__'s check
+    x = object.__new__(CycInt)
+    x.field, x.coords = field, coords
+    return x
+
+
+def _field_of(values):
+    # the field of the first CycInt among values, or None
+    return next((v.field for v in values if isinstance(v, CycInt)), None)
+
+
+def _coords_in(field: CycField, xs) -> list:
+    # coordinates of each of xs, a CycInt of `field` or an int, for the
+    # packed kernels
+    out = []
+    for x in xs:
+        if isinstance(x, CycInt):
+            if x.field is not field and x.field != field:
+                raise ValueError("mixed cyclotomic orders")
+            out.append(x.coords)
+        elif isinstance(x, int):
+            out.append((x,))
+        else:
+            raise TypeError("cannot take a cyclotomic dot product with %r" % (x,))
+    return out
 
 
 def as_integer(x: CycInt) -> int:
@@ -259,9 +356,12 @@ def as_integer(x: CycInt) -> int:
 # evaluation points
 
 
+@lru_cache(maxsize=None)
 def shifted_roots_vector(r: int) -> PointVector:
     """Entries -zeta^j - zeta^(-j) for j = 1..r with zeta of order 2r+1;
-    exact versions of -2 cos(2 pi j / (2r+1))."""
+    exact versions of -2 cos(2 pi j / (2r+1)).  Built once per r: the
+    vector and its entries are immutable, and every route at one r shares
+    it."""
     if r < 1:
         raise ValueError("need r >= 1")
     field = CycField(2 * r + 1)

@@ -14,17 +14,18 @@ run on one Kronecker-substitution kernel: each integer coefficient vector is
 packed into one signed Python int with slots wide enough that no
 coefficient of the product can overflow its slot, so the whole convolution
 is a single big-int multiply, and a sum of such products (a dot product) is
-added up as big ints before one unpack.  Rational series are cleared to
-integers over the lcm of their denominators first.
+added up as big ints before one unpack; the matrix-vector products of a
+Krylov pass pack each vector once for all the rows.  Rational series are
+cleared to integers over the lcm of their denominators first.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
-from operator import floordiv, truediv
+from operator import floordiv, mul, truediv
 
 Rational = Fraction
 
@@ -65,31 +66,81 @@ def _unpack(packed: int, k: int, slots: int) -> list:
     return out
 
 
-def _int_poly_dot(xs, ys, slots: int) -> list:
-    """Coefficients 0 .. slots-1 of sum_i xs[i] * ys[i], for two equally
-    long, nonempty sequences of nonempty integer coefficient lists (index =
-    exponent).
+def _max_bits(vectors) -> int:
+    # bit length of the largest |coefficient| in a sequence of coefficient lists
+    return max(map(abs, chain.from_iterable(vectors))).bit_length()
 
-    Every pair is packed at one slot width k and the big-int products are
-    added before the one unpack.  A coefficient of the sum is a sum of at
-    most sum_i min(len xs[i], len ys[i]) terms, each of absolute value at
-    most max|xs| * max|ys|, so it stays below 2^(k-1) for the k below.
+
+def _slot_width(x_bits: int, y_bits: int, terms: int) -> int:
+    """A slot width k such that a sum of `terms` products of coefficients
+    below 2^x_bits and 2^y_bits in absolute value stays below 2^(k-1)."""
+    return x_bits + y_bits + terms.bit_length() + 1
+
+
+def _packed_dots(rows, v, k: int, unpack) -> list:
+    """unpack(row . v, k) for each row of big ints already packed at slot
+    width k: v is packed once for all the rows, and each row's products are
+    added before its one unpack."""
+    pv = [_pack(c, k) for c in v]
+    out = []
+    for row in rows:
+        products = map(mul, row, pv)
+        total = next(products)  # starting from 0 would copy it
+        for p in products:
+            total += p
+        out.append(unpack(total, k))
+    return out
+
+
+def _int_poly_dot(xs, ys, unpack):
+    """unpack(P, k) for P the sum of xs[i] * ys[i] packed at slot width k,
+    for two equally long, nonempty sequences of nonempty integer coefficient
+    lists (index = exponent): the one-row, one-step case of
+    ``_int_poly_krylov``.
+
+    A coefficient of the sum is a sum of at most sum_i min(len xs[i],
+    len ys[i]) products of one coefficient of each side, and k keeps it
+    below 2^(k-1) in absolute value."""
+    k = _slot_width(_max_bits(xs), _max_bits(ys), sum(map(min, map(len, xs), map(len, ys))))
+    return _packed_dots([[_pack(a, k) for a in xs]], ys, k, unpack)[0]
+
+
+def _int_poly_krylov(R, A, v, unpack) -> list:
+    """unpack(R . v_t, k) for t = 0 .. s-1, where A is s x s, v_0 = v and
+    v_(t+1) is A v_t, each entry unpacked the same way.
+
+    R, v and the rows of A are sequences of s nonempty integer coefficient
+    lists (index = exponent).  unpack(P, k) maps a sum P packed at slot
+    width k, whose coefficients obey the bound of ``_int_poly_dot``, to the
+    coefficient list of an equivalent polynomial (a remainder, say), which
+    is also what the next step multiplies.  Step t is one
+    ``_packed_dots`` pass over R and the rows of A, which packs v_t once.
+    The rows are packed once, at the slot width the first step needs, and
+    again only when a later v_t needs wider slots than they have, then at
+    least twice as wide, so that a v_t that grows step by step does not
+    re-pack them at every step.
     """
-    k = (max(map(abs, chain.from_iterable(xs))).bit_length()
-         + max(map(abs, chain.from_iterable(ys))).bit_length()
-         + sum(map(min, map(len, xs), map(len, ys))).bit_length() + 1)
-    pairs = zip(xs, ys)
-    a, b = next(pairs)
-    total = _pack(a, k) * _pack(b, k)  # starting from 0 would copy it
-    for a, b in pairs:
-        total += _pack(a, k) * _pack(b, k)
-    return _unpack(total, k, slots)
+    rows = [R, *A]
+    row_bits = _max_bits(chain.from_iterable(rows))
+    row_len = max(map(len, chain.from_iterable(rows)))
+    k, out = 0, []
+    for t in range(len(A)):
+        need = _slot_width(row_bits, _max_bits(v), sum(min(row_len, len(c)) for c in v))
+        if need > k:
+            k = max(need, 2 * k)
+            packed = [[_pack(c, k) for c in row] for row in rows]
+        sums = _packed_dots(packed if t + 1 < len(A) else packed[:1], v, k, unpack)
+        out.append(sums[0])
+        v = sums[1:]
+    return out
 
 
 def _int_poly_mul(a, b, slots: int) -> list:
     """Coefficients 0 .. slots-1 of the product of two nonempty integer
-    coefficient lists: the one-pair dot product."""
-    return _int_poly_dot((a,), (b,), slots)
+    coefficient lists: the one-pair dot product, packed and unpacked
+    directly."""
+    k = _slot_width(_max_bits((a,)), _max_bits((b,)), min(len(a), len(b)))
+    return _unpack(_pack(a, k) * _pack(b, k), k, slots)
 
 
 # ---------------------------------------------------------------------------
@@ -712,6 +763,16 @@ def _dot(xs, ys):
     return acc
 
 
+def _krylov(R, A, v, dot):
+    """[R v, R A v, ..., R A^(s-1) v] for the s x s matrix A, one dot
+    product per row of A per step."""
+    d = [dot(R, v)]
+    for _ in range(len(A) - 1):
+        v = [dot(row, v) for row in A]
+        d.append(dot(R, v))
+    return d
+
+
 def det_cofactor(rows):
     """Determinant over any commutative ring by Berkowitz's division-free
     algorithm (IPL 18, 1984), O(n^4) ring operations.
@@ -721,17 +782,24 @@ def det_cofactor(rows):
     with (1, -a, -RC, -RAC, ..., -RA^(s-2)C); the determinant is its
     constant term up to the sign (-1)^n.
 
-    The products R A^t C, the matrix-vector products A^t C and the sums of
-    the Toeplitz step are dot products.  When an entry's type supplies a
-    static ``dot(xs, ys)`` it computes all of them, so it must also take the
-    int entries of a mixed matrix; ``CycInt.dot`` adds the packed products
-    and reduces modulo Phi_m once per dot.  Otherwise a dot is a sum of ring
-    products.
+    The sums of the Toeplitz step are dot products, and so are, in the
+    Krylov pass of a step, the products R A^t C and the matrix-vector
+    products A^t C.  When an entry's type supplies a static ``dot(xs,
+    ys)``, it computes the dot products; when it also supplies a static
+    ``krylov(R, A, C)``, which returns [R C, R A C, ..., R A^(s-1) C] for
+    the s x s matrix A, that computes each step's Krylov pass, so that it
+    can prepare the rows of R and A once per step.  Both must also take the
+    int entries of a mixed matrix.  ``CycInt.dot`` adds the packed products
+    and reduces modulo Phi_m once per dot, and ``CycInt.krylov`` packs the
+    rows once per step and each A^t C once.  Without them a dot is a sum
+    of ring products, and the Krylov pass is one dot per row per step.
     """
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("need a nonempty square matrix")
-    dot = next((type(x).dot for row in rows for x in row if hasattr(type(x), "dot")), _dot)
+    ring = next((type(x) for row in rows for x in row if hasattr(type(x), "dot")), None)
+    dot = _dot if ring is None else ring.dot
+    krylov = getattr(ring, "krylov", None) or partial(_krylov, dot=dot)
     # c[i - 1] is the coefficient c_i of x^(s-i) in det(x I - B) for the
     # trailing s x s submatrix B; c_0 = 1 stays implicit, so no ring one is
     # needed
@@ -739,11 +807,7 @@ def det_cofactor(rows):
     for k in range(n - 2, -1, -1):
         a, R = rows[k][k], rows[k][k + 1:]
         A = [row[k + 1:] for row in rows[k + 1:]]
-        v = [row[k] for row in rows[k + 1:]]  # C, then A^t C
-        d = [dot(R, v)]  # d[t] = R A^t C
-        for _ in range(len(A) - 1):
-            v = [dot(row, v) for row in A]
-            d.append(dot(R, v))
+        d = krylov(R, A, [row[k] for row in rows[k + 1:]])  # d[t] = R A^t C
         # Toeplitz step: c'_i = c_i - a c_(i-1) - sum_(t <= i-2) d[t] c_(i-2-t)
         new = [c[0] - a]
         for i in range(2, len(c) + 2):

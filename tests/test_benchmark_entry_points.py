@@ -1,7 +1,9 @@
 """The benchmark's workloads call into symident by name (``cli.suite_roots``,
 ``cli.main``, ``sequences.cross_oracle_check`` ...).  Each workload is run
 here at its tiny size, in-process, and must meet its pinned check count and
-digest, so a refactor that drops or renames an entry point fails tier-1."""
+digest, so a refactor that drops or renames an entry point fails tier-1.
+The tracer's self-check runs here too, so a route change that would break
+traced runs (its pinned determinant call counts) fails tier-1 as well."""
 
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
+import child  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -20,3 +23,7 @@ def test_tiny_workload_meets_its_pins(name):
     result = dict(workloads.summarize(outputs), raised=[])
     _, failed, problems = workloads.judge(name, "tiny", seed, [result], workloads.PINS)
     assert failed == 0, problems
+
+
+def test_tracer_self_check_holds():
+    assert child.self_check() == []

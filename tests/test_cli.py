@@ -156,6 +156,16 @@ class TestVerifyCommand:
         payload = json.loads(out)
         assert (payload["passed"], payload["failed"]) == (5, 0)
 
+    @pytest.mark.parametrize("argv", [("principal", "--r", "0", "--n-max", "3"),
+                                      ("roots", "--r", "0"),
+                                      ("first-kind", "--r", "0:2", "--m-max", "2"),
+                                      ("cross-oracle", "--r", "0", "--n-max", "5")])
+    def test_r_below_one_is_refused_by_its_option(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --r must be >= 1, got %s\n" % argv[2]
+
     @pytest.mark.parametrize("argv", [("discriminant", "--r", "4"),
                                       ("first-kind", "--r", "1", "--m-max", "-1")])
     def test_run_that_checks_nothing_is_usage_error(self, capsys, argv):

@@ -155,12 +155,15 @@ class TestProductOracle:
                 assert (x * y) * z == x * (y * z)
 
     def test_element_reduces_long_vectors(self):
+        # lengths past the degree, up to m (one fold-free reduction pass for
+        # prime powers), and past m
         rng = random.Random(17)
         for m in self.ORDERS:
             f = CycField(m)
-            coords = self.rand_coords(rng, 3 * m + 2, 30)
-            want = brute_cyclotomic_mul(m, coords, [1])
-            assert list(f.element(coords).coords) == want
+            for length in sorted({f.degree + 1, m, 2 * m - 1, 3 * m + 2}):
+                coords = self.rand_coords(rng, length, 30)
+                want = brute_cyclotomic_mul(m, coords, [1])
+                assert list(f.element(coords).coords) == want, (m, length)
 
 
 def coords_of(x):
@@ -237,16 +240,23 @@ class TestDotOracle:
                 CycInt.dot(xs, ys)
 
 
+def assert_canonical(x, f):
+    # a result built without CycInt.__init__ still has its invariants
+    assert type(x) is CycInt and x.field == f
+    assert type(x.coords) is tuple and len(x.coords) == f.degree
+
+
 class TestRotation:
-    """Products with a one-term factor c x^e, which are a cyclic shift, on
-    orders where Phi_m is x - 1 or x + 1, has gaps (9, 25) or terms of
-    both signs (15)."""
+    """Products with a factor c x^e, which are a cyclic shift, on every
+    order to 30: Phi_m is x - 1 (m = 1), all ones (m prime, reduced in one
+    pass), ones spaced w apart (m = p^k, one pass too), or has gaps and
+    terms of both signs (15, 21)."""
 
     def test_against_schoolbook(self):
         rng = random.Random(24)
-        for m in (1, 2, 9, 15, 25):
+        for m in range(1, 31):
             f = CycField(m)
-            for c in (1, -1, 7, -(2 ** 70)):
+            for c in (1, -1, 3, -(2 ** 70)):
                 for e in range(f.degree):
                     mono = [0] * f.degree
                     mono[e] = c
@@ -256,6 +266,131 @@ class TestRotation:
                     assert list((x * y).coords) == want, (m, c, e)
                     assert list((y * x).coords) == want, (m, c, e)
                     assert list((x * x).coords) == brute_cyclotomic_mul(m, mono, mono)
+                    assert_canonical(x * y, f)
+
+    def test_units_past_the_degree(self):
+        # +-x^e with e from deg Phi_m to m - 1 has dense coordinates, but a
+        # product with it is a rotation too; 3 x^e is an ordinary product
+        rng = random.Random(30)
+        for m in range(1, 31):
+            f = CycField(m)
+            for e in range(f.degree, m):
+                for c in (1, -1, 3):
+                    u = f.zeta(e) * c
+                    dense = TestProductOracle.rand_coords(rng, f.degree, rng.choice((3, 80)))
+                    want = brute_cyclotomic_mul(m, [0] * e + [c], dense)
+                    y = f.element(dense)
+                    assert list((u * y).coords) == want, (m, c, e)
+                    assert list((y * u).coords) == want, (m, c, e)
+                    assert_canonical(u * y, f)
+
+
+class TestAddSubNeg:
+    """+, - and negation map over the coordinate tuples; against the
+    oracle's reduction of the coordinate-wise sums, on every order to 30."""
+
+    def test_against_schoolbook(self):
+        rng = random.Random(27)
+        for m in range(1, 31):
+            f = CycField(m)
+            for bits in (1, 70):
+                a, b = (TestProductOracle.rand_coords(rng, f.degree, bits) for _ in range(2))
+                x, y = f.element(a), f.element(b)
+                cases = [(x + y, [p + q for p, q in zip(a, b)]),
+                         (x - y, [p - q for p, q in zip(a, b)]),
+                         (-x, [-p for p in a])]
+                for c in (0, 3, -(2 ** 80)):
+                    shifted = [a[0] + c] + a[1:]
+                    cases += [(x + c, shifted), (c + x, shifted),
+                              (x - c, [a[0] - c] + a[1:]),
+                              (c - x, [c - a[0]] + [-p for p in a[1:]])]
+                for got, coeffs in cases:
+                    assert_canonical(got, f)
+                    assert list(got.coords) == brute_cyclotomic_mul(m, coeffs, [1]), (m, coeffs)
+
+    def test_mixed_orders_rejected(self):
+        x, y = CycField(9).zeta(1), CycField(7).zeta(1)
+        for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: x == y):
+            with pytest.raises(ValueError):
+                op()
+
+
+def brute_krylov(m, R, A, v):
+    """[R v, R A v, ..., R A^(s-1) v] on coordinate lists: every dot
+    product a sum of schoolbook products, reduced by the oracle's Phi_m."""
+    out = []
+    for _ in range(len(A)):
+        out.append(brute_cyclotomic_dot(m, R, v))
+        v = [brute_cyclotomic_dot(m, row, v) for row in A]
+    return out
+
+
+class TestKrylovPass:
+    """CycInt.krylov, the packed Krylov pass of one Berkowitz step, and
+    det_cofactor on top of it, on prime and composite orders.  Coordinates
+    up to 2^100 make A^t v grow by about 100 bits a step, so the rows are
+    packed again within a step."""
+
+    ORDERS = (7, 9, 15, 21, 25)
+
+    @staticmethod
+    def entry(rng, f, bits):
+        return rng.choice((0, 1, -3, 2 ** 90, f.zero, f.element(
+            TestProductOracle.rand_coords(rng, f.degree, bits, 0.8))))
+
+    def check(self, f, R, A, v):
+        got = CycInt.krylov(R, A, v)
+        want = brute_krylov(f.m, [coords_of(x) for x in R],
+                            [[coords_of(x) for x in row] for row in A], [coords_of(x) for x in v])
+        assert len(got) == len(A)
+        for t, (g, w) in enumerate(zip(got, want)):
+            if isinstance(g, CycInt):
+                assert_canonical(g, f)
+            else:  # an int when R, A and v hold no CycInt
+                assert all(isinstance(x, int) for x in R + v + sum(A, []))
+            assert list((g + f.zero).coords) == w, (f.m, t)
+
+    def test_against_schoolbook(self):
+        rng = random.Random(28)
+        for m in self.ORDERS:
+            f = CycField(m)
+            for s in range(1, 6):
+                for bits in (3, 100):
+                    R = [self.entry(rng, f, bits) for _ in range(s)]
+                    A = [[self.entry(rng, f, bits) for _ in range(s)] for _ in range(s)]
+                    v = [self.entry(rng, f, bits) for _ in range(s)]
+                    self.check(f, R, A, v)
+
+    def test_all_coordinates_at_the_slot_edge(self):
+        # every coordinate 2^100 - 1: the first step's sums are as large as
+        # its slot width allows, and every later step widens the slots
+        top = 2 ** 100 - 1
+        for m in self.ORDERS:
+            f = CycField(m)
+            plus = f.element([top] * f.degree)
+            minus = f.element([-top] * f.degree)
+            for s in (1, 3, 5):
+                self.check(f, [plus] * s, [[plus] * s for _ in range(s)], [plus] * s)
+                self.check(f, [plus] * s, [[minus] * s for _ in range(s)], [plus] * s)
+
+    def test_int_entries_and_zero_columns(self):
+        f = CycField(15)
+        z = f.zeta(1)
+        self.check(f, [z, 2], [[1, z], [0, -3]], [0, 0])
+        self.check(f, [0, 0], [[z, z], [z, z]], [z, 1])
+        assert CycInt.krylov([2, 3], [[1, 0], [4, 1]], [5, -1]) == [7, 67]
+
+    def test_det_cofactor_against_permutation_expansion(self):
+        rng = random.Random(29)
+        for m in self.ORDERS:
+            f = CycField(m)
+            for n in range(1, 7):
+                rows = [[self.entry(rng, f, 100) for _ in range(n)] for _ in range(n)]
+                assert det_cofactor(rows) == det_permutation_expansion(rows), (m, n)
+                if n > 1:  # the outermost step's Krylov vector is zero
+                    for row in rows:
+                        row[0] = 0
+                    assert det_cofactor(rows) == det_permutation_expansion(rows) == 0, (m, n)
 
 
 class TestRingDeterminant:
