@@ -14,15 +14,14 @@ pass of one step of ``det_cofactor`` (Berkowitz), the values R A^t C: it
 packs the rows of R and A once for the step (again, wider, only when a
 growing A^t C needs wider slots), packs each A^t C once for all the rows
 and reduces each value once.  A packed sum is folded modulo x^m - 1
-(which Phi_m divides) before it is unpacked.  A product with a factor
-c x^e, that is one nonzero coordinate or +-x^e past the degree, is not
-packed: the other operand is rotated by e modulo x^m - 1 and scaled by c.
+(which Phi_m divides) before it is unpacked.  A product with a one-term
+factor c x^e is not packed: the other operand is rotated by e modulo
+x^m - 1 and scaled by c.
 
 The remaining degrees m-1 .. deg Phi_m are then cancelled, leaving the
-canonical remainder.  With w = m/p for the smallest prime p dividing m,
-Phi_m divides 1 + x^w + ... + x^(m-w), modulo which one pass cancels the
-degrees from m - w up; for a prime power m that is Phi_m itself, and
-otherwise the few degrees left are cancelled against the nonzero terms of
+canonical remainder.  For m a power of a prime p, Phi_m = 1 + x^w + ... +
+x^(m-w) with w = m/p (all ones for prime m), and one pass cancels them;
+for other m each is cancelled in turn against the nonzero terms of
 Phi_m.  Sums, differences and negations map over the coordinate tuples,
 and results are built without re-validating their coordinates.
 """
@@ -33,7 +32,7 @@ from functools import lru_cache
 from itertools import chain, cycle
 from operator import add, neg, sub
 
-from .exactalg import _int_poly_dot, _int_poly_krylov, _krylov, _power, _unpack, det_cofactor
+from .exactalg import _int_poly_dot, _int_poly_krylov, _power, _unpack, det_cofactor
 from .symfun import PointVector
 
 
@@ -79,7 +78,7 @@ def cyclotomic_poly(m: int) -> tuple:
 class CycField:
     """The ring Z[x]/Phi_m(x); elements are CycInt values in the power basis."""
 
-    __slots__ = ("m", "phi", "degree", "_tail", "_period", "_units")
+    __slots__ = ("m", "phi", "degree", "_tail", "_period")
 
     def __init__(self, m: int):
         self.m = m
@@ -88,17 +87,11 @@ class CycField:
         # nonzero lower terms of the monic Phi_m, the only ones a reduction
         # step touches
         self._tail = tuple((j, c) for j, c in enumerate(self.phi[:-1]) if c)
-        # w = m/p for the smallest prime p dividing m (0 for m = 1): Phi_m
-        # divides 1 + x^w + x^(2w) + ... + x^(m-w) = (x^m - 1)/(x^w - 1),
-        # and equals it when m is a power of p
-        p = next((p for p in range(2, m + 1) if m % p == 0), None)
-        self._period = m // p if p else 0
-        # the units +-x^e with e from the degree to m - 1, by coordinates
-        self._units = {}
-        for e in range(self.degree, m):
-            coords = self._reduce([0] * e + [1])
-            self._units[coords] = (1, e)
-            self._units[tuple(map(neg, coords))] = (-1, e)
+        # w = m - deg Phi_m when Phi_m is 1 + x^w + x^(2w) + ... + x^(m-w),
+        # as for m a power of a prime p (w = m/p); else 0
+        w = m - self.degree
+        self._period = w if w and self.phi == tuple(
+            int(j % w == 0) for j in range(self.degree + 1)) else 0
 
     def _reduce(self, coeffs: list) -> tuple:
         """Canonical coordinates of sum_i coeffs[i] x^i; may consume coeffs."""
@@ -110,18 +103,11 @@ class CycField:
                 out[:len(hi)] = map(add, out, hi)
         else:
             out = coeffs
-        if len(out) > m - w:
-            # modulo 1 + x^w + ... + x^(m-w), in one pass: x^(m-w+j) =
-            # -(x^j + x^(w+j) + ... + x^(m-2w+j)) for j < w
+        if w and len(out) > d:
+            # m is a prime power, so d = m - w and, in one pass, x^(d+j) =
+            # -(x^j + x^(w+j) + ... + x^(d-w+j)) for j < w
             out.extend([0] * (m - len(out)))
-            if w == 1:
-                top = out.pop()
-                out = [a - top for a in out]
-            else:
-                top = out[m - w:]
-                out = [a - t for a, t in zip(out[:m - w], cycle(top))]
-            if m - w == d:  # m is a prime power: that was Phi_m
-                return tuple(out)
+            return tuple(map(sub, out[:d], cycle(out[d:])))
         for top in range(len(out) - 1, d - 1, -1):
             c = out[top]
             if c:
@@ -160,19 +146,12 @@ class CycField:
         i + m is fixed by each coordinate of the other."""
         return _int_poly_dot(xs, ys, self._unpack)
 
-    def _monomial(self, coords):
-        """(c, e) when coords are those of c x^e: one nonzero coordinate, or
-        +-x^e past the degree, whose coordinates are not one-term; else
-        None."""
-        if coords.count(0) == self.degree - 1:
-            c = sum(coords)  # the only nonzero coordinate
-            return c, coords.index(c)
-        return self._units.get(coords)
-
-    def _rotate(self, coords, c: int, e: int) -> tuple:
-        """Canonical coordinates of coords times c x^e: coords padded to
-        length m, shifted cyclically by e (x^m = 1 modulo Phi_m), scaled by
-        c and reduced."""
+    def _rotate(self, coords, mono) -> tuple:
+        """Canonical coordinates of coords times the one-term mono = c x^e:
+        coords padded to length m, shifted cyclically by e (x^m = 1 modulo
+        Phi_m), scaled by c and reduced."""
+        c = sum(mono)  # the only nonzero coordinate
+        e = mono.index(c)
         out = list(coords) + [0] * (self.m - len(coords))
         if e:
             out = out[-e:] + out[:-e]
@@ -256,13 +235,11 @@ class CycInt:
         if not isinstance(other, CycInt):
             return NotImplemented
         field = self._same_field(other)
-        a, b = self.coords, other.coords
-        mono = field._monomial(a)
-        if mono:
-            return _cyc(field, field._rotate(b, *mono))
-        mono = field._monomial(b)
-        if mono:
-            return _cyc(field, field._rotate(a, *mono))
+        a, b, d = self.coords, other.coords, field.degree
+        if a.count(0) == d - 1:
+            return _cyc(field, field._rotate(b, a))
+        if b.count(0) == d - 1:
+            return _cyc(field, field._rotate(a, b))
         return _cyc(field, field._dot((a,), (b,)))
 
     __rmul__ = __mul__
@@ -285,10 +262,8 @@ class CycInt:
         A are packed once (again only if the slots must widen), each A^t v
         is packed once for all the rows, and each value is reduced modulo
         Phi_m once (the slot widths cover the folded sums as in
-        ``CycField._dot``).  Ints when no entry is a CycInt."""
+        ``CycField._dot``).  At least one entry must be a CycInt."""
         field = _field_of(chain(R, v, chain.from_iterable(A)))
-        if field is None:
-            return _krylov(R, A, v, CycInt.dot)
         return [_cyc(field, x) for x in _int_poly_krylov(
             _coords_in(field, R), [_coords_in(field, row) for row in A], _coords_in(field, v),
             field._unpack)]

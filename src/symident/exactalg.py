@@ -137,10 +137,8 @@ def _int_poly_krylov(R, A, v, unpack) -> list:
 
 def _int_poly_mul(a, b, slots: int) -> list:
     """Coefficients 0 .. slots-1 of the product of two nonempty integer
-    coefficient lists: the one-pair dot product, packed and unpacked
-    directly."""
-    k = _slot_width(_max_bits((a,)), _max_bits((b,)), min(len(a), len(b)))
-    return _unpack(_pack(a, k) * _pack(b, k), k, slots)
+    coefficient lists: the one-pair dot product."""
+    return _int_poly_dot((a,), (b,), partial(_unpack, slots=slots))
 
 
 # ---------------------------------------------------------------------------
@@ -787,19 +785,20 @@ def det_cofactor(rows):
     products A^t C.  When an entry's type supplies a static ``dot(xs,
     ys)``, it computes the dot products; when it also supplies a static
     ``krylov(R, A, C)``, which returns [R C, R A C, ..., R A^(s-1) C] for
-    the s x s matrix A, that computes each step's Krylov pass, so that it
-    can prepare the rows of R and A once per step.  Both must also take the
-    int entries of a mixed matrix.  ``CycInt.dot`` adds the packed products
-    and reduces modulo Phi_m once per dot, and ``CycInt.krylov`` packs the
-    rows once per step and each A^t C once.  Without them a dot is a sum
-    of ring products, and the Krylov pass is one dot per row per step.
+    the s x s matrix A, that computes the Krylov pass of each step with an
+    entry of that type in R, A or C, so that it can prepare the rows of R
+    and A once per step.  Both must also take the int entries of a mixed
+    matrix.  ``CycInt.dot`` adds the packed products and reduces modulo
+    Phi_m once per dot, and ``CycInt.krylov`` packs the rows once per step
+    and each A^t C once.  Without them a dot is a sum of ring products, and
+    the Krylov pass is one dot per row per step.
     """
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("need a nonempty square matrix")
     ring = next((type(x) for row in rows for x in row if hasattr(type(x), "dot")), None)
     dot = _dot if ring is None else ring.dot
-    krylov = getattr(ring, "krylov", None) or partial(_krylov, dot=dot)
+    krylov = getattr(ring, "krylov", None)
     # c[i - 1] is the coefficient c_i of x^(s-i) in det(x I - B) for the
     # trailing s x s submatrix B; c_0 = 1 stays implicit, so no ring one is
     # needed
@@ -807,7 +806,11 @@ def det_cofactor(rows):
     for k in range(n - 2, -1, -1):
         a, R = rows[k][k], rows[k][k + 1:]
         A = [row[k + 1:] for row in rows[k + 1:]]
-        d = krylov(R, A, [row[k] for row in rows[k + 1:]])  # d[t] = R A^t C
+        C = [row[k] for row in rows[k + 1:]]
+        if krylov and any(isinstance(x, ring) for x in chain(R, C, *A)):
+            d = krylov(R, A, C)  # d[t] = R A^t C
+        else:
+            d = _krylov(R, A, C, dot)
         # Toeplitz step: c'_i = c_i - a c_(i-1) - sum_(t <= i-2) d[t] c_(i-2-t)
         new = [c[0] - a]
         for i in range(2, len(c) + 2):
