@@ -2,13 +2,15 @@
 
 Generalized binomials (negative upper index included), ballot coefficients,
 the six transfer kernels of the expansion identities, raising factorials,
-Gaussian q-binomials, integer partitions with their centralizer orders, and
-the ballot-number generating series that drives the expansion identities.
+Gaussian q-binomials, integer partitions (plain tuples of parts) with their
+centralizer orders, and the ballot-number generating series that drives the
+expansion identities.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -126,68 +128,17 @@ def ballot_series(alpha: int, order: int) -> Series:
     return Series(coeffs, order)
 
 
-class Partition:
-    """Weakly decreasing tuple of positive parts (trailing zeros dropped)."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts):
-        parts = tuple(int(p) for p in parts)
-        if any(p < 0 for p in parts):
-            raise ValueError("partition parts must be nonnegative")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError("partition parts must be weakly decreasing")
-        while parts and parts[-1] == 0:
-            parts = parts[:-1]
-        self.parts = parts
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
-    def multiplicities(self) -> dict:
-        out = {}
-        for p in self.parts:
-            out[p] = out.get(p, 0) + 1
-        return out
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __eq__(self, other):
-        if isinstance(other, Partition):
-            return self.parts == other.parts
-        if isinstance(other, tuple):
-            return self.parts == Partition(other).parts
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __repr__(self):
-        return "Partition%r" % (self.parts,)
-
-
 def partitions_of(n: int, max_parts: int):
-    """All partitions of n into at most max_parts parts, reverse
-    lexicographically (largest first part first)."""
+    """All partitions of n into at most max_parts parts, each a weakly
+    decreasing tuple of positive parts, reverse lexicographically (largest
+    first part first)."""
     if n < 0 or max_parts < 0:
         raise ValueError("partitions_of needs nonnegative arguments")
     out = []
 
     def rec(remaining, cap, nparts, acc):
         if remaining == 0:
-            out.append(Partition(acc))
+            out.append(tuple(acc))
             return
         if nparts == 0:
             return
@@ -203,9 +154,7 @@ def centralizer_order(lam) -> int:
     size i.  This is the order of the centralizer of a permutation with
     cycle type lam, and the normalizing factor of power-sum expansions.
     """
-    if not isinstance(lam, Partition):
-        lam = Partition(lam)
     out = 1
-    for i, m in lam.multiplicities().items():
+    for i, m in Counter(lam).items():
         out *= i ** m * math.factorial(m)
     return out

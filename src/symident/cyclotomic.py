@@ -346,13 +346,11 @@ def shifted_roots_vector(r: int) -> PointVector:
 
 
 def doubled_roots_vector(r: int) -> PointVector:
-    """Entries -zeta^j and -zeta^(-j) for j = 1..r, length 2r."""
-    if r < 1:
-        raise ValueError("need r >= 1")
-    field = CycField(2 * r + 1)
-    m = field.m
+    """Entries -zeta^j and -zeta^(-j) for j = 1..r, length 2r, in the field
+    of the shifted roots."""
+    field = shifted_roots_vector(r)[0].field
     plus = [-field.zeta(j) for j in range(1, r + 1)]
-    minus = [-field.zeta(m - j) for j in range(1, r + 1)]
+    minus = [-field.zeta(-j) for j in range(1, r + 1)]
     return PointVector(plus + minus)
 
 
@@ -378,8 +376,10 @@ def discriminant_square_check(r: int) -> bool:
     p = 2 * r + 1
     if not _is_prime(p):
         raise ValueError("2r+1 = %d is not prime" % p)
-    vals = shifted_roots_vector(r)
+    vals = shifted_roots_vector(r).entries
     field = vals[0].field
-    rows = [[vals[i] ** (r - j) for j in range(1, r + 1)] for i in range(r)]
+    rows = [[field.one] for _ in vals]
+    for _ in range(r - 1):
+        rows = [[row[0] * v] + row for row, v in zip(rows, vals)]
     det = det_cofactor(rows)
     return det * det == field.from_int(p ** (r - 1))

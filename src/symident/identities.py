@@ -314,45 +314,33 @@ def _complete_q_closed(r: int, n: int) -> UniLaurent:
     return _q_power(-n * r) * (q_binom(2 * r + n, n) - q_binom(2 * r + n - 1, n - 1) * _q_power(r))
 
 
-def principal_spec_e(r: int, n: int) -> CheckReport:
-    """e_n at the doubled q-vector against the alternating q-binomial sum;
-    the sum vanishes for n > 2r."""
-    if r < 1 or n < 0:
-        raise ValueError("need r >= 1 and n >= 0")
+def principal_spec(family: str, r: int, n: int) -> CheckReport:
+    """f_n at the doubled q-vector against its closed q-form, for f = e, h
+    or p, reported as principal_spec_<family>:
+
+    e: the alternating q-binomial sum, which vanishes for n > 2r;
+    h: q^(-nr) ([2r+n, n]_q - [2r+n-1, n-1]_q q^r);
+    p: -1 + q^(-rn)(1-q^((2r+1)n))/(1-q^n), compared after clearing the
+       denominator 1 - q^n; n starts at 1.
+    """
+    if family not in ("e", "h", "p"):
+        raise ValueError("family must be e, h or p")
+    low = 1 if family == "p" else 0
+    if r < 1 or n < low:
+        raise ValueError("need r >= 1 and n >= %d" % low)
     t0 = time.perf_counter()
     doubled, _ = _q_vectors(r)
-    lhs = elementary(n, doubled)
-    rhs = _elem_q_closed(r, n)
+    if family == "e":
+        lhs, rhs = elementary(n, doubled), _elem_q_closed(r, n)
+    elif family == "h":
+        lhs, rhs = complete(n, doubled), _complete_q_closed(r, n)
+    else:
+        one = UniLaurent.one("q")
+        clear = one - _q_power(n)
+        lhs = (power(n, doubled) + one) * clear
+        rhs = _q_power(-r * n) * (one - _q_power((2 * r + 1) * n))
     failures = [] if lhs == rhs else ["lhs=%s rhs=%s" % (_shown(lhs), _shown(rhs))]
-    return _report("principal_spec_e", {"r": r, "n": n}, failures, t0)
-
-
-def principal_spec_h(r: int, n: int) -> CheckReport:
-    """h_n at the doubled q-vector against
-    q^(-nr) ([2r+n, n]_q - [2r+n-1, n-1]_q q^r)."""
-    if r < 1 or n < 0:
-        raise ValueError("need r >= 1 and n >= 0")
-    t0 = time.perf_counter()
-    doubled, _ = _q_vectors(r)
-    lhs = complete(n, doubled)
-    rhs = _complete_q_closed(r, n)
-    failures = [] if lhs == rhs else ["lhs=%s rhs=%s" % (_shown(lhs), _shown(rhs))]
-    return _report("principal_spec_h", {"r": r, "n": n}, failures, t0)
-
-
-def principal_spec_p(r: int, n: int) -> CheckReport:
-    """p_n at the doubled q-vector against -1 + q^(-rn)(1-q^((2r+1)n))/(1-q^n),
-    compared after clearing the denominator 1 - q^n."""
-    if r < 1 or n < 1:
-        raise ValueError("need r >= 1 and n >= 1")
-    t0 = time.perf_counter()
-    doubled, _ = _q_vectors(r)
-    one = UniLaurent.one("q")
-    clear = one - _q_power(n)
-    lhs = (power(n, doubled) + one) * clear
-    rhs = _q_power(-r * n) * (one - _q_power((2 * r + 1) * n))
-    failures = [] if lhs == rhs else ["lhs=%s rhs=%s" % (_shown(lhs), _shown(rhs))]
-    return _report("principal_spec_p", {"r": r, "n": n}, failures, t0)
+    return _report("principal_spec_" + family, {"r": r, "n": n}, failures, t0)
 
 
 def principal_combination_check(r: int, bound: int) -> CheckReport:

@@ -2,9 +2,12 @@
 characteristic coefficients, each computed by several independent routes
 (closed-form sums, linear recurrence, exact root-of-unity evaluation,
 determinants, generating functions, partition sums) that are cross-checked
-against one another.
+against one another.  The closed values of h_n and p_n at the doubled roots
+of unity, which the inversion checks, the binomial displays and the roots
+suite all compare against, are written once here.
 
-Indexing conventions, fixed once:
+Indexing conventions, fixed once (F and L are both HigherSequence values,
+which hold where their storage starts):
 
 * F[1] = 1 and F[2-r] = ... = F[0] = 0 seed the order-r recurrence, so F is
   stored for n >= 2-r (n >= 1 when r = 1).  The r = 2 slice is the classical
@@ -48,40 +51,25 @@ def recurrence_coefficients(r: int) -> list:
     return coeffs
 
 
-class HigherFib:
-    """Order-r Fibonacci values, stored for n >= 2 - r."""
+class HigherSequence:
+    """Order-r Fibonacci or Lucas values, stored for n >= start."""
 
     __slots__ = ("r", "start", "values")
 
-    def __init__(self, r: int, values: list):
+    def __init__(self, r: int, start: int, values: list):
         self.r = r
-        self.start = 1 if r == 1 else 2 - r
+        self.start = start
         self.values = values
 
     def __getitem__(self, n: int) -> int:
         i = n - self.start
         if i < 0 or i >= len(self.values):
-            raise KeyError("F[%d] not stored for r=%d" % (n, self.r))
+            raise KeyError("index %d not stored for r=%d" % (n, self.r))
         return self.values[i]
 
     def jt(self, n: int) -> int:
         """Value with indices below 1 read as 0 (determinant convention)."""
         return self[n] if n >= 1 else 0
-
-
-class HigherLucas:
-    """Order-r Lucas values, stored for n >= 0."""
-
-    __slots__ = ("r", "values")
-
-    def __init__(self, r: int, values: list):
-        self.r = r
-        self.values = values
-
-    def __getitem__(self, n: int) -> int:
-        if n < 0 or n >= len(self.values):
-            raise KeyError("L[%d] not stored for r=%d" % (n, self.r))
-        return self.values[n]
 
 
 def _extend(seed: list, coeffs: list, upto: int):
@@ -92,17 +80,12 @@ def _extend(seed: list, coeffs: list, upto: int):
     return vals
 
 
-def fib_recurrence(r: int, n_max: int) -> HigherFib:
+def fib_recurrence(r: int, n_max: int) -> HigherSequence:
     """F values for n <= n_max from the initial block and the recurrence."""
-    if r < 1:
-        raise ValueError("need r >= 1")
     coeffs = recurrence_coefficients(r)
-    if r == 1:
-        seed, start = [1], 1
-    else:
-        seed, start = [0] * (r - 1) + [1], 2 - r
-    vals = _extend(seed, coeffs, n_max - start + 1)
-    return HigherFib(r, vals)
+    start = 1 if r == 1 else 2 - r
+    seed = [0] * (1 - start) + [1]
+    return HigherSequence(r, start, _extend(seed, coeffs, n_max - start + 1))
 
 
 def lucas_initial(r: int, n: int) -> int:
@@ -117,13 +100,11 @@ def lucas_initial(r: int, n: int) -> int:
     return 4 ** (n // 2)
 
 
-def lucas_recurrence(r: int, n_max: int) -> HigherLucas:
+def lucas_recurrence(r: int, n_max: int) -> HigherSequence:
     """L values for n <= n_max from the initial block and the recurrence."""
-    if r < 1:
-        raise ValueError("need r >= 1")
     coeffs = recurrence_coefficients(r)
     seed = [lucas_initial(r, n) for n in range(r)]
-    return HigherLucas(r, _extend(seed, coeffs, n_max + 1))
+    return HigherSequence(r, 0, _extend(seed, coeffs, n_max + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -177,20 +158,16 @@ def _lucas_delta_form(r: int, n: int) -> int:
     return int(total)
 
 
-def _lucas_case_form(r: int, n: int) -> int:
+def _lucas_case_sum(r: int, n: int) -> Fraction:
+    """L_n by the even/odd case sum, a Fraction not checked to be an integer."""
     p = 2 * r + 1
+    m = n // 2
     if n % 2 == 0:
-        m = n // 2
         s = sum(binom(2 * m, m - p * k) for k in range(-(m // p), m // p + 1))
-        total = -(Fraction(2) ** (2 * m - 1)) + Fraction(p, 2) * s
-    else:
-        m = n // 2
-        s = sum(binom(2 * m + 1, m - p * k - r)
-                for k in range(-((m + r + 1) // p), (m - r) // p + 1))
-        total = Fraction(4 ** m) - Fraction(p, 2) * s
-    if total.denominator != 1:
-        raise ValueError("non-integer value from the case form")
-    return int(total)
+        return -(Fraction(2) ** (2 * m - 1)) + Fraction(p, 2) * s
+    s = sum(binom(2 * m + 1, m - p * k - r)
+            for k in range(-((m + r + 1) // p), (m - r) // p + 1))
+    return Fraction(4 ** m) - Fraction(p, 2) * s
 
 
 def lucas_explicit(r: int, n: int) -> int:
@@ -199,7 +176,9 @@ def lucas_explicit(r: int, n: int) -> int:
     if r < 1 or n < 0:
         raise ValueError("need r >= 1 and n >= 0")
     a = _lucas_delta_form(r, n)
-    b = _lucas_case_form(r, n)
+    b = _lucas_case_sum(r, n)
+    if b.denominator != 1:
+        raise ValueError("non-integer value from the case form")
     if a != b:
         raise ArithmeticError(
             "closed forms disagree at r=%d n=%d: %d vs %d" % (r, n, a, b))
@@ -254,34 +233,43 @@ def char_coeffs(r: int) -> CharCoeffs:
 
 
 # ---------------------------------------------------------------------------
-# inversion checks
+# values at the doubled roots, and the inversion checks
+
+
+def _doubled_roots_h(r: int, n: int) -> int:
+    """h_n of the doubled roots: the four-case pattern mod 4r+2, 1 at
+    residues 0 and 1, -1 at 2r+1 and 2r+2, else 0."""
+    m = n % (4 * r + 2)
+    return 1 if m in (0, 1) else (-1 if m in (2 * r + 1, 2 * r + 2) else 0)
+
+
+def _doubled_roots_p(r: int, n: int) -> int:
+    """p_n of the doubled roots, (-1)^n (-1 + (2r+1) [2r+1 divides n])."""
+    return _sign_pow(n) * (-1 + (2 * r + 1) * (1 if n % (2 * r + 1) == 0 else 0))
 
 
 def inversion_check_F(r: int, n: int) -> CheckReport:
     """The second-kind h kernel over F, sum_k (-1)^k binom(n-k+r-1, k)
-    F_(n-2k+1), against h_n of the doubled roots: the four-case pattern
-    mod 4r+2 (1 at residues 0 and 1, -1 at 2r+1 and 2r+2, else 0)."""
+    F_(n-2k+1), against h_n of the doubled roots."""
     if r < 1 or n < 0:
         raise ValueError("need r >= 1 and n >= 0")
     t0 = time.perf_counter()
     F = fib_recurrence(r, n + 1)
     total = sum(c * F[i + 1] for i, c in expansion_kernel("second", "h", r, n))
-    m = n % (4 * r + 2)
-    expected = 1 if m in (0, 1) else (-1 if m in (2 * r + 1, 2 * r + 2) else 0)
+    expected = _doubled_roots_h(r, n)
     failures = [] if total == expected else ["n=%d: sum=%d expected=%d" % (n, total, expected)]
     return _report("inversion_F", {"r": r, "n": n}, failures, t0)
 
 
 def inversion_check_L(r: int, n: int) -> CheckReport:
     """The second-kind p kernel over L, 2 sum_k binom(2k-n-1, k) L_(n-2k) -
-    sum_k binom(2k-n, k) L_(n-2k), against p_n of the doubled roots,
-    (-1)^n (-1 + (2r+1) [2r+1 divides n])."""
+    sum_k binom(2k-n, k) L_(n-2k), against p_n of the doubled roots."""
     if r < 1 or n < 1:
         raise ValueError("need r >= 1 and n >= 1")
     t0 = time.perf_counter()
     L = lucas_recurrence(r, n)
     total = sum(c * L[i] for i, c in expansion_kernel("second", "p", r, n))
-    expected = _sign_pow(n) * (-1 + (2 * r + 1) * (1 if n % (2 * r + 1) == 0 else 0))
+    expected = _doubled_roots_p(r, n)
     failures = [] if total == expected else ["n=%d: sum=%d expected=%d" % (n, total, expected)]
     return _report("inversion_L", {"r": r, "n": n}, failures, t0)
 
@@ -330,7 +318,8 @@ def fibonacci_sums_check(bound: int) -> CheckReport:
     3. sum_k (-1)^k binom(n-k, k) follows the residue pattern mod 6;
     4. sum_k (-1)^k binom(n-k+1, k) F_(n-2k+1) follows the pattern mod 10;
 
-    (3) and (4) are the second-kind h kernel at r = 1 and r = 2 over F.
+    (3) and (4) are the second-kind h kernel at r = 1 and r = 2 over F,
+    against h_n of the doubled roots.
     """
     if bound < 1:
         raise ValueError("need bound >= 1")
@@ -351,26 +340,23 @@ def fibonacci_sums_check(bound: int) -> CheckReport:
 
     for n in range(bound + 1):
         total = sum(c for _, c in expansion_kernel("second", "h", 1, n))
-        m6 = n % 6
-        want = 1 if m6 in (0, 1) else (-1 if m6 in (3, 4) else 0)
-        if total != want:
-            failures.append("(3) n=%d: %d vs %d" % (n, total, want))
+        if total != _doubled_roots_h(1, n):
+            failures.append("(3) n=%d: %d vs %d" % (n, total, _doubled_roots_h(1, n)))
 
     for n in range(bound + 1):
         total = sum(c * F[i + 1] for i, c in expansion_kernel("second", "h", 2, n))
-        m10 = n % 10
-        want = 1 if m10 in (0, 1) else (-1 if m10 in (5, 6) else 0)
-        if total != want:
-            failures.append("(4) n=%d: %d vs %d" % (n, total, want))
+        if total != _doubled_roots_h(2, n):
+            failures.append("(4) n=%d: %d vs %d" % (n, total, _doubled_roots_h(2, n)))
 
     return _report("fibonacci_sums", {"bound": bound}, failures, t0)
 
 
 def lucas_sums_check(bound: int) -> CheckReport:
-    """The six Lucas-flavoured binomial displays: the order-1 central
-    binomial sums against 2^(2m-1)+1 and 4^m - 1, the order-2 sums against
-    the classical Lucas numbers, and the two inversion patterns mod 3 and
-    mod 5 (the second-kind p kernel at r = 1 and r = 2 over L)."""
+    """The six Lucas-flavoured binomial displays: the even/odd case sum of
+    L_n at r = 1, where L is constantly 1 (the odd one also folded to its
+    k >= 0 half), and at r = 2 against the classical Lucas numbers; and
+    the two inversion patterns mod 3 and mod 5 (the second-kind p kernel
+    at r = 1 and r = 2 over L, against p_n of the doubled roots)."""
     if bound < 1:
         raise ValueError("need bound >= 1")
     t0 = time.perf_counter()
@@ -378,36 +364,23 @@ def lucas_sums_check(bound: int) -> CheckReport:
     L = lucas_recurrence(2, 2 * bound + 1)
 
     for m in range(bound + 1):
-        lhs = Fraction(3, 2) * sum(binom(2 * m, m - 3 * k)
-                                   for k in range(-(m // 3), m // 3 + 1))
-        if lhs != Fraction(2) ** (2 * m - 1) + 1:
+        if _lucas_case_sum(1, 2 * m) != 1:
             failures.append("(1) m=%d" % m)
-        sym = Fraction(3, 2) * sum(binom(2 * m + 1, m - 3 * k - 1)
-                                   for k in range(-((m + 2) // 3), (m - 1) // 3 + 1))
-        half = 3 * sum(binom(2 * m + 1, m - 3 * k - 1)
-                       for k in range((m - 1) // 3 + 1))
-        if sym != half or sym != 4 ** m - 1:
+        half = 3 * sum(binom(2 * m + 1, m - 3 * k - 1) for k in range((m - 1) // 3 + 1))
+        if _lucas_case_sum(1, 2 * m + 1) != 1 or 4 ** m - half != 1:
             failures.append("(2) m=%d" % m)
-        even = -(Fraction(2) ** (2 * m - 1)) \
-            + Fraction(5, 2) * sum(binom(2 * m, m - 5 * k)
-                                   for k in range(-(m // 5), m // 5 + 1))
-        if even != L[2 * m]:
+        if _lucas_case_sum(2, 2 * m) != L[2 * m]:
             failures.append("(3) m=%d" % m)
-        odd = Fraction(4 ** m) - Fraction(5, 2) * sum(
-            binom(2 * m + 1, m - 5 * k - 2)
-            for k in range(-((m + 3) // 5), (m - 2) // 5 + 1))
-        if odd != L[2 * m + 1]:
+        if _lucas_case_sum(2, 2 * m + 1) != L[2 * m + 1]:
             failures.append("(4) m=%d" % m)
 
     for n in range(1, bound + 1):
         total = sum(c for _, c in expansion_kernel("second", "p", 1, n))
-        want = _sign_pow(n) * 2 if n % 3 == 0 else _sign_pow(n - 1)
-        if total != want:
-            failures.append("(5) n=%d: %d vs %d" % (n, total, want))
+        if total != _doubled_roots_p(1, n):
+            failures.append("(5) n=%d: %d vs %d" % (n, total, _doubled_roots_p(1, n)))
         total = sum(c * L[i] for i, c in expansion_kernel("second", "p", 2, n))
-        want = _sign_pow(n) * 4 if n % 5 == 0 else _sign_pow(n - 1)
-        if total != want:
-            failures.append("(6) n=%d: %d vs %d" % (n, total, want))
+        if total != _doubled_roots_p(2, n):
+            failures.append("(6) n=%d: %d vs %d" % (n, total, _doubled_roots_p(2, n)))
 
     return _report("lucas_sums", {"bound": bound}, failures, t0)
 
@@ -506,11 +479,14 @@ def determinant_formulas_check(r: int, n_max: int) -> CheckReport:
     # bialternant form over Z[x]/Phi: det(top row alpha^(n+r-1)) equals
     # F_(n+1) times the Vandermonde determinant of the shifted roots
     alphas = shifted_roots_vector(r).entries
-    vdm_rows = [[alphas[j] ** (r - 1 - i) for j in range(r)] for i in range(r)]
+    vdm_rows = [[a.field.one for a in alphas]]
+    for _ in range(r - 1):
+        vdm_rows = [[x * a for x, a in zip(vdm_rows[0], alphas)]] + vdm_rows
     vdm = det_cofactor(vdm_rows)
+    top = vdm_rows[0]
     for n in range(1, n_max + 1):
-        num_rows = [[alphas[j] ** (n + r - 1) for j in range(r)]] + vdm_rows[1:]
-        if det_cofactor(num_rows) != vdm * F[n + 1]:
+        top = [x * a for x, a in zip(top, alphas)]
+        if det_cofactor([top] + vdm_rows[1:]) != vdm * F[n + 1]:
             failures.append("bialternant n=%d" % n)
 
     return _report("determinant_formulas", {"r": r, "n_max": n_max}, failures, t0)
@@ -603,7 +579,7 @@ def partition_relations_check(r: int, n_max: int) -> CheckReport:
                 prod *= L[part]
             term = Fraction(prod, centralizer_order(lam))
             total += term
-            signed += term if (n - lam.length) % 2 == 0 else -term
+            signed += term if (n - len(lam)) % 2 == 0 else -term
         if total != F[n + 1]:
             failures.append("partition F n=%d" % n)
         if signed != C[n]:
@@ -684,28 +660,19 @@ def table(kind: str, rows=None, cols=None) -> SeqTable:
     fib: rows r, columns n >= 1; lucas: rows r, columns n >= 0;
     cnk: rows n, columns k with blanks outside 0 <= 2k <= n.
     """
-    if kind == "fib":
+    if kind in ("fib", "lucas"):
+        recurrence, low, high = ((fib_recurrence, 1, 12) if kind == "fib"
+                                 else (lucas_recurrence, 0, 13))
         rows = list(rows) if rows is not None else list(range(1, 17))
-        cols = list(cols) if cols is not None else list(range(1, 13))
-        if min(cols) < 1:
-            raise ValueError("fib columns start at n = 1")
+        cols = list(cols) if cols is not None else list(range(low, high + 1))
+        if min(cols) < low:
+            raise ValueError("%s columns start at n = %d" % (kind, low))
         values = {}
         for r in rows:
-            F = fib_recurrence(r, max(cols))
+            seq = recurrence(r, max(cols))
             for n in cols:
-                values[(r, n)] = F[n]
-        return SeqTable("fib", "r", "n", rows, cols, values)
-    if kind == "lucas":
-        rows = list(rows) if rows is not None else list(range(1, 17))
-        cols = list(cols) if cols is not None else list(range(0, 14))
-        if min(cols) < 0:
-            raise ValueError("lucas columns start at n = 0")
-        values = {}
-        for r in rows:
-            L = lucas_recurrence(r, max(cols))
-            for n in cols:
-                values[(r, n)] = L[n]
-        return SeqTable("lucas", "r", "n", rows, cols, values)
+                values[(r, n)] = seq[n]
+        return SeqTable(kind, "r", "n", rows, cols, values)
     if kind == "cnk":
         rows = list(rows) if rows is not None else list(range(0, 22))
         cols = list(cols) if cols is not None else list(range(0, 11))

@@ -119,10 +119,8 @@ def suite_principal(rs, n_max):
     out = []
     for r in rs:
         for n in range(0, n_max + 1):
-            out.append(identities.principal_spec_e(r, n))
-            out.append(identities.principal_spec_h(r, n))
-            if n >= 1:
-                out.append(identities.principal_spec_p(r, n))
+            for family in ("e", "h", "p") if n else ("e", "h"):
+                out.append(identities.principal_spec(family, r, n))
         out.append(identities.principal_combination_check(r, n_max))
     return out
 
@@ -133,8 +131,7 @@ def suite_roots(rs, n_mult=6):
     companion binomial identity."""
     out = []
     for r in rs:
-        p = 2 * r + 1
-        top = n_mult * p
+        top = n_mult * (2 * r + 1)
         t0 = time.perf_counter()
         fails = []
         doubled = cyclotomic.doubled_roots_vector(r)
@@ -149,9 +146,7 @@ def suite_roots(rs, n_mult=6):
         fails = []
         hs = symfun.complete_prefix(top, doubled)
         for n in range(top + 1):
-            m = n % (4 * r + 2)
-            want = 1 if m in (0, 1) else (-1 if m in (p, p + 1) else 0)
-            if hs[n] != want:
+            if hs[n] != sequences._doubled_roots_h(r, n):
                 fails.append("h n=%d" % n)
         out.append(identities._report("roots_h", {"r": r, "n_max": top}, fails, t0))
 
@@ -159,8 +154,7 @@ def suite_roots(rs, n_mult=6):
         fails = []
         ps = symfun.power_prefix(top, doubled)
         for n in range(1, top + 1):
-            want = (-1 if n % 2 else 1) * (-1 + p * (1 if n % p == 0 else 0))
-            if ps[n - 1] != want:
+            if ps[n - 1] != sequences._doubled_roots_p(r, n):
                 fails.append("p n=%d" % n)
         out.append(identities._report("roots_p", {"r": r, "n_max": top}, fails, t0))
 

@@ -96,10 +96,10 @@ def test_criterion_05_principal_specialization():
     count = 0
     for r in (1, 2, 3, 4):
         for n in range(0, 11):
-            assert identities.principal_spec_e(r, n).passed, (r, n)
-            assert identities.principal_spec_h(r, n).passed, (r, n)
+            assert identities.principal_spec("e", r, n).passed, (r, n)
+            assert identities.principal_spec("h", r, n).passed, (r, n)
             if n >= 1:
-                assert identities.principal_spec_p(r, n).passed, (r, n)
+                assert identities.principal_spec("p", r, n).passed, (r, n)
             count += 3
         rep = identities.principal_combination_check(r, 10)
         assert rep.passed, (r, rep.counterexample)

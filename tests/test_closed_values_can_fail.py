@@ -1,0 +1,83 @@
+"""The checks that compare against a closed value written once, shown able
+to fail: the values of h_n and p_n at the doubled roots, the centralizer
+order behind the partition sums and the published tables.  One value made
+wrong turns each check that reads it to `fail` with the index named."""
+
+import re
+
+import pytest
+
+from symident import sequences, suites
+
+R = 3  # zeta of order 7
+T = 4  # the index whose closed value is made wrong below
+
+
+def _one(check, reports):
+    (rep,) = [x for x in reports if x.check == check]
+    return rep
+
+
+def _off_at(fn, index):
+    """fn(r, n) with the value at n = index one more, for every r."""
+    return lambda r, n: fn(r, n) + (n == index)
+
+
+# family -> [(label, check, pattern the counterexample must match)]
+READERS = {
+    "h": [
+        ("roots_h", lambda: _one("roots_h", suites.suite_roots([R])), r"^h n=%d(;|$)" % T),
+        ("inversion_F", lambda: sequences.inversion_check_F(R, T), r"^n=%d: " % T),
+        ("fibonacci (3)", lambda: sequences.fibonacci_sums_check(10), r"\(3\) n=%d: " % T),
+        ("fibonacci (4)", lambda: sequences.fibonacci_sums_check(10), r"\(4\) n=%d: " % T),
+    ],
+    "p": [
+        ("roots_p", lambda: _one("roots_p", suites.suite_roots([R])), r"^p n=%d(;|$)" % T),
+        ("inversion_L", lambda: sequences.inversion_check_L(R, T), r"^n=%d: " % T),
+        ("lucas (5)", lambda: sequences.lucas_sums_check(10), r"\(5\) n=%d: " % T),
+        ("lucas (6)", lambda: sequences.lucas_sums_check(10), r"\(6\) n=%d: " % T),
+    ],
+}
+
+
+@pytest.mark.parametrize("family", sorted(READERS))
+def test_every_reader_of_a_doubled_roots_value_can_fail(monkeypatch, family):
+    cases = READERS[family]
+    for _, check, _ in cases:
+        assert check().passed
+    name = "_doubled_roots_%s" % family
+    monkeypatch.setattr(sequences, name, _off_at(getattr(sequences, name), T))
+    for label, check, pattern in cases:
+        rep = check()
+        assert rep.status == "fail", label
+        assert re.search(pattern, rep.counterexample), (label, rep.counterexample)
+
+
+def test_partition_relations_fail_on_a_wrong_centralizer_order(monkeypatch):
+    r, lam = 2, (2, 1)
+    assert sequences.partition_relations_check(r, 6).passed
+    order = sequences.centralizer_order
+    monkeypatch.setattr(sequences, "centralizer_order",
+                        lambda parts: order(parts) + (parts == lam))
+    rep = sequences.partition_relations_check(r, 6)
+    assert rep.status == "fail"
+    assert rep.counterexample == "partition F n=%d; partition C n=%d" % (sum(lam), sum(lam))
+
+
+def test_tables_fail_on_a_wrong_published_cell(monkeypatch):
+    suite = suites.SUITES["tables"][0]
+    assert all(rep.passed for rep in suite())
+    golden = sequences.golden_table
+
+    def wrong(kind):
+        tab = golden(kind)  # a fresh table, read from its file
+        if kind == "fib":
+            tab.values[(R, T)] += 1
+        return tab
+
+    monkeypatch.setattr(sequences, "golden_table", wrong)
+    reports = suite()
+    assert [rep.passed for rep in reports] == [True, False, True]
+    want = sequences.table("fib").get(R, T)
+    assert reports[1].counterexample == \
+        "cell (%d,%d): computed %d, published %d" % (R, T, want, want + 1)

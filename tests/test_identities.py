@@ -8,8 +8,7 @@ from symident.identities import (CheckReport, VerifyMode,
                                  composition_consistency_check,
                                  principal_combination_check, first_kind_e, first_kind_h,
                                  first_kind_p, genfun_transfer_check,
-                                 principal_spec_e, principal_spec_h,
-                                 principal_spec_p, random_rational_points,
+                                 principal_spec, random_rational_points,
                                  unit_binomial_sum_check, second_kind_e,
                                  second_kind_h, second_kind_p)
 import random
@@ -94,7 +93,7 @@ class TestGenfunTransfer:
 class TestPrincipal:
     def test_e_small(self):
         q = UniLaurent.monomial(1, 1)
-        rep = principal_spec_e(1, 1)
+        rep = principal_spec("e", 1, 1)
         assert rep.passed
         # and the shape is really q + 1/q
         from symident.symfun import elementary
@@ -104,19 +103,19 @@ class TestPrincipal:
 
     def test_vanishing_beyond_window(self):
         for n in (3, 4, 5):
-            assert principal_spec_e(1, n).passed
+            assert principal_spec("e", 1, n).passed
 
     def test_h_and_p_small(self):
-        assert principal_spec_h(1, 0).passed
-        assert principal_spec_p(1, 1).passed
+        assert principal_spec("h", 1, 0).passed
+        assert principal_spec("p", 1, 1).passed
 
     def test_sweep(self):
         for r in (1, 2, 3):
             for n in range(0, 9):
-                assert principal_spec_e(r, n).passed
-                assert principal_spec_h(r, n).passed
+                assert principal_spec("e", r, n).passed
+                assert principal_spec("h", r, n).passed
                 if n >= 1:
-                    assert principal_spec_p(r, n).passed
+                    assert principal_spec("p", r, n).passed
 
 
 class TestPrincipalCombination:
