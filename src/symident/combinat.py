@@ -14,7 +14,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactalg import Series, UniLaurent
+from .exactalg import Series, UniLaurent, _series
 
 
 def binom(n: int, k: int) -> int:
@@ -113,19 +113,18 @@ def ballot_series(alpha: int, order: int) -> Series:
     alpha-th power of the Catalan generating function.  A zero factor in the
     denominator product is a domain error.
 
-    Numerator and denominator are carried as running integer products, so
-    each coefficient costs two multiplications and one reduction.
+    Each running denominator prod_(i <= k) i (alpha+i) divides the last one,
+    D, so the coefficients go over D as integer numerators, N_0 = D and
+    N_k = N_(k-1) (alpha+2k-2)(alpha+2k-1) / (k (alpha+k)), an exact
+    division by a small int; the series is reduced once.
     """
-    coeffs = []
-    num = den = 1
-    for k in range(order + 1):
-        if k:
-            num *= (alpha + 2 * k - 2) * (alpha + 2 * k - 1)
-            den *= k * (alpha + k)
-        if den == 0:
-            raise ValueError("zero denominator at x^%d for alpha=%d" % (k, alpha))
-        coeffs.append(Fraction(num, den))
-    return Series(coeffs, order)
+    if 0 < -alpha <= order:
+        raise ValueError("zero denominator at x^%d for alpha=%d" % (-alpha, alpha))
+    den = math.prod(k * (alpha + k) for k in range(1, order + 1))
+    nums = [den]
+    for k in range(1, order + 1):
+        nums.append(nums[-1] * ((alpha + 2 * k - 2) * (alpha + 2 * k - 1)) // (k * (alpha + k)))
+    return _series(nums, den, order)
 
 
 def partitions_of(n: int, max_parts: int):

@@ -15,8 +15,8 @@ packed into one signed Python int with slots wide enough that no
 coefficient of the product can overflow its slot, so the whole convolution
 is a single big-int multiply, and a sum of such products (a dot product) is
 added up as big ints before one unpack; the matrix-vector products of a
-Krylov pass pack each vector once for all the rows.  Rational series are
-cleared to integers over the lcm of their denominators first.
+Krylov pass pack each vector once for all the rows.  A ``Series`` keeps
+integer numerators over one denominator, so it feeds the kernel directly.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain
 from operator import floordiv, mul, truediv
-
-Rational = Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -152,31 +150,6 @@ def _cleared(coeffs):
     return [c.numerator * (den // d) for c, d in zip(coeffs, dens)], den
 
 
-def _mul_coeffs(a, b, order):
-    # product truncated to x^order, as order + 1 Fractions
-    na, da = _cleared(a[: order + 1])
-    nb, db = _cleared(b[: order + 1])
-    den = da * db
-    return [Fraction(c, den) for c in _int_poly_mul(na, nb, order + 1)]
-
-
-def _inv_coeffs(a, order):
-    # series inverse; needs a nonzero constant term.  With a = A/d cleared
-    # to integers and c = A_0, the scaled coefficients u_n = c^(n+1) inv_n(A)
-    # are integers: u_0 = 1, u_n = -sum_j A_j c^(j-1) u_(n-j), and
-    # inv_n(a) = d u_n / c^(n+1)
-    a, d = _cleared(a[: order + 1]) if a else ([0], 1)
-    c = a[0]
-    if c == 0:
-        raise ValueError("series inverse needs a nonzero constant term")
-    weighted = [0] + [a[j] * c ** (j - 1) for j in range(1, len(a))]
-    u = [1]
-    for n in range(1, order + 1):
-        u.append(-sum(weighted[j] * u[n - j] for j in range(1, min(n, len(a) - 1) + 1)
-                      if weighted[j]))
-    return [Fraction(d * v, c ** (n + 1)) for n, v in enumerate(u)]
-
-
 def _power(x, n: int):
     """x^n for n >= 1 by binary powering: one square per bit below the top
     one and one product per further set bit, so x^5 takes 3 products."""
@@ -190,34 +163,48 @@ def _power(x, n: int):
         x = x * x
 
 
+def _series(num, den, order):
+    """The Series num/den of the given order, reduced by one gcd to den > 0
+    and gcd(den, *num) = 1."""
+    g = math.gcd(den, *num) * (-1 if den < 0 else 1)
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    out = object.__new__(Series)
+    out.num, out.den, out.order = tuple(num), den, order
+    return out
+
+
 class Series:
     """Formal power series with exact rational coefficients, truncated at a
-    fixed order.
+    fixed order K: the K + 1 integer numerators ``num`` of x^0 .. x^K over
+    one denominator ``den``, with den > 0 and gcd(den, *num) = 1, so equal
+    series have equal fields.  It is built from ints and Fractions (missing
+    ones are zero), and ``s[n]`` and ``coeffs`` give Fractions.
 
-    A series of order K stores exactly the coefficients of x^0 .. x^K.
     Binary operations truncate to the smaller operand order.  Comparing two
     series of *different* orders raises instead of guessing, so a sloppy
     truncation can never turn into a silent false positive.
     """
 
-    __slots__ = ("coeffs", "order")
+    __slots__ = ("num", "den", "order")
 
     def __init__(self, coeffs, order=None):
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = list(coeffs)
         if order is None:
             order = len(coeffs) - 1
         if order < 0:
             raise ValueError("truncation order must be nonnegative")
-        if len(coeffs) < order + 1:
-            coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
-        self.coeffs = tuple(coeffs[: order + 1])
+        # lcm-clearing reduced Fractions leaves gcd(den, *num) = 1
+        num, self.den = _cleared(coeffs[: order + 1])
+        self.num = tuple(num) + (0,) * (order + 1 - len(num))
         self.order = order
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def constant(cls, c, order):
-        return cls([Fraction(c)], order)
+        return cls([c], order)
 
     @classmethod
     def zero(cls, order):
@@ -225,11 +212,11 @@ class Series:
 
     @classmethod
     def one(cls, order):
-        return cls([Fraction(1)], order)
+        return cls([1], order)
 
     @classmethod
     def x(cls, order):
-        return cls([Fraction(0), Fraction(1)], order)
+        return cls([0, 1], order)
 
     # -- helpers -------------------------------------------------------------
 
@@ -240,19 +227,25 @@ class Series:
             return Series.constant(other, self.order)
         return None
 
+    @property
+    def coeffs(self):
+        return tuple(Fraction(c, self.den) for c in self.num)
+
     def __getitem__(self, n):
-        return self.coeffs[n]
+        return Fraction(self.num[n], self.den)
 
     def truncated(self, order):
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return Series(self.coeffs[: order + 1], order)
+        if order < 0:
+            raise ValueError("truncation order must be nonnegative")
+        return _series(self.num[: order + 1], self.den, order)
 
     def divided_by_x(self, j=1):
         """Exact division by x^j; the lowest j coefficients must vanish."""
-        if any(self.coeffs[i] for i in range(j)):
+        if j > self.order or any(self.num[:j]):
             raise ValueError("series is not divisible by x^%d" % j)
-        return Series(self.coeffs[j:], self.order - j)
+        return _series(self.num[j:], self.den, self.order - j)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -260,13 +253,16 @@ class Series:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        k = min(self.order, other.order)
-        return Series([self.coeffs[i] + other.coeffs[i] for i in range(k + 1)], k)
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        # zip stops at the smaller order
+        return _series([a * sa + b * sb for a, b in zip(self.num, other.num)], den,
+                       min(self.order, other.order))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series([-c for c in self.coeffs], self.order)
+        return _series([-c for c in self.num], self.den, self.order)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -279,11 +275,13 @@ class Series:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Series([c * other for c in self.coeffs], self.order)
+            return _series([c * other.numerator for c in self.num],
+                           self.den * other.denominator, self.order)
         if not isinstance(other, Series):
             return NotImplemented
         k = min(self.order, other.order)
-        return Series(_mul_coeffs(self.coeffs, other.coeffs, k), k)
+        return _series(_int_poly_mul(self.num[: k + 1], other.num[: k + 1], k + 1),
+                       self.den * other.den, k)
 
     __rmul__ = __mul__
 
@@ -293,29 +291,34 @@ class Series:
         return _power(self, n) if n else Series.one(self.order)
 
     def inverse(self):
-        return Series(_inv_coeffs(self.coeffs, self.order), self.order)
+        # with c = num_0, the scaled coefficients u_n = c^(n+1) inv_n(num)
+        # are integers: u_0 = 1, u_n = -sum_j num_j c^(j-1) u_(n-j); then
+        # inv_n(num / den) = den c^(K-n) u_n / c^(K+1)
+        a, k, c = self.num, self.order, self.num[0]
+        if c == 0:
+            raise ValueError("series inverse needs a nonzero constant term")
+        cp = [c ** i for i in range(k + 2)]
+        terms = [(j, a[j] * cp[j - 1]) for j in range(1, k + 1) if a[j]]
+        u = [1]
+        for n in range(1, k + 1):
+            u.append(-sum([w * u[n - j] for j, w in terms if j <= n]))
+        return _series([self.den * v * cp[k - n] for n, v in enumerate(u)], cp[k + 1], k)
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         if self.order != other.order:
-            raise ValueError(
-                "refusing to compare series of different truncation orders "
-                "(%d vs %d)" % (self.order, other.order)
-            )
-        return self.coeffs == other.coeffs
+            raise ValueError("refusing to compare series of different truncation orders "
+                             "(%d vs %d)" % (self.order, other.order))
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.coeffs, self.order))
+        return hash((self.num, self.den, self.order))
 
     def __repr__(self):
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c:
-                terms.append("%s*x^%d" % (c, i))
-        body = " + ".join(terms) if terms else "0"
-        return "Series(%s; order=%d)" % (body, self.order)
+        terms = ["%s*x^%d" % (c, i) for i, c in enumerate(self.coeffs) if c]
+        return "Series(%s; order=%d)" % (" + ".join(terms) or "0", self.order)
 
 
 def series_compose(outer, inner):
@@ -324,21 +327,23 @@ def series_compose(outer, inner):
     The inner series must have zero constant term; the result carries the
     smaller of the two truncation orders.
     """
-    if inner.coeffs[0] != 0:
+    if inner.num[0] != 0:
         raise ValueError("composition needs an inner series with zero constant term")
     k = min(outer.order, inner.order)
-    inn, d_in = _cleared(inner.coeffs[: k + 1])
-    out, d_out = _cleared(outer.coeffs[: k + 1])
-    # Horner over the integers: after the step for x^j, acc holds
-    # sum_(i >= j) out[i] * d_in^(k-i) * inn^(i-j)
-    acc = [0] * (k + 1)
-    scale = 1
-    for c in reversed(out):
-        acc = _int_poly_mul(acc, inn, k + 1)
-        acc[0] += c * scale
-        scale *= d_in
-    den = d_out * d_in ** k
-    return Series([Fraction(c, den) for c in acc], k)
+    out, inn, d = outer.num, inner.num[: k + 1], inner.den
+    # Horner over the integers, with v the valuation of inner:
+    # acc_j = acc_(j+1) * inn + out[j] d^(k-j) for j = k // v .. 0.  The
+    # rest of the Horner chain multiplies acc_j by inn^j, of valuation
+    # >= v j, so acc_j is kept only below x^(k - v j + 1).
+    v = next((i for i, c in enumerate(inn) if c), k + 1)
+    j = k // v
+    scale = d ** (k - j)
+    acc = [out[j] * scale] + [0] * (k - v * j)
+    for j in range(j - 1, -1, -1):
+        scale *= d
+        acc = [0] * v + _int_poly_mul(acc, inn[v:], len(acc))
+        acc[0] += out[j] * scale
+    return _series(acc, outer.den * d ** k, k)
 
 
 def series_sqrt(s):
@@ -347,18 +352,15 @@ def series_sqrt(s):
     Newton iteration t <- (t + s/t)/2, doubling the number of correct
     coefficients each round, so the cost is a handful of multiplications.
     """
-    if s.coeffs[0] != 1:
+    if s.num[0] != s.den:
         raise ValueError("series square root needs constant term 1")
-    k = s.order
-    t = [Fraction(1)]
-    p = 0
-    while p < k:
-        p = min(2 * p + 1, k)
-        a = list(s.coeffs[: p + 1])
-        quot = _mul_coeffs(a, _inv_coeffs(t, p), p)
-        t = [(t[i] if i < len(t) else Fraction(0)) + quot[i] for i in range(p + 1)]
-        t = [c / 2 for c in t]
-    return Series(t, k)
+    t, p = Series.one(0), 0
+    while p < s.order:
+        p = min(2 * p + 1, s.order)
+        t = _series(t.num + (0,) * (p - t.order), t.den, p)  # t to order p
+        t = t + s.truncated(p) * t.inverse()
+        t = _series(t.num, 2 * t.den, p)
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -788,10 +790,8 @@ def det_cofactor(rows):
     the s x s matrix A, that computes the Krylov pass of each step with an
     entry of that type in R, A or C, so that it can prepare the rows of R
     and A once per step.  Both must also take the int entries of a mixed
-    matrix.  ``CycInt.dot`` adds the packed products and reduces modulo
-    Phi_m once per dot, and ``CycInt.krylov`` packs the rows once per step
-    and each A^t C once.  Without them a dot is a sum of ring products, and
-    the Krylov pass is one dot per row per step.
+    matrix (``CycInt`` supplies both).  Without them a dot is a sum of ring
+    products, and the Krylov pass is one dot per row per step.
     """
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):

@@ -499,7 +499,7 @@ def determinant_formulas_check(r: int, n_max: int) -> CheckReport:
 def sequence_genfun_denominator(r: int, order: int) -> Series:
     """sum_m (-1)^m binom(r-m, m) u^(2m) - sum_m (-1)^m binom(r-1-m, m)
     u^(2m+1), the reciprocal of the F generating function."""
-    coeffs = [Fraction(0)] * (order + 1)
+    coeffs = [0] * (order + 1)
     for m in range(r // 2 + 1):
         if 2 * m <= order:
             coeffs[2 * m] += _sign_pow(m) * binom(r - m, m)
@@ -510,7 +510,7 @@ def sequence_genfun_denominator(r: int, order: int) -> Series:
 
 
 def sequence_genfun_numerator_L(r: int, order: int) -> Series:
-    coeffs = [Fraction(0)] * (order + 1)
+    coeffs = [0] * (order + 1)
     for m in range((r - 1) // 2 + 1):
         if 2 * m <= order:
             coeffs[2 * m] += _sign_pow(m) * (2 * m + 1) * binom(r - 1 - m, m)

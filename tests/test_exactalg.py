@@ -1,12 +1,12 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from symident.cyclotomic import CycField
-from symident.exactalg import (MultiLaurent, Series, UniLaurent, _int_poly_mul,
-                               _inv_coeffs, _mul_coeffs, det_cofactor, det_fraction_free,
-                               series_compose, series_sqrt)
+from symident.exactalg import (MultiLaurent, Series, UniLaurent, _int_poly_mul, det_cofactor,
+                               det_fraction_free, series_compose, series_sqrt)
 
 from oracles import (brute_laurent_mul, brute_series_compose, brute_series_inverse,
                      brute_series_mul, det_permutation_expansion)
@@ -89,6 +89,15 @@ class TestSeries:
         with pytest.raises(ValueError):
             Series([1, 2], 3).divided_by_x(1)
 
+    def test_truncation_bounds(self):
+        s = Series([1, 2, 3], 2)
+        with pytest.raises(ValueError, match="cannot extend"):
+            s.truncated(3)
+        with pytest.raises(ValueError, match="nonnegative"):
+            s.truncated(-1)
+        with pytest.raises(ValueError, match="not divisible"):
+            Series.zero(2).divided_by_x(3)
+
     def test_ring_laws(self):
         rng = random.Random(3)
         for _ in range(20):
@@ -123,18 +132,55 @@ def oracle_series(rng):
     return out
 
 
+def assert_canonical(s):
+    """The stored form: order + 1 int numerators over den > 0, with
+    gcd(den, *num) = 1."""
+    assert len(s.num) == s.order + 1 and all(type(c) is int for c in s.num), s
+    assert type(s.den) is int and s.den > 0 and math.gcd(s.den, *s.num) == 1, s
+
+
+def one_operand_results(a):
+    """(result, expected Fraction coefficients) for each one-operand
+    operation on a: negation, scaling by a Fraction given with a negative
+    denominator and by 0, every truncation and every exact division by x^j."""
+    c = list(a.coeffs)
+    yield -a, [-x for x in c]
+    yield a * Fraction(3, -4), [x * Fraction(3, -4) for x in c]
+    yield 0 * a, [Fraction(0)] * len(c)
+    for j in range(a.order + 1):
+        yield a.truncated(j), c[: j + 1]
+    j = 1
+    while j <= a.order and not any(c[:j]):
+        yield a.divided_by_x(j), c[j:]
+        j += 1
+
+
 class TestSeriesOracle:
-    """Series arithmetic against the schoolbook Fraction convolution."""
+    """Series arithmetic against the schoolbook Fraction convolution, each
+    result in the stored form of ``assert_canonical``."""
 
     def test_mul(self):
         rng = random.Random(11)
         ops = oracle_series(rng)
         for a in ops:
+            assert_canonical(a)
+            for got, want in one_operand_results(a):
+                assert list(got.coeffs) == want, a
+                assert_canonical(got)
             for b in ops:
                 k = min(a.order, b.order)
                 got = a * b
                 assert got.order == k
                 assert list(got.coeffs) == brute_series_mul(a.coeffs, b.coeffs, k), (a, b)
+                assert_canonical(got)
+                total = a + b
+                assert list(total.coeffs) == [x + y for x, y in zip(a.coeffs, b.coeffs)]
+                assert_canonical(total)
+                # equal values built by different routes are equal and hash equal
+                j = k // 2
+                for x, y in ((got.truncated(j), a.truncated(j) * b.truncated(j)),
+                             (Series(got.coeffs, k), got), (total - b, a.truncated(k))):
+                    assert x == y and hash(x) == hash(y), (a, b)
 
     def test_mul_coeffs_unequal_lengths(self):
         rng = random.Random(12)
@@ -142,7 +188,8 @@ class TestSeriesOracle:
             a = [big_fraction(rng) for _ in range(rng.randint(1, 9))]
             b = [big_fraction(rng) for _ in range(rng.randint(1, 9))]
             order = rng.randint(0, 20)
-            assert _mul_coeffs(a, b, order) == brute_series_mul(a, b, order)
+            got = Series(a, order) * Series(b, order)
+            assert list(got.coeffs) == brute_series_mul(a, b, order)
 
     def test_int_kernel_at_full_slots(self):
         # every product coefficient as large as the slot width allows
@@ -161,6 +208,7 @@ class TestSeriesOracle:
             want = [Fraction(1)] + [Fraction(0)] * s.order
             for n in range(6):
                 assert list((s ** n).coeffs) == want, (s, n)
+                assert_canonical(s ** n)
                 want = brute_series_mul(want, s.coeffs, s.order)
 
     def test_compose(self):
@@ -173,6 +221,7 @@ class TestSeriesOracle:
                 got = series_compose(outer, inner)
                 assert got.order == k
                 assert list(got.coeffs) == brute_series_compose(outer.coeffs, inner.coeffs, k)
+                assert_canonical(got)
 
     def test_sqrt_and_inverse(self):
         rng = random.Random(15)
@@ -181,9 +230,11 @@ class TestSeriesOracle:
             t = series_sqrt(unit)
             assert t[0] == 1
             assert brute_series_mul(t.coeffs, t.coeffs, s.order) == list(unit.coeffs)
+            assert_canonical(t)
             if s[0]:
                 one = [Fraction(1)] + [Fraction(0)] * s.order
                 assert brute_series_mul(s.coeffs, s.inverse().coeffs, s.order) == one
+                assert_canonical(s.inverse())
 
     def test_inverse_against_the_recurrence(self):
         rng = random.Random(16)
@@ -193,14 +244,14 @@ class TestSeriesOracle:
                                [c0] + [Fraction(rng.randint(-9, 9), 7) for _ in range(order)],
                                [c0, big_fraction(rng)]):
                     want = brute_series_inverse(coeffs, order)
-                    assert _inv_coeffs(coeffs, order) == want, (coeffs, order)
-                    s = Series(coeffs, order)
                     one = [Fraction(1)] + [Fraction(0)] * order
-                    assert list(s.inverse().coeffs) == want
+                    got = Series(coeffs, order).inverse()
+                    assert list(got.coeffs) == want, (coeffs, order)
+                    assert_canonical(got)
                     assert brute_series_mul(coeffs, want, order) == one
         for zero_constant in ([], [Fraction(0), Fraction(1)]):
             with pytest.raises(ValueError, match="series inverse needs a nonzero constant term"):
-                _inv_coeffs(zero_constant, 3)
+                Series(zero_constant, 3).inverse()
 
 
 class TestUniLaurent:
