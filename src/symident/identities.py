@@ -8,9 +8,9 @@ Every verifier runs in one of two modes:
   compared structurally, which is a proof for the given (r, index);
 * random - both sides are evaluated at reproducibly drawn rational points
   (pairwise distinct, nonzero), which is a strong randomized check for
-  parameter ranges where the symbolic expansion would be too large.  The
-  points are cleared of their denominators, so both sides are compared as
-  integers.
+  parameter ranges where the symbolic expansion would be too large.  Each
+  point is drawn as a reduced pair of ints and every entry is scaled by
+  one common denominator, so both sides are compared as integers.
 
 A failed check never raises; it comes back as a CheckReport carrying a
 counterexample, so suite runners can aggregate and render outcomes.
@@ -18,6 +18,7 @@ counterexample, so suite runners can aggregate and render outcomes.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -25,9 +26,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .combinat import binom, expansion_kernel, q_binom
-from .exactalg import UniLaurent, _cleared
+from .exactalg import UniLaurent
 from .symfun import (PointVector, complete, complete_prefix, elementary,
-                     elementary_prefix, power, symbolic_vectors)
+                     elementary_prefix, power, power_prefix, symbolic_vectors)
 
 
 @dataclass(frozen=True)
@@ -91,18 +92,20 @@ def _report(check, params, failures, t0) -> CheckReport:
     return CheckReport(check, dict(params), status, ce, time.perf_counter() - t0)
 
 
-def random_rational_points(rng: random.Random, count: int, bound: int = 10 ** 6):
-    """Pairwise distinct nonzero fractions +-a/b with 1 <= a, b <= bound."""
+def _drawn_points(rng: random.Random, count: int, bound: int = 10 ** 6) -> list:
+    """Pairwise distinct nonzero +-a/b with 1 <= a, b <= bound, as reduced
+    (signed a, b > 0).  Each draw takes a, b and then the sign from the
+    stream; a draw equal to an earlier point after reduction is skipped."""
     pts = []
     seen = set()
     while len(pts) < count:
-        x = Fraction(rng.randint(1, bound), rng.randint(1, bound))
-        if rng.randint(0, 1):
-            x = -x
-        if x in seen:
+        a, b = rng.randint(1, bound), rng.randint(1, bound)
+        g = math.gcd(a, b)
+        point = (-a // g if rng.randint(0, 1) else a // g, b // g)
+        if point in seen:
             continue
-        seen.add(x)
-        pts.append(x)
+        seen.add(point)
+        pts.append(point)
     return pts
 
 
@@ -115,8 +118,8 @@ def _vector_pairs(r: int, mode: VerifyMode, check: str, params: dict):
     """Yield (doubled, shifted, scale) for the requested mode.
 
     Symbolic mode yields the Laurent vectors with scale 1.  Random mode
-    draws rational points and yields them as integers: every entry times
-    the scale, the lcm of the denominators of all 3r entries.
+    draws points x = a/b and yields them as integers: x, 1/x and
+    x + 1/x = (a^2 + b^2)/(ab), each times the scale, the lcm of the |a| b.
     """
     if mode.mode == "symbolic":
         _, doubled, shifted = symbolic_vectors(r)
@@ -124,10 +127,11 @@ def _vector_pairs(r: int, mode: VerifyMode, check: str, params: dict):
         return
     rng = _rng_for(mode, check, params)
     for _ in range(mode.trials):
-        xs = random_rational_points(rng, r)
-        inv = [Fraction(1) / x for x in xs]
-        entries, scale = _cleared(xs + inv + [x + y for x, y in zip(xs, inv)])
-        yield PointVector(entries[:2 * r]), PointVector(entries[2 * r:]), scale
+        pts = _drawn_points(rng, r)
+        scale = math.lcm(*(abs(a) * b for a, b in pts))
+        doubled = [a * (scale // b) for a, b in pts] + [b * (scale // a) for a, b in pts]
+        shifted = [(a * a + b * b) * (scale // (a * b)) for a, b in pts]
+        yield PointVector(doubled), PointVector(shifted), scale
 
 
 def _weighted(kernel, scale: int, degree: int) -> list:
@@ -155,31 +159,38 @@ def _power_sum(n: int, v: PointVector):
     return power(n, v) if n else v.one * v.arity
 
 
-def _expansion_sides(direction, family, n, doubled, shifted, kernel):
-    """(lhs, rhs): f_n of one vector, and the kernel applied to f_0..f_n of
-    the other.  The first kind reads f_n at the shifted vector, the second
-    at the doubled one; the first-kind p kernel expands 2 p_n."""
+def _expansion_values(direction, family, top, doubled, shifted):
+    """(singles, manys): f_0..f_top of the vector whose f_n is the single
+    side, and of the vector the kernel is applied over.  The first kind
+    reads f_n at the shifted vector, the second at the doubled one; p_0 is
+    the arity."""
     one, many = (shifted, doubled) if direction == "first" else (doubled, shifted)
     if family == "p":
-        terms = ((_power_sum(i, many), c) for i, c in kernel)
-        single = power(n, one) * 2 if direction == "first" else power(n, one)
-    else:
-        prefix = (elementary_prefix(min(n, many.arity), many) if family == "e"
-                  else complete_prefix(n, many))
-        terms = ((prefix[i], c) for i, c in kernel)
-        single = (elementary if family == "e" else complete)(n, one)
-    return single, sum((f * c for f, c in terms), many.zero)
+        return tuple([v.one * v.arity] + power_prefix(top, v) for v in (one, many))
+    prefix = elementary_prefix if family == "e" else complete_prefix
+    return prefix(top, one), prefix(top, many)
+
+
+def _expansion_sides(direction, family, n, kernel, values):
+    """(lhs, rhs): f_n of one vector, and the kernel applied to f_0..f_n of
+    the other, read from _expansion_values; the first-kind p kernel
+    expands 2 p_n."""
+    singles, manys = values
+    single = singles[n] * 2 if (direction, family) == ("first", "p") else singles[n]
+    return single, sum((manys[i] * c for i, c in kernel), manys[0] * 0)
 
 
 def expansion_check(direction: str, family: str, r: int, n: int,
-                    mode: VerifyMode = VerifyMode()) -> CheckReport:
+                    mode: VerifyMode = VerifyMode(), values=None) -> CheckReport:
     """The expansion identity of f = family ("e", "h" or "p") in the given
     direction ("first" or "second") at index n, evaluated across the mode's
     vectors with the kernel weighted for each vector's scale; a random-mode
     side is shown as the rational it stands for, itself over scale^n.
 
     The index is m in the first kind and n in the second; p starts at 1,
-    and e_n of the 2r doubled entries stops at n = 2r.
+    and e_n of the 2r doubled entries stops at n = 2r.  In symbolic mode
+    values may carry _expansion_values of symbolic_vectors(r) up to any
+    top >= n, built once for a row of indices.
     """
     index, low = ("m" if direction == "first" else "n"), (1 if family == "p" else 0)
     if (direction, family) == ("second", "e"):
@@ -187,14 +198,18 @@ def expansion_check(direction: str, family: str, r: int, n: int,
             raise ValueError("need r >= 1 and 0 <= n <= 2r")
     elif r < 1 or n < low:
         raise ValueError("need r >= 1 and %s >= %d" % (index, low))
+    if values is not None and mode.mode != "symbolic":
+        raise ValueError("shared values are for symbolic mode only")
     kernel = expansion_kernel(direction, family, r, n)
     check, params = "%s_kind_%s" % (direction, family), {"r": r, index: n}
     t0 = time.perf_counter()
     failures = []
     at = " ".join("%s=%s" % kv for kv in sorted(params.items()))
-    for trial, (doubled, shifted, scale) in enumerate(_vector_pairs(r, mode, check, params)):
-        lhs, rhs = _expansion_sides(direction, family, n, doubled, shifted,
-                                    _weighted(kernel, scale, n))
+    evaluations = [(values, 1)] if values is not None else (
+        (_expansion_values(direction, family, n, doubled, shifted), scale)
+        for doubled, shifted, scale in _vector_pairs(r, mode, check, params))
+    for trial, (at_point, scale) in enumerate(evaluations):
+        lhs, rhs = _expansion_sides(direction, family, n, _weighted(kernel, scale, n), at_point)
         if lhs != rhs:
             where = "symbolic"
             if mode.mode == "random":

@@ -248,26 +248,29 @@ def _doubled_roots_p(r: int, n: int) -> int:
     return _sign_pow(n) * (-1 + (2 * r + 1) * (1 if n % (2 * r + 1) == 0 else 0))
 
 
-def inversion_check_F(r: int, n: int) -> CheckReport:
+def inversion_check_F(r: int, n: int, F: HigherSequence = None) -> CheckReport:
     """The second-kind h kernel over F, sum_k (-1)^k binom(n-k+r-1, k)
-    F_(n-2k+1), against h_n of the doubled roots."""
+    F_(n-2k+1), against h_n of the doubled roots.  F, if given, is
+    fib_recurrence(r, top) for some top >= n + 1, shared across a row."""
     if r < 1 or n < 0:
         raise ValueError("need r >= 1 and n >= 0")
     t0 = time.perf_counter()
-    F = fib_recurrence(r, n + 1)
+    F = fib_recurrence(r, n + 1) if F is None else F
     total = sum(c * F[i + 1] for i, c in expansion_kernel("second", "h", r, n))
     expected = _doubled_roots_h(r, n)
     failures = [] if total == expected else ["n=%d: sum=%d expected=%d" % (n, total, expected)]
     return _report("inversion_F", {"r": r, "n": n}, failures, t0)
 
 
-def inversion_check_L(r: int, n: int) -> CheckReport:
+def inversion_check_L(r: int, n: int, L: HigherSequence = None) -> CheckReport:
     """The second-kind p kernel over L, 2 sum_k binom(2k-n-1, k) L_(n-2k) -
-    sum_k binom(2k-n, k) L_(n-2k), against p_n of the doubled roots."""
+    sum_k binom(2k-n, k) L_(n-2k), against p_n of the doubled roots.  L, if
+    given, is lucas_recurrence(r, top) for some top >= n, shared across a
+    row."""
     if r < 1 or n < 1:
         raise ValueError("need r >= 1 and n >= 1")
     t0 = time.perf_counter()
-    L = lucas_recurrence(r, n)
+    L = lucas_recurrence(r, n) if L is None else L
     total = sum(c * L[i] for i, c in expansion_kernel("second", "p", r, n))
     expected = _doubled_roots_p(r, n)
     failures = [] if total == expected else ["n=%d: sum=%d expected=%d" % (n, total, expected)]

@@ -35,18 +35,35 @@ def _families_and_mode(family, mode, trials, seed):
     raise ValueError("family must be e, h, p or all")
 
 
+def _charged(reports, t0, built):
+    """The row's reports, with the time spent building its shared inputs
+    (from t0 to built) charged to the first, so that the row's elapsed
+    times still add up to its run."""
+    if reports:
+        reports[0].elapsed += built - t0
+    return reports
+
+
 def suite_expansion(direction, rs, top, families, mode):
     """The expansion identities of one direction ("first" or "second") for
     index up to top; by default 3r + 2 in the first kind and 2r + 6 in the
-    second, where e_n of the 2r doubled entries stops at n = 2r."""
+    second, where e_n of the 2r doubled entries stops at n = 2r.  A
+    symbolic row of one (r, family) builds its values once, up to its top
+    index; a random check draws its own points."""
     out = []
     for r in rs:
         for fam in families:
             hi = top if top is not None else (3 * r + 2 if direction == "first" else 2 * r + 6)
             if (direction, fam) == ("second", "e"):
                 hi = min(hi, 2 * r)
-            for n in range(1 if fam == "p" else 0, hi + 1):
-                out.append(identities.expansion_check(direction, fam, r, n, mode))
+            t0 = time.perf_counter()
+            values = None
+            if mode.mode == "symbolic":
+                _, doubled, shifted = symfun.symbolic_vectors(r)
+                values = identities._expansion_values(direction, fam, hi, doubled, shifted)
+            built = time.perf_counter()
+            out += _charged([identities.expansion_check(direction, fam, r, n, mode, values)
+                             for n in range(1 if fam == "p" else 0, hi + 1)], t0, built)
     return out
 
 
@@ -59,9 +76,13 @@ def suite_series(order=30, alpha_max=8):
     Series = exactalg.Series
     out = []
     t0 = time.perf_counter()
+    # every ballot series the suite reads, built once: alpha <= alpha_max,
+    # and a + b <= 12 in the index law
+    ballots = [combinat.ballot_series(alpha, order)
+               for alpha in range(max(alpha_max, 12) + 1)]
     fails = []
     for alpha in range(0, alpha_max + 1):
-        s = combinat.ballot_series(alpha, order)
+        s = ballots[alpha]
         for k in range(order + 1):
             if s[k] != combinat.ballot(alpha + 2 * k - 1, k):
                 fails.append("alpha=%d k=%d" % (alpha, k))
@@ -73,7 +94,7 @@ def suite_series(order=30, alpha_max=8):
     root = exactalg.series_sqrt(Series([1, -4], order + 1))
     base = (Series.one(order + 1) - root).divided_by_x(1) * Fraction(1, 2)
     for alpha in range(0, alpha_max + 1):
-        if base ** alpha != combinat.ballot_series(alpha, order):
+        if base ** alpha != ballots[alpha]:
             fails.append("alpha=%d" % alpha)
     out.append(identities._report("series_closed_form",
                                   {"order": order, "alpha_max": alpha_max}, fails, t0))
@@ -82,15 +103,13 @@ def suite_series(order=30, alpha_max=8):
     fails = []
     for a in range(1, 7):
         for b in range(1, 7):
-            if (combinat.ballot_series(a, order) * combinat.ballot_series(b, order)
-                    != combinat.ballot_series(a + b, order)):
+            if ballots[a] * ballots[b] != ballots[a + b]:
                 fails.append("a=%d b=%d" % (a, b))
     out.append(identities._report("series_index_law", {"order": order}, fails, t0))
 
     t0 = time.perf_counter()
     x = Series.x(order)
-    y = x * exactalg.series_compose(combinat.ballot_series(1, order),
-                                    Series([0, 0, 1], order))
+    y = x * exactalg.series_compose(ballots[1], Series([0, 0, 1], order))
     fails = [] if x * y * y - y + x == Series.zero(order) else ["quadratic relation"]
     out.append(identities._report("series_quadratic", {"order": order}, fails, t0))
 
@@ -98,8 +117,7 @@ def suite_series(order=30, alpha_max=8):
     fails = []
     for n in range(0, alpha_max + 1):
         lhs = y ** n
-        rhs = (x ** n) * exactalg.series_compose(combinat.ballot_series(n, order),
-                                                 Series([0, 0, 1], order))
+        rhs = (x ** n) * exactalg.series_compose(ballots[n], Series([0, 0, 1], order))
         if lhs != rhs:
             fails.append("power N=%d" % n)
     inv = Series([0, 1], order) * Series([1, 0, 1], order).inverse()
@@ -184,13 +202,20 @@ def suite_discriminant(rs):
 
 
 def suite_inversion(rs, n_max):
-    """The inversion checks over F (n >= 0) and L (n >= 1) up to n_max."""
+    """The inversion checks over F (n >= 0) and L (n >= 1) up to n_max,
+    each row of one r over one F and one L."""
     out = []
     for r in rs:
+        t0 = time.perf_counter()
+        F = sequences.fib_recurrence(r, n_max + 1)
+        L = sequences.lucas_recurrence(r, n_max)
+        built = time.perf_counter()
+        row = []
         for n in range(0, n_max + 1):
-            out.append(sequences.inversion_check_F(r, n))
+            row.append(sequences.inversion_check_F(r, n, F))
             if n >= 1:
-                out.append(sequences.inversion_check_L(r, n))
+                row.append(sequences.inversion_check_L(r, n, L))
+        out += _charged(row, t0, built)
     return out
 
 

@@ -4,6 +4,7 @@ Everything here enumerates definitions directly (combinations, tableaux,
 permutations) and never calls the library code paths it is used to check.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 
@@ -350,3 +351,34 @@ def fraction_sides(check, k, kernel, xs):
     if check == "first_kind_p":
         return 2 * single, expanded
     return single, expanded
+
+
+def random_rational_points(rng, count, bound=10 ** 6):
+    """Pairwise distinct nonzero Fractions +-a/b with 1 <= a, b <= bound,
+    drawn from rng as random mode draws them: a, b, then the sign, with a
+    point equal to an earlier one skipped."""
+    pts = []
+    seen = set()
+    while len(pts) < count:
+        x = Fraction(rng.randint(1, bound), rng.randint(1, bound))
+        if rng.randint(0, 1):
+            x = -x
+        if x in seen:
+            continue
+        seen.add(x)
+        pts.append(x)
+    return pts
+
+
+def fraction_vector_pairs(rng, r, trials):
+    """[(doubled, shifted, scale)] for each trial, through Fractions: the
+    points x, 1/x and x + 1/x as integer lists over the scale, the lcm of
+    the denominators of all 3r values."""
+    out = []
+    for _ in range(trials):
+        xs = random_rational_points(rng, r)
+        values = xs + [1 / x for x in xs] + [x + 1 / x for x in xs]
+        scale = math.lcm(*(v.denominator for v in values))
+        ints = [v.numerator * (scale // v.denominator) for v in values]
+        out.append((ints[:2 * r], ints[2 * r:], scale))
+    return out

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from symident.identities import (CheckReport, VerifyMode,
                                  composition_consistency_check,
                                  principal_combination_check, first_kind_e, first_kind_h,
                                  first_kind_p, genfun_transfer_check,
-                                 principal_spec, random_rational_points,
+                                 principal_spec, _drawn_points,
                                  unit_binomial_sum_check, second_kind_e,
                                  second_kind_h, second_kind_p)
 import random
@@ -148,12 +149,12 @@ class TestComposition:
 class TestRandomMode:
     def test_points_are_distinct_nonzero_bounded(self):
         rng = random.Random(0)
-        pts = random_rational_points(rng, 12)
+        pts = _drawn_points(rng, 12)
         assert len(set(pts)) == 12
-        for x in pts:
-            assert x != 0
-            assert 1 <= abs(x.numerator) <= 10 ** 6
-            assert 1 <= x.denominator <= 10 ** 6
+        for a, b in pts:
+            assert math.gcd(a, b) == 1
+            assert 1 <= abs(a) <= 10 ** 6
+            assert 1 <= b <= 10 ** 6
 
     def test_deterministic_given_seed(self):
         mode = VerifyMode("random", trials=5, seed=99)
@@ -189,8 +190,16 @@ class TestCheckReport:
     def test_long_laurent_sides_are_cut(self, monkeypatch):
         from symident import identities
         from symident.symfun import symbolic_vectors
-        complete = identities.complete
-        monkeypatch.setattr(identities, "complete", lambda n, v: complete(n, v) + 1)
+        complete, prefix = identities.complete, identities.complete_prefix
+
+        def off(n, v):
+            # h_n of the doubled vector, the single side, one more
+            out = prefix(n, v)
+            if len(v) == 6:
+                out[n] = out[n] + 1
+            return out
+
+        monkeypatch.setattr(identities, "complete_prefix", off)
         rep = second_kind_h(3, 8, SYM)
         lhs = complete(8, symbolic_vectors(3)[1]) + 1
         assert rep.status == "fail" and len(repr(lhs)) > 8000

@@ -1,7 +1,8 @@
 """Random mode evaluates the expansion identities on integer points: the
 drawn rationals times the lcm D of their denominators, with each kernel
-term of index i weighted by D^(degree - i).  Checked here against the
-Fraction evaluation at the same points, with the points themselves pinned."""
+term of index i weighted by D^(degree - i).  The points are drawn as ints.
+Checked here against the Fraction draw and evaluation at the same points,
+with the points themselves pinned."""
 
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ import pytest
 from symident import identities
 from symident.combinat import expansion_kernel
 
-from oracles import fraction_sides
+from oracles import fraction_sides, fraction_vector_pairs, random_rational_points
 
 CHECKS = ("first_kind_e", "first_kind_h", "first_kind_p",
           "second_kind_e", "second_kind_h", "second_kind_p")
@@ -27,19 +28,25 @@ def _indices(check, r):
 
 
 def _sides_of(monkeypatch, check, r, k, mode):
-    """What one check hands to _expansion_sides, trial by trial: the
-    direction, family, index and weighted kernel, the (doubled, shifted)
-    vectors, and the (lhs, rhs) that came back."""
-    calls = []
-    sides = identities._expansion_sides
+    """What one check evaluates, trial by trial: the direction, family and
+    index, the (doubled, shifted) vectors its values are built from, the
+    weighted kernel, and the (lhs, rhs) that came back."""
+    vectors, calls = [], []
+    values_of, sides = identities._expansion_values, identities._expansion_sides
 
-    def spy(direction, family, n, doubled, shifted, kernel):
-        out = sides(direction, family, n, doubled, shifted, kernel)
+    def spy_values(direction, family, top, doubled, shifted):
+        vectors.append((doubled, shifted))
+        return values_of(direction, family, top, doubled, shifted)
+
+    def spy_sides(direction, family, n, kernel, values):
+        out = sides(direction, family, n, kernel, values)
+        doubled, shifted = vectors[len(calls)]
         calls.append(((direction, family, n), doubled, shifted, kernel, out))
         return out
 
     with monkeypatch.context() as m:
-        m.setattr(identities, "_expansion_sides", spy)
+        m.setattr(identities, "_expansion_values", spy_values)
+        m.setattr(identities, "_expansion_sides", spy_sides)
         getattr(identities, check)(r, k, mode)
     return calls
 
@@ -47,7 +54,7 @@ def _sides_of(monkeypatch, check, r, k, mode):
 def _drawn(check, r, k, mode):
     """The rational points of each trial, drawn as random mode draws them."""
     rng = identities._rng_for(mode, check, {"r": r, _index_name(check): k})
-    return [identities.random_rational_points(rng, r) for _ in range(mode.trials)]
+    return [random_rational_points(rng, r) for _ in range(mode.trials)]
 
 
 @pytest.mark.parametrize("check", CHECKS)
@@ -77,6 +84,49 @@ def test_scaled_sides_match_the_fraction_route(monkeypatch, check):
                     want = fraction_sides(check, k, kernel, xs)
                     assert (Fraction(lhs, scale ** k), Fraction(rhs, scale ** k)) == want, \
                         (check, seed, r, k)
+
+
+@pytest.mark.parametrize("check", CHECKS)
+def test_integer_draws_match_the_fraction_route(check):
+    # the same stream gives the same (doubled, shifted, scale) as clearing
+    # the Fraction points x, 1/x and x + 1/x, trial by trial
+    for seed in (3, 7, 11):
+        mode = identities.VerifyMode("random", trials=5, seed=seed)
+        for r in range(1, 7):
+            for k in _indices(check, r):
+                params = {"r": r, _index_name(check): k}
+                got = [(list(doubled), list(shifted), scale) for doubled, shifted, scale
+                       in identities._vector_pairs(r, mode, check, params)]
+                rng = identities._rng_for(mode, check, params)
+                assert got == fraction_vector_pairs(rng, r, mode.trials), (seed, r, k)
+
+
+class _Scripted:
+    """A stand-in rng whose randint returns the given values in order."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def randint(self, low, high):
+        value = next(self.values)
+        assert low <= value <= high
+        return value
+
+
+def test_a_reduced_duplicate_is_skipped(monkeypatch):
+    # 1/2, then 2/4 (1/2 again after reduction, so skipped), then -2/4
+    script = [1, 2, 0, 2, 4, 0, 2, 4, 1]
+    rng = _Scripted(script)
+    monkeypatch.setattr(identities, "_rng_for", lambda mode, check, params: rng)
+    mode = identities.VerifyMode("random", trials=1, seed=0)
+    (doubled, shifted, scale), = identities._vector_pairs(2, mode, "first_kind_h",
+                                                         {"r": 2, "m": 3})
+    assert next(rng.values, None) is None
+    assert [Fraction(v, scale) for v in doubled] == [Fraction(1, 2), Fraction(-1, 2), 2, -2]
+    assert [Fraction(v, scale) for v in shifted] == [Fraction(5, 2), Fraction(-5, 2)]
+    assert [(list(doubled), list(shifted), scale)] == \
+        fraction_vector_pairs(_Scripted(script), 2, 1)
+    assert scale == 2
 
 
 def test_symbolic_mode_is_unscaled():
