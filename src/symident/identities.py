@@ -166,15 +166,15 @@ def _expansion_values(direction, family, top, doubled, shifted):
     the arity."""
     one, many = (shifted, doubled) if direction == "first" else (doubled, shifted)
     if family == "p":
-        return tuple([v.one * v.arity] + power_prefix(top, v) for v in (one, many))
+        return tuple([_power_sum(0, v)] + power_prefix(top, v) for v in (one, many))
     prefix = elementary_prefix if family == "e" else complete_prefix
     return prefix(top, one), prefix(top, many)
 
 
 def _expansion_sides(direction, family, n, kernel, values):
     """(lhs, rhs): f_n of one vector, and the kernel applied to f_0..f_n of
-    the other, read from _expansion_values; the first-kind p kernel
-    expands 2 p_n."""
+    the other (a sum from the ring's zero, manys[0] * 0), read from
+    _expansion_values; the first-kind p kernel expands 2 p_n."""
     singles, manys = values
     single = singles[n] * 2 if (direction, family) == ("first", "p") else singles[n]
     return single, sum((manys[i] * c for i, c in kernel), manys[0] * 0)
