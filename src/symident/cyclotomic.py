@@ -9,14 +9,12 @@ Products run on the Kronecker-substitution kernel of ``exactalg``: each
 pair of operands is packed into big ints, and a dot product
 ``CycInt.dot(xs, ys)`` adds the big-int products of all its pairs before
 one unpack, so it is reduced once rather than once per product (a single
-product is the one-pair dot).  ``CycInt.krylov(R, A, C)`` is the Krylov
-pass of one step of ``det_cofactor`` (Berkowitz), the values R A^t C: it
-packs the rows of R and A once for the step (again, wider, only when a
-growing A^t C needs wider slots), packs each A^t C once for all the rows
-and reduces each value once.  A packed sum is folded modulo x^m - 1
-(which Phi_m divides) before it is unpacked.  A product with a one-term
-factor c x^e is not packed: the other operand is rotated by e modulo
-x^m - 1 and scaled by c.
+product, or a determinant from its row-0 cofactors, is one dot), and
+``CycInt.krylov`` runs the Krylov pass of a Berkowitz step on the same
+kernel (``exactalg._int_poly_krylov``).  A packed sum is folded modulo
+x^m - 1 (which Phi_m divides) before it is unpacked.  A product with a
+one-term factor c x^e is not packed: the other operand is rotated by e
+modulo x^m - 1 and scaled by c.
 
 The remaining degrees m-1 .. deg Phi_m are then cancelled, leaving the
 canonical remainder.  For m a power of a prime p, Phi_m = 1 + x^w + ... +
@@ -257,11 +255,10 @@ class CycInt:
     @staticmethod
     def krylov(R, A, v):
         """[R v, R A v, ..., R A^(s-1) v] for a row R, an s x s matrix A
-        and a column v of CycInt values of one field and ints, as
-        ``det_cofactor`` asks for in each Berkowitz step: the rows of R and
-        A are packed once (again only if the slots must widen), each A^t v
-        is packed once for all the rows, and each value is reduced modulo
-        Phi_m once (the slot widths cover the folded sums as in
+        and a column v of CycInt values of one field and ints, as each
+        Berkowitz step of ``exactalg._char_poly`` asks for, by
+        ``exactalg._int_poly_krylov`` with each value reduced modulo Phi_m
+        once (the slot widths cover the folded sums as in
         ``CycField._dot``).  At least one entry must be a CycInt."""
         field = _field_of(chain(R, v, chain.from_iterable(A)))
         return [_cyc(field, x) for x in _int_poly_krylov(

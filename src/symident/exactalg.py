@@ -773,31 +773,30 @@ def _krylov(R, A, v, dot):
     return d
 
 
-def det_cofactor(rows):
-    """Determinant over any commutative ring by Berkowitz's division-free
-    algorithm (IPL 18, 1984), O(n^4) ring operations.
+def _ring_dot(rows):
+    ring = next((type(x) for row in rows for x in row if hasattr(type(x), "dot")), None)
+    return ring, (_dot if ring is None else ring.dot)
 
-    Walking up the trailing principal submatrices, the characteristic
-    polynomial of [[a, R], [C, A]] is the Toeplitz product of the one of A
-    with (1, -a, -RC, -RAC, ..., -RA^(s-2)C); the determinant is its
-    constant term up to the sign (-1)^n.
 
-    The sums of the Toeplitz step are dot products, and so are, in the
-    Krylov pass of a step, the products R A^t C and the matrix-vector
-    products A^t C.  When an entry's type supplies a static ``dot(xs,
-    ys)``, it computes the dot products; when it also supplies a static
-    ``krylov(R, A, C)``, which returns [R C, R A C, ..., R A^(s-1) C] for
-    the s x s matrix A, that computes the Krylov pass of each step with an
+def _char_poly(rows):
+    """[c_1, ..., c_n], det(x I - A) = x^n + c_1 x^(n-1) + ... + c_n for the
+    nonempty n x n matrix A = rows, by Berkowitz's division-free algorithm
+    (IPL 18, 1984) in O(n^4) ring operations: walking up the trailing
+    principal submatrices, the one of [[a, R], [C, A]] is the Toeplitz
+    product of the one of A with (1, -a, -RC, -RAC, ..., -RA^(s-2)C).
+
+    The Toeplitz sums and, in a step's Krylov pass, the products R A^t C
+    and A^t C are dot products.  When an entry's type supplies a static
+    ``dot(xs, ys)``, it computes them; when it also supplies a static
+    ``krylov(R, A, C)``, returning [R C, R A C, ..., R A^(s-1) C] for the
+    s x s matrix A, that computes the Krylov pass of each step with an
     entry of that type in R, A or C, so that it can prepare the rows of R
     and A once per step.  Both must also take the int entries of a mixed
-    matrix (``CycInt`` supplies both).  Without them a dot is a sum of ring
-    products, and the Krylov pass is one dot per row per step.
+    matrix (``CycInt`` supplies both); without them a dot is a sum of ring
+    products, and the Krylov pass one dot per row per step.
     """
     n = len(rows)
-    if n == 0 or any(len(r) != n for r in rows):
-        raise ValueError("need a nonempty square matrix")
-    ring = next((type(x) for row in rows for x in row if hasattr(type(x), "dot")), None)
-    dot = _dot if ring is None else ring.dot
+    ring, dot = _ring_dot(rows)
     krylov = getattr(ring, "krylov", None)
     # c[i - 1] is the coefficient c_i of x^(s-i) in det(x I - B) for the
     # trailing s x s submatrix B; c_0 = 1 stays implicit, so no ring one is
@@ -818,6 +817,40 @@ def det_cofactor(rows):
             acc = dot([a] + d[:i - 2], c[i - 2::-1]) + d[i - 2]
             new.append(c[i - 1] - acc if i <= len(c) else -acc)
         c = new
+    return c
+
+
+def first_row_cofactors(rest):
+    """(rows, K) for the rows `rest` below row 0 of an n x n matrix, K the
+    row-0 cofactors from one characteristic polynomial: with B = rest less
+    its column C, s = n - 1 and c_i the coefficients of B, K_0 = det B =
+    (-1)^s c_s and K_(j+1) = -(adj(B) C)_j = (-1)^s [(B^(s-1) + c_1 B^(s-2)
+    + ... + c_(s-1)) C]_j (Cayley-Hamilton), by Horner; K = [1] if n = 1."""
+    rows = [list(row) for row in rest]
+    if any(len(row) != len(rows) + 1 for row in rows):
+        raise ValueError("need the n - 1 rows below row 0 of an n x n matrix")
+    if not rows:
+        return rows, [1]
+    B, v = [row[1:] for row in rows], [row[0] for row in rows]
+    c, dot = _char_poly(B), _ring_dot(rows)[1]
+    for ci in c[:-1]:  # v = B v + c_i C
+        v = [dot(b + [ci], v + [row[0]]) for b, row in zip(B, rows)]
+    return rows, [-x if len(B) % 2 else x for x in [c[-1]] + v]
+
+
+def det_cofactor(rows, below=None):
+    """Determinant over any commutative ring, division free: (-1)^n times
+    the constant term of ``_char_poly``, or, given below =
+    ``first_row_cofactors(rows[1:])``, one ring dot of row 0 with its K
+    (ValueError if rows[1:] are not the rows below was built from)."""
+    n = len(rows)
+    if n == 0 or any(len(r) != n for r in rows):
+        raise ValueError("need a nonempty square matrix")
+    if below is not None:
+        if [list(row) for row in rows[1:]] != below[0]:
+            raise ValueError("rows[1:] are not the rows the cofactors were built from")
+        return _ring_dot([rows[0], below[1]])[1](rows[0], below[1])
+    c = _char_poly(rows)
     return -c[-1] if n % 2 else c[-1]
 
 

@@ -180,6 +180,11 @@ def _expansion_sides(direction, family, n, kernel, values):
     return single, sum((manys[i] * c for i, c in kernel), manys[0] * 0)
 
 
+def _single_at(n, singles, manys):
+    # f_n of the single side only, to free f_0..f_(n-1) before the sum
+    return {n: singles[n]}, manys
+
+
 def expansion_check(direction: str, family: str, r: int, n: int,
                     mode: VerifyMode = VerifyMode(), values=None) -> CheckReport:
     """The expansion identity of f = family ("e", "h" or "p") in the given
@@ -206,7 +211,7 @@ def expansion_check(direction: str, family: str, r: int, n: int,
     failures = []
     at = " ".join("%s=%s" % kv for kv in sorted(params.items()))
     evaluations = [(values, 1)] if values is not None else (
-        (_expansion_values(direction, family, n, doubled, shifted), scale)
+        (_single_at(n, *_expansion_values(direction, family, n, doubled, shifted)), scale)
         for doubled, shifted, scale in _vector_pairs(r, mode, check, params))
     for trial, (at_point, scale) in enumerate(evaluations):
         lhs, rhs = _expansion_sides(direction, family, n, _weighted(kernel, scale, n), at_point)

@@ -30,7 +30,7 @@ from importlib import resources
 
 from .combinat import ballot, binom, centralizer_order, expansion_kernel, partitions_of
 from .cyclotomic import _is_prime, shifted_roots_vector
-from .exactalg import Series, det_cofactor, det_fraction_free
+from .exactalg import Series, det_cofactor, det_fraction_free, first_row_cofactors
 from .identities import CheckReport, _report
 from .symfun import complete_prefix, elementary_prefix, power_prefix
 
@@ -436,7 +436,8 @@ def congruence_check(r: int, q: int, n_max: int, k_max: int = 3) -> CheckReport:
 def determinant_formulas_check(r: int, n_max: int) -> CheckReport:
     """The six Jacobi-Trudi style determinant identities linking F, L and
     the characteristic coefficients, plus the bialternant form of F checked
-    in cleared shape (no division) over the cyclotomic integers."""
+    in cleared shape (no division) over the cyclotomic integers, each
+    numerator its top row dot one row-0 cofactor vector built once per r."""
     if r < 1 or n_max < 1:
         raise ValueError("need r >= 1 and n_max >= 1")
     t0 = time.perf_counter()
@@ -480,16 +481,18 @@ def determinant_formulas_check(r: int, n_max: int) -> CheckReport:
             failures.append("C-from-L n=%d" % n)
 
     # bialternant form over Z[x]/Phi: det(top row alpha^(n+r-1)) equals
-    # F_(n+1) times the Vandermonde determinant of the shifted roots
+    # F_(n+1) times the Vandermonde determinant of the shifted roots (vdm is
+    # not taken from the cofactors, which would pass a zero cofactor vector)
     alphas = shifted_roots_vector(r).entries
     vdm_rows = [[a.field.one for a in alphas]]
     for _ in range(r - 1):
         vdm_rows = [[x * a for x, a in zip(vdm_rows[0], alphas)]] + vdm_rows
     vdm = det_cofactor(vdm_rows)
+    below = first_row_cofactors(vdm_rows[1:])
     top = vdm_rows[0]
     for n in range(1, n_max + 1):
         top = [x * a for x, a in zip(top, alphas)]
-        if det_cofactor([top] + vdm_rows[1:]) != vdm * F[n + 1]:
+        if det_cofactor([top] + vdm_rows[1:], below) != vdm * F[n + 1]:
             failures.append("bialternant n=%d" % n)
 
     return _report("determinant_formulas", {"r": r, "n_max": n_max}, failures, t0)

@@ -2,6 +2,8 @@
 
 Everything here enumerates definitions directly (combinations, tableaux,
 permutations) and never calls the library code paths it is used to check.
+The one exception, ``bialternant_numerators``, runs the library's full
+Berkowitz determinant once per n, the reference for the cofactor route.
 """
 
 import math
@@ -124,6 +126,18 @@ def det_permutation_expansion(rows):
             prod = -prod
         total = prod if total is None else total + prod
     return total
+
+
+def bialternant_numerators(alphas, n_max):
+    """det of the Vandermonde rows alpha^(r-1), ..., alpha, 1 of the r
+    entries alphas with row 0 replaced by alpha^(n+r-1), for n = 1 ..
+    n_max: one full ``det_cofactor`` (Berkowitz) per n, each power taken
+    on its own."""
+    from symident.exactalg import det_cofactor
+    r = len(alphas)
+    rest = [[a ** k for a in alphas] for k in range(r - 2, -1, -1)]
+    return [det_cofactor([[a ** (n + r - 1) for a in alphas]] + rest)
+            for n in range(1, n_max + 1)]
 
 
 def _poly_mul(a, b):

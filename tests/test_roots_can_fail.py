@@ -4,6 +4,8 @@ of them to `fail` with the index named in the counterexample."""
 
 import re
 
+import pytest
+
 from symident import cyclotomic, sequences, suites
 from symident.symfun import PointVector
 
@@ -95,11 +97,11 @@ def test_cross_oracle_bialternant_route_can_fail(monkeypatch):
     assert _cross_oracle().passed
     det = sequences.det_cofactor
 
-    def wrong(rows):
+    def wrong(rows, below=None):
         # the bialternant numerator of index T: its top row holds the
         # (T + r - 1)-th powers of the roots, whose first powers are the
         # second-to-last row
-        out = det(rows)
+        out = det(rows, below)
         if rows[0] == [a ** (T + R - 1) for a in rows[-2]]:
             out = out + 1
         return out
@@ -108,6 +110,37 @@ def test_cross_oracle_bialternant_route_can_fail(monkeypatch):
     rep = _cross_oracle()
     assert rep.status == "fail"
     assert rep.counterexample == "determinants: bialternant n=%d" % T
+
+
+def test_cross_oracle_fails_on_a_top_row_one_power_off(monkeypatch):
+    det = sequences.det_cofactor
+
+    def wrong(rows, below=None):
+        # the numerator of index T with its top row one power too high
+        if rows[0] == [a ** (T + R - 1) for a in rows[-2]]:
+            rows = [[x * a for x, a in zip(rows[0], rows[-2])]] + rows[1:]
+        return det(rows, below)
+
+    monkeypatch.setattr(sequences, "det_cofactor", wrong)
+    rep = _cross_oracle()
+    assert rep.status == "fail"
+    assert rep.counterexample == "determinants: bialternant n=%d" % T
+
+
+@pytest.mark.parametrize("j", range(R))
+def test_cross_oracle_fails_on_a_cofactor_of_the_wrong_sign(monkeypatch, j):
+    # every numerator is top row . cofactors, so every index fails; the
+    # report names the first three
+    cofactors = sequences.first_row_cofactors
+
+    def wrong(rest):
+        rows, K = cofactors(rest)
+        return rows, K[:j] + [-K[j]] + K[j + 1:]
+
+    monkeypatch.setattr(sequences, "first_row_cofactors", wrong)
+    rep = _cross_oracle()
+    assert rep.status == "fail"
+    assert rep.counterexample == "determinants: bialternant n=1; bialternant n=2; bialternant n=3"
 
 
 

@@ -5,6 +5,7 @@ per-index checks, still fail at the one index made wrong, and charge the
 shared build to their first report."""
 
 import time
+import tracemalloc
 
 import pytest
 
@@ -130,3 +131,26 @@ def test_series_builds_each_ballot_series_once_per_call(monkeypatch):
         calls.clear()
         assert all(rep.passed for rep in suites.suite_series(order=10, alpha_max=8))
         assert sorted(calls) == [(alpha, 10) for alpha in range(13)]
+
+
+def test_a_per_index_check_frees_the_single_side_before_the_sum():
+    # a check that builds its own values keeps f_n of the single side, not
+    # f_0..f_n, while it sums the kernel; handed both prefixes through
+    # values, the same check holds them all, and peaks higher
+    direction, family, r, n = "second", "h", 4, 14
+    _, doubled, shifted = identities.symbolic_vectors(r)
+    want = identities.expansion_check(direction, family, r, n)  # fills the caches
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            return call(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    own, own_peak = peak(lambda: identities.expansion_check(direction, family, r, n))
+    held, held_peak = peak(lambda: identities.expansion_check(
+        direction, family, r, n,
+        values=identities._expansion_values(direction, family, n, doubled, shifted)))
+    assert own_peak < 0.95 * held_peak, (own_peak, held_peak)
+    assert own == held == want and want.passed
