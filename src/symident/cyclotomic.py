@@ -13,15 +13,19 @@ product, or a determinant from its row-0 cofactors, is one dot), and
 ``CycInt.krylov`` runs the Krylov pass of a Berkowitz step on the same
 kernel (``exactalg._int_poly_krylov``).  A packed sum is folded modulo
 x^m - 1 (which Phi_m divides) before it is unpacked.  A product with a
-one-term factor c x^e is not packed: the other operand is rotated by e
-modulo x^m - 1 and scaled by c.
+sparse factor is not packed: when the factor is a signed root of unity
++-x^e (e < m; looked up by its coordinates, which are dense for e >= deg
+Phi_m) or has at most two nonzero coordinates, the product is the sum
+over its terms c x^e of c times the other operand shifted cyclically by
+e modulo x^m - 1, reduced once.
 
-The remaining degrees m-1 .. deg Phi_m are then cancelled, leaving the
-canonical remainder.  For m a power of a prime p, Phi_m = 1 + x^w + ... +
-x^(m-w) with w = m/p (all ones for prime m), and one pass cancels them;
-for other m each is cancelled in turn against the nonzero terms of
-Phi_m.  Sums, differences and negations map over the coordinate tuples,
-and results are built without re-validating their coordinates.
+The remaining degrees m-1 .. deg Phi_m are then cancelled, if any is
+nonzero, leaving the canonical remainder.  For m a power of a prime p,
+Phi_m = 1 + x^w + ... + x^(m-w) with w = m/p (all ones for prime m), and
+one pass cancels them; for other m each is cancelled in turn against the
+nonzero terms of Phi_m.  Sums, differences and negations map over the
+coordinate tuples, and results are built without re-validating their
+coordinates.
 """
 
 from __future__ import annotations
@@ -76,7 +80,7 @@ def cyclotomic_poly(m: int) -> tuple:
 class CycField:
     """The ring Z[x]/Phi_m(x); elements are CycInt values in the power basis."""
 
-    __slots__ = ("m", "phi", "degree", "_tail", "_period")
+    __slots__ = ("m", "phi", "degree", "_tail", "_period", "_units")
 
     def __init__(self, m: int):
         self.m = m
@@ -90,6 +94,13 @@ class CycField:
         w = m - self.degree
         self._period = w if w and self.phi == tuple(
             int(j % w == 0) for j in range(self.degree + 1)) else 0
+        # canonical coordinates of +-x^e -> ((e, +-1),); + wins where
+        # -x^e = x^(e + m/2)
+        d = self.degree
+        units = [tuple(int(i == e) for i in range(d)) for e in range(d)]
+        units += [self._reduce([0] * e + [1]) for e in range(d, m)]
+        self._units = {tuple(map(neg, u)): ((e, -1),) for e, u in enumerate(units)}
+        self._units.update({u: ((e, 1),) for e, u in enumerate(units)})
 
     def _reduce(self, coeffs: list) -> tuple:
         """Canonical coordinates of sum_i coeffs[i] x^i; may consume coeffs."""
@@ -144,20 +155,27 @@ class CycField:
         i + m is fixed by each coordinate of the other."""
         return _int_poly_dot(xs, ys, self._unpack)
 
-    def _rotate(self, coords, mono) -> tuple:
-        """Canonical coordinates of coords times the one-term mono = c x^e:
-        coords padded to length m, shifted cyclically by e (x^m = 1 modulo
-        Phi_m), scaled by c and reduced."""
-        c = sum(mono)  # the only nonzero coordinate
-        e = mono.index(c)
-        out = list(coords) + [0] * (self.m - len(coords))
-        if e:
-            out = out[-e:] + out[:-e]
-        if c == -1:
-            out = list(map(neg, out))
-        elif c != 1:
-            out = [c * a for a in out]
-        return self._reduce(out)
+    def _rotate(self, coords, factor):
+        """Canonical coordinates of coords times a sparse factor (see the
+        module header), or None for any other factor."""
+        terms = self._units.get(factor)
+        if terms is None:
+            if factor.count(0) < len(factor) - 2:
+                return None
+            terms = [(e, c) for e, c in enumerate(factor) if c]
+        m, d = self.m, self.degree
+        pad = list(coords) + [0] * (m - d)
+        out = None
+        for e, c in terms:
+            t = pad[-e:] + pad[:-e]
+            if out is None:
+                out = t if c == 1 else list(map(neg, t)) if c == -1 else [c * a for a in t]
+            else:
+                out = list(map(add, out, t) if c == 1 else map(sub, out, t) if c == -1
+                           else (a + c * b for a, b in zip(out, t)))
+        if out is None:  # the zero factor
+            return (0,) * d
+        return self._reduce(out) if any(out[d:]) else tuple(out[:d])
 
     def element(self, coords) -> "CycInt":
         return _cyc(self, self._reduce(list(coords)))
@@ -233,12 +251,11 @@ class CycInt:
         if not isinstance(other, CycInt):
             return NotImplemented
         field = self._same_field(other)
-        a, b, d = self.coords, other.coords, field.degree
-        if a.count(0) == d - 1:
-            return _cyc(field, field._rotate(b, a))
-        if b.count(0) == d - 1:
-            return _cyc(field, field._rotate(a, b))
-        return _cyc(field, field._dot((a,), (b,)))
+        a, b = self.coords, other.coords
+        out = field._rotate(b, a)
+        if out is None:
+            out = field._rotate(a, b)
+        return _cyc(field, field._dot((a,), (b,)) if out is None else out)
 
     __rmul__ = __mul__
 
@@ -281,8 +298,9 @@ class CycInt:
         self._same_field(other)
         return self.coords == other.coords
 
-    def __hash__(self):
-        return hash((self.field.m, self.coords))
+    def __hash__(self):  # a rational integer hashes like the int it equals
+        c = self.coords
+        return hash((self.field.m, c)) if any(c[1:]) else hash(c[0])
 
     def __repr__(self):
         return "CycInt(m=%d, %r)" % (self.field.m, self.coords)

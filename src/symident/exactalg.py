@@ -313,8 +313,10 @@ class Series:
                              "(%d vs %d)" % (self.order, other.order))
         return self.num == other.num and self.den == other.den
 
-    def __hash__(self):
-        return hash((self.num, self.den, self.order))
+    def __hash__(self):  # a constant hashes like the number it equals
+        if any(self.num[1:]):
+            return hash((self.num, self.den, self.order))
+        return hash(Fraction(self.num[0], self.den))
 
     def __repr__(self):
         terms = ["%s*x^%d" % (c, i) for i, c in enumerate(self.coeffs) if c]
@@ -506,8 +508,9 @@ class UniLaurent:
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+    def __hash__(self):  # a constant hashes like the int it equals
+        c = self.coeffs
+        return hash(c.get(0, 0)) if c.keys() <= {0} else hash(frozenset(c.items()))
 
     def __repr__(self):
         if not self.coeffs:
@@ -683,8 +686,9 @@ class MultiLaurent:
             return NotImplemented
         return self._terms == other._terms
 
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self._terms.items())))
+    def __hash__(self):  # a constant (key 0) hashes like the int it equals
+        t = self._terms
+        return hash(t.get(0, 0)) if t.keys() <= {0} else hash((self.nvars, frozenset(t.items())))
 
     def __repr__(self):
         coeffs = self.coeffs

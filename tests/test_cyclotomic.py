@@ -7,7 +7,7 @@ from symident.cyclotomic import (CycField, CycInt, as_integer, cyclotomic_poly,
                                  discriminant_square_check,
                                  doubled_roots_vector, shifted_roots_vector)
 from symident.exactalg import det_cofactor
-from symident.symfun import complete_prefix, elementary_prefix, power
+from symident.symfun import complete_prefix, elementary_prefix, power, power_prefix
 
 from oracles import brute_cyclotomic_dot, brute_cyclotomic_mul, det_permutation_expansion
 
@@ -69,6 +69,15 @@ class TestCycField:
     def test_mixed_orders_rejected(self):
         with pytest.raises(ValueError):
             CycField(5).one + CycField(7).one
+
+    def test_rational_integers_hash_like_ints(self):
+        for m in (1, 2, 7, 15):
+            f = CycField(m)
+            for c in (0, 3, -(2 ** 70)):
+                x = f.from_int(c)
+                assert x == c and len({x, c}) == 1 and c in {x} and x in {c}, (m, c)
+        f = CycField(7)
+        assert len({f.zeta(1), f.zeta(8), f.from_int(3), 3}) == 2
 
 
 class TestProductOracle:
@@ -247,31 +256,82 @@ def assert_canonical(x, f):
 
 
 class TestRotation:
-    """Products with a factor c x^e, which are a cyclic shift, on every
-    order to 30: Phi_m is x - 1 (m = 1), all ones (m prime, reduced in one
-    pass), ones spaced w apart (m = p^k, one pass too), or has gaps and
-    terms of both signs (15, 21)."""
+    """Products with a sparse factor, which are at most two cyclic shifts
+    reduced once, on every order to 30: Phi_m is x - 1 (m = 1), all ones (m
+    prime, reduced in one pass), ones spaced w apart (m = p^k, one pass
+    too), or has gaps and terms of both signs (15, 21).  The sparse factors
+    are the signed roots of unity +-x^e for every e < m (dense past the
+    degree) and the values with at most two nonzero coordinates."""
+
+    COEFFS = (1, -1, 3, -(2 ** 70))
+
+    @staticmethod
+    def check(f, x, y, want):
+        for got in (x * y, y * x):
+            assert_canonical(got, f)
+            assert list(got.coords) == want, (f.m, x, y)
 
     def test_against_schoolbook(self):
         rng = random.Random(24)
         for m in range(1, 31):
             f = CycField(m)
-            for c in (1, -1, 3, -(2 ** 70)):
+            for c in self.COEFFS:
                 for e in range(f.degree):
                     mono = [0] * f.degree
                     mono[e] = c
                     dense = TestProductOracle.rand_coords(rng, f.degree, rng.choice((3, 80)))
-                    want = brute_cyclotomic_mul(m, mono, dense)
                     x, y = f.element(mono), f.element(dense)
-                    assert list((x * y).coords) == want, (m, c, e)
-                    assert list((y * x).coords) == want, (m, c, e)
+                    self.check(f, x, y, brute_cyclotomic_mul(m, mono, dense))
                     assert list((x * x).coords) == brute_cyclotomic_mul(m, mono, mono)
-                    assert_canonical(x * y, f)
 
-    def test_units_past_the_degree(self):
-        # c x^e with e from deg Phi_m to m - 1 has dense coordinates, so a
-        # product with it is an ordinary packed product, not a rotation
+    def test_every_signed_root_of_unity(self):
+        rng = random.Random(31)
+        for m in range(1, 31):
+            f = CycField(m)
+            for e in range(m):
+                for c in (1, -1):
+                    unit = [0] * e + [c]
+                    u = f.element(unit)
+                    dense = TestProductOracle.rand_coords(rng, f.degree, rng.choice((3, 80)))
+                    self.check(f, u, f.element(dense), brute_cyclotomic_mul(m, unit, dense))
+                    self.check(f, u, u, brute_cyclotomic_mul(m, unit, unit))
+
+    def test_every_two_coordinate_factor(self):
+        # the oracle is linear in each operand, so the product by
+        # c1 x^i + c2 x^j is c1 and c2 times its products by x^i and x^j
+        rng = random.Random(32)
+        for m in range(1, 31):
+            f = CycField(m)
+            d = f.degree
+            dense = TestProductOracle.rand_coords(rng, d, rng.choice((3, 80)))
+            y = f.element(dense)
+            by_unit = [brute_cyclotomic_mul(m, [0] * i + [1], dense) for i in range(d)]
+            for i in range(d):
+                for j in range(i + 1, d):
+                    for c1 in self.COEFFS:
+                        for c2 in self.COEFFS:
+                            factor = [0] * d
+                            factor[i], factor[j] = c1, c2
+                            want = [c1 * p + c2 * q for p, q in zip(by_unit[i], by_unit[j])]
+                            self.check(f, f.element(factor), y, want)
+
+    def test_zero_factor(self):
+        rng = random.Random(33)
+        for m in range(1, 31):
+            f = CycField(m)
+            zero = [0] * f.degree
+            dense = TestProductOracle.rand_coords(rng, f.degree, 80)
+            for other in (dense, [0] * (f.degree - 1) + [-(2 ** 70)], zero):
+                self.check(f, f.zero, f.element(other), zero)
+
+    def test_units_past_the_degree(self, monkeypatch):
+        # c x^e with e from deg Phi_m to m - 1 has dense coordinates; for
+        # c = +-1 it is still found among the roots of unity, and a product
+        # with it is a rotation, not a packed product
         rng = random.Random(30)
+        packed = []
+        dot = CycField._dot
+        monkeypatch.setattr(CycField, "_dot", lambda f, xs, ys: packed.append(f) or dot(f, xs, ys))
         for m in range(1, 31):
             f = CycField(m)
             for e in range(f.degree, m):
@@ -280,9 +340,23 @@ class TestRotation:
                     dense = TestProductOracle.rand_coords(rng, f.degree, rng.choice((3, 80)))
                     want = brute_cyclotomic_mul(m, [0] * e + [c], dense)
                     y = f.element(dense)
+                    del packed[:]
                     assert list((u * y).coords) == want, (m, c, e)
                     assert list((y * u).coords) == want, (m, c, e)
                     assert_canonical(u * y, f)
+                    assert not packed or c == 3, (m, c, e)
+
+
+def test_doubled_root_prefixes_make_no_packed_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a packed product")
+
+    vectors = [doubled_roots_vector(r) for r in range(1, 13)]
+    monkeypatch.setattr(CycField, "_dot", refuse)
+    for r, v in enumerate(vectors, 1):
+        n = 2 * r + 3
+        assert as_integer(elementary_prefix(n, v)[n]) == 0
+        assert len(complete_prefix(n, v)) == len(power_prefix(n, v)) + 1 == n + 1
 
 
 class TestAddSubNeg:

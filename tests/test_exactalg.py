@@ -594,3 +594,29 @@ class TestDeterminants:
         z2 = MultiLaurent.variable(1, 2)
         m = [[z1, z2], [z2, z1]]
         assert det_cofactor(m) == z1 * z1 - z2 * z2
+
+
+class TestHashFollowsEquality:
+    """A value that equals an int (or, for a series, a Fraction) hashes
+    like it, so a set holds the two once."""
+
+    def test_series(self):
+        for c in (0, 3, -(2 ** 70), Fraction(-5, 3)):
+            for order in (0, 4):
+                s = Series.constant(c, order)
+                assert s == c and len({s, c}) == 1 and c in {s} and s in {c}, (c, order)
+        assert len({Series.x(4), Series.one(4), 1}) == 2
+
+    def test_unilaurent(self):
+        for c in (0, 3, -(2 ** 70)):
+            u = UniLaurent({0: c})
+            assert u == c and len({u, c}) == 1 and c in {u} and u in {c}, c
+        assert len({UniLaurent.monomial(3, 1), UniLaurent.one(), 3, 1}) == 3
+
+    def test_multilaurent(self):
+        for c in (0, 3, -(2 ** 70)):
+            for nvars in (1, 3):
+                u = MultiLaurent.constant(c, nvars)
+                assert u == c and len({u, c}) == 1 and c in {u} and u in {c}, (c, nvars)
+        z = MultiLaurent.variable(0, 2)
+        assert len({z, z * z ** -1, 1}) == 2
