@@ -1,16 +1,18 @@
 """Batch command-line front end: argv parsing, rendering and three commands.
 
-    symident table {fib,lucas,cnk} [--r a:b] [--n a:b] [--format md|csv|json]
+    symident table {fib,lucas} [--r a:b] [--n a:b] [--format md|csv|json]
+    symident table cnk [--n a:b] [--k a:b] [--format ...]
     symident verify SUITE [suite options]
     symident report --all [--seed N] [--format ...]
 
 verify runs one suite of the table ``suites.SUITES`` at its default window
-with the given options laid over it, and refuses an option the suite does
-not take; report --all runs ``suites.battery``.  Exit codes: 0 all checks
-passed, 1 at least one check failed (the counterexamples are in the
-rendered report), 2 usage or configuration error.  With the same arguments
-and seed the rendered output is byte-identical across runs; wall-clock
-timings only appear when asked for with --timings.
+with the given options laid over it; table and verify refuse an option the
+table kind or the suite does not take; report --all runs
+``suites.battery``.  Exit codes: 0 all checks passed, 1 at least one check
+failed (the counterexamples are in the rendered report), 2 usage or
+configuration error.  With the same arguments and seed the rendered output
+is byte-identical across runs; wall-clock timings only appear when asked
+for with --timings.
 """
 
 from __future__ import annotations
@@ -151,12 +153,13 @@ def write_output(text: str, path) -> None:
 
 
 def cmd_table(args) -> int:
-    rows = parse_range(args.r, "r") if args.r else None
-    if args.kind == "cnk":
-        rows = parse_range(args.n, "n") if args.n else None
-        cols = parse_range(args.k, "k") if args.k else None
-    else:
-        cols = parse_range(args.n, "n") if args.n else None
+    takes = ("n", "k") if args.kind == "cnk" else ("r", "n")  # (rows, columns)
+    refused = [k for k in ("r", "k") if k not in takes and getattr(args, k) is not None]
+    if refused:
+        raise UsageError("table %s does not take %s (it takes %s)"
+                         % (args.kind, _flags(refused), _flags(takes)))
+    rows, cols = (None if getattr(args, k) is None else parse_range(getattr(args, k), k)
+                  for k in takes)
     tab = sequences.table(args.kind, rows, cols)
     write_output(render_table(tab, args.format), args.output)
     typos = [t for t in sequences.known_typos() if t[0] == args.kind]

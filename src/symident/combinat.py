@@ -88,9 +88,9 @@ def raising_factorial(a, m: int) -> Fraction:
 @lru_cache(maxsize=None)
 def _q_binom_cached(n: int, k: int) -> UniLaurent:
     if k < 0 or k > n:
-        return UniLaurent.zero("q")
+        return UniLaurent.zero()
     if k == 0 or k == n:
-        return UniLaurent.one("q")
+        return UniLaurent.one()
     # q-Pascal: [n,k] = [n-1,k-1] + q^k [n-1,k]; stays in the polynomial ring
     return _q_binom_cached(n - 1, k - 1) + UniLaurent.monomial(1, k) * _q_binom_cached(n - 1, k)
 
@@ -127,24 +127,21 @@ def ballot_series(alpha: int, order: int) -> Series:
     return _series(nums, den, order)
 
 
-def partitions_of(n: int, max_parts: int):
-    """All partitions of n into at most max_parts parts, each a weakly
-    decreasing tuple of positive parts, reverse lexicographically (largest
-    first part first)."""
-    if n < 0 or max_parts < 0:
-        raise ValueError("partitions_of needs nonnegative arguments")
+def partitions_of(n: int):
+    """All partitions of n, each a weakly decreasing tuple of positive
+    parts, reverse lexicographically (largest first part first)."""
+    if n < 0:
+        raise ValueError("partitions_of needs n >= 0")
     out = []
 
-    def rec(remaining, cap, nparts, acc):
+    def rec(remaining, cap, acc):
         if remaining == 0:
             out.append(tuple(acc))
             return
-        if nparts == 0:
-            return
         for p in range(min(cap, remaining), 0, -1):
-            rec(remaining - p, p, nparts - 1, acc + [p])
+            rec(remaining - p, p, acc + [p])
 
-    rec(n, n if n else 1, max_parts, [])
+    rec(n, n, [])
     return out
 
 

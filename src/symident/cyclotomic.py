@@ -184,10 +184,6 @@ class CycField:
         return self.element([c])
 
     @property
-    def zero(self) -> "CycInt":
-        return self.from_int(0)
-
-    @property
     def one(self) -> "CycInt":
         return self.from_int(1)
 
@@ -334,14 +330,6 @@ def _coords_in(field: CycField, xs) -> list:
     return out
 
 
-def as_integer(x: CycInt) -> int:
-    """Constant coordinate of x, provided every other coordinate vanishes."""
-    if not x.is_rational_integer():
-        raise ValueError("not a rational integer: coordinates %r in Z[x]/Phi_%d"
-                         % (x.coords, x.field.m))
-    return x.coords[0]
-
-
 # ---------------------------------------------------------------------------
 # evaluation points
 
@@ -380,11 +368,11 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def discriminant_square_check(r: int) -> bool:
-    """Exact check that the squared Vandermonde determinant of the shifted
-    roots equals (2r+1)^(r-1); needs 2r+1 prime.
+def discriminant_square(r: int) -> CycInt:
+    """The squared Vandermonde determinant of the shifted roots, for 2r+1
+    prime, where it equals (2r+1)^(r-1).
 
-    The square is checked (rather than the determinant itself) because the
+    The square is taken (rather than the determinant itself) because the
     unsquared value is a square root of an integer whose sign depends on
     the ordering of the conjugates.
     """
@@ -397,4 +385,4 @@ def discriminant_square_check(r: int) -> bool:
     for _ in range(r - 1):
         rows = [[row[0] * v] + row for row, v in zip(rows, vals)]
     det = det_cofactor(rows)
-    return det * det == field.from_int(p ** (r - 1))
+    return det * det

@@ -406,46 +406,46 @@ def _sparse_mul(a, b):
 
 
 class UniLaurent:
-    """Sparse Laurent polynomial in one variable with integer coefficients.
+    """Sparse Laurent polynomial in the one variable q with integer
+    coefficients.
 
     Stored as a map exponent -> coefficient with no zero entries, so
     structural equality of the maps is exact polynomial equality.
     """
 
-    __slots__ = ("var", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs=None, var="q"):
+    def __init__(self, coeffs=None):
         d = {}
         if coeffs:
             for e, c in coeffs.items():
                 if c:
                     d[e] = c
         self.coeffs = d
-        self.var = var
 
     def _of(self, coeffs):
-        # a value in this one's variable, from a dict with no zero coefficient
+        # a value from a dict with no zero coefficient
         out = object.__new__(UniLaurent)
-        out.coeffs, out.var = coeffs, self.var
+        out.coeffs = coeffs
         return out
 
     @classmethod
-    def monomial(cls, coeff=1, power=1, var="q"):
-        return cls({power: coeff}, var)
+    def monomial(cls, coeff=1, power=1):
+        return cls({power: coeff})
 
     @classmethod
-    def one(cls, var="q"):
-        return cls({0: 1}, var)
+    def one(cls):
+        return cls({0: 1})
 
     @classmethod
-    def zero(cls, var="q"):
-        return cls({}, var)
+    def zero(cls):
+        return cls({})
 
     def _coerce(self, other):
         if isinstance(other, UniLaurent):
             return other
         if isinstance(other, int):
-            return UniLaurent({0: other}, self.var)
+            return UniLaurent({0: other})
         return None
 
     def is_zero(self):
@@ -473,7 +473,7 @@ class UniLaurent:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return UniLaurent({e: c * other for e, c in self.coeffs.items()}, self.var)
+            return UniLaurent({e: c * other for e, c in self.coeffs.items()})
         if not isinstance(other, UniLaurent):
             return NotImplemented
         return self._of(_sparse_mul(self.coeffs, other.coeffs))
@@ -489,18 +489,8 @@ class UniLaurent:
             (e, c), = self.coeffs.items()
             if c * c != 1:
                 raise ValueError("coefficient %d is not invertible" % c)
-            return UniLaurent({e * n: c ** (n & 1)}, self.var)
-        return _power(self, n) if n else UniLaurent.one(self.var)
-
-    def evaluate(self, x):
-        """Exact value at x; x must be nonzero when negative powers occur."""
-        x = Fraction(x)
-        total = Fraction(0)
-        for e, c in self.coeffs.items():
-            if e < 0 and x == 0:
-                raise ValueError("zero substituted into a negative exponent")
-            total += c * x ** e
-        return total
+            return UniLaurent({e * n: c ** (n & 1)})
+        return _power(self, n) if n else UniLaurent.one()
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -521,9 +511,9 @@ class UniLaurent:
             if e == 0:
                 parts.append(str(c))
             elif e == 1:
-                parts.append("%d*%s" % (c, self.var))
+                parts.append("%d*q" % c)
             else:
-                parts.append("%d*%s^%d" % (c, self.var, e))
+                parts.append("%d*q^%d" % (c, e))
         return " + ".join(parts)
 
 
@@ -652,27 +642,6 @@ class MultiLaurent:
                 raise ValueError("coefficient %d is not invertible" % c)
             return self._of({k * n: c ** (n & 1)}, self.bound * -n)
         return _power(self, n) if n else MultiLaurent.one(self.nvars)
-
-    def evaluate(self, point):
-        """Exact value at a tuple of rationals.
-
-        A zero coordinate is fine as long as it never meets a negative
-        exponent.
-        """
-        if len(point) != self.nvars:
-            raise ValueError("point of wrong arity")
-        point = [Fraction(x) for x in point]
-        total = Fraction(0)
-        for exps, c in self.coeffs.items():
-            term = Fraction(c)
-            for x, e in zip(point, exps):
-                if e == 0:
-                    continue
-                if e < 0 and x == 0:
-                    raise ValueError("zero substituted into a negative exponent")
-                term *= x ** e
-            total += term
-        return total
 
     def __truediv__(self, other):
         other = self._coerce(other)

@@ -92,14 +92,14 @@ def _report(check, params, failures, t0) -> CheckReport:
     return CheckReport(check, dict(params), status, ce, time.perf_counter() - t0)
 
 
-def _drawn_points(rng: random.Random, count: int, bound: int = 10 ** 6) -> list:
-    """Pairwise distinct nonzero +-a/b with 1 <= a, b <= bound, as reduced
+def _drawn_points(rng: random.Random, count: int) -> list:
+    """Pairwise distinct nonzero +-a/b with 1 <= a, b <= 10^6, as reduced
     (signed a, b > 0).  Each draw takes a, b and then the sign from the
     stream; a draw equal to an earlier point after reduction is skipped."""
     pts = []
     seen = set()
     while len(pts) < count:
-        a, b = rng.randint(1, bound), rng.randint(1, bound)
+        a, b = rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6)
         g = math.gcd(a, b)
         point = (-a // g if rng.randint(0, 1) else a // g, b // g)
         if point in seen:
@@ -309,7 +309,7 @@ def genfun_transfer_check(r: int, order: int) -> CheckReport:
 
 
 def _q_vectors(r: int):
-    q = UniLaurent.monomial(1, 1, "q")
+    q = UniLaurent.monomial(1, 1)
     plus = [q ** j for j in range(r, 0, -1)]
     minus = [q ** -j for j in range(r, 0, -1)]
     doubled = PointVector(plus + minus)
@@ -318,12 +318,12 @@ def _q_vectors(r: int):
 
 
 def _q_power(e: int) -> UniLaurent:
-    return UniLaurent.monomial(1, e, "q")
+    return UniLaurent.monomial(1, e)
 
 
 def _elem_q_closed(r: int, n: int) -> UniLaurent:
     # alternating q-binomial sum for e_n of the doubled q-vector
-    out = UniLaurent.zero("q")
+    out = UniLaurent.zero()
     for k in range(min(n, 2 * r + 1) + 1):
         term = q_binom(2 * r + 1, k) * _q_power(k * (k - 2 * r - 1) // 2)
         out = out + term if (n - k) % 2 == 0 else out - term
@@ -355,7 +355,7 @@ def principal_spec(family: str, r: int, n: int) -> CheckReport:
     elif family == "h":
         lhs, rhs = complete(n, doubled), _complete_q_closed(r, n)
     else:
-        one = UniLaurent.one("q")
+        one = UniLaurent.one()
         clear = one - _q_power(n)
         lhs = (power(n, doubled) + one) * clear
         rhs = _q_power(-r * n) * (one - _q_power((2 * r + 1) * n))
@@ -371,8 +371,8 @@ def principal_combination_check(r: int, bound: int) -> CheckReport:
         raise ValueError("need r >= 1 and bound >= 1")
     t0 = time.perf_counter()
     _, shifted = _q_vectors(r)
-    one = UniLaurent.one("q")
-    zero = UniLaurent.zero("q")
+    one = UniLaurent.one()
+    zero = UniLaurent.zero()
     es = elementary_prefix(bound, shifted)
     hs = complete_prefix(bound, shifted)
     failures = []

@@ -16,8 +16,7 @@ which hold where their storage starts):
   sequence.
 * in the Jacobi-Trudi style determinant identities any F index below 1 is
   read as 0, the usual convention for complete polynomials of negative
-  degree (distinct from the one-row Schur extension used for initial
-  values).
+  degree.
 """
 
 from __future__ import annotations
@@ -579,7 +578,7 @@ def partition_relations_check(r: int, n_max: int) -> CheckReport:
             failures.append("newton n=%d" % n)
         total = Fraction(0)
         signed = Fraction(0)
-        for lam in partitions_of(n, n):
+        for lam in partitions_of(n):
             prod = 1
             for part in lam:
                 prod *= L[part]
@@ -597,11 +596,10 @@ def partition_relations_check(r: int, n_max: int) -> CheckReport:
 # cross-oracle aggregation
 
 
-def cross_oracle_check(r: int, n_max: int, det_max: int = 10,
-                       genfun_order: int = 30) -> CheckReport:
+def cross_oracle_check(r: int, n_max: int, det_max: int = 10) -> CheckReport:
     """Route agreement for one r: closed forms, recurrence and cyclotomic
     evaluation for n <= n_max, determinants for n <= det_max, generating
-    functions to genfun_order."""
+    functions to order 30."""
     if r < 1 or n_max < 1:
         raise ValueError("need r >= 1 and n_max >= 1")
     t0 = time.perf_counter()
@@ -629,7 +627,7 @@ def cross_oracle_check(r: int, n_max: int, det_max: int = 10,
     det = determinant_formulas_check(r, det_max)
     if not det.passed:
         failures.append("determinants: %s" % det.counterexample)
-    gf = sequence_genfun_check(r, genfun_order)
+    gf = sequence_genfun_check(r, 30)
     if not gf.passed:
         failures.append("generating functions: %s" % gf.counterexample)
     return _report("cross_oracle", {"r": r, "n_max": n_max}, failures, t0)

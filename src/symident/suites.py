@@ -143,13 +143,13 @@ def suite_principal(rs, n_max):
     return out
 
 
-def suite_roots(rs, n_mult=6):
+def suite_roots(rs):
     """Exact evaluations at the doubled and shifted roots of unity: the
-    three closed patterns, the characteristic coefficients, and the
-    companion binomial identity."""
+    three closed patterns (h and p up to n = 6(2r + 1)), the
+    characteristic coefficients, and the companion binomial identity."""
     out = []
     for r in rs:
-        top = n_mult * (2 * r + 1)
+        top = 6 * (2 * r + 1)
         t0 = time.perf_counter()
         fails = []
         doubled = cyclotomic.doubled_roots_vector(r)
@@ -188,15 +188,16 @@ def suite_roots(rs, n_mult=6):
 
 
 def suite_discriminant(rs):
-    """The squared discriminant of the shifted roots, for each r with 2r + 1
-    prime; the other r are skipped."""
+    """The squared Vandermonde determinant of the shifted roots (lhs)
+    against (2r+1)^(r-1) (rhs), for each r with 2r + 1 prime; the other r
+    are skipped."""
     out = []
     for r in rs:
         if not cyclotomic._is_prime(2 * r + 1):
             continue
         t0 = time.perf_counter()
-        fails = ([] if cyclotomic.discriminant_square_check(r)
-                 else ["squared determinant mismatch at r=%d" % r])
+        square, want = cyclotomic.discriminant_square(r), (2 * r + 1) ** (r - 1)
+        fails = [] if square == want else ["r=%d: lhs=%r rhs=%d" % (r, square, want)]
         out.append(identities._report("discriminant_square", {"r": r}, fails, t0))
     return out
 

@@ -10,18 +10,16 @@ cyclotomic integers.
 
 Conventions fixed here once and used everywhere downstream:
 
-* power(0, ...) is rejected; where an identity needs a degree-0 power sum
-  the caller passes the number of variables explicitly.
-* a negative complete index is resolved through the one-row Schur quotient,
-  which needs exact division and invertible entries; other negative shapes
-  are rejected.
+* power(0, ...) and a negative complete index are rejected; where an
+  identity needs a degree-0 power sum the caller passes the number of
+  variables explicitly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactalg import MultiLaurent, det_cofactor, det_fraction_free
+from .exactalg import MultiLaurent, det_cofactor
 
 
 class PointVector:
@@ -110,16 +108,11 @@ def complete_prefix(nmax: int, v: PointVector) -> list:
 
 
 def complete(n: int, v: PointVector):
-    """Sum of all degree-n monomials in the entries.
-
-    Negative n is resolved through the one-row Schur quotient, so the
-    entries must be pairwise distinct and support exact division.
-    """
-    if n == 0:
-        return v.one
+    """Sum of all degree-n monomials in the entries; defined for n >= 0
+    only."""
     if n < 0:
-        return schur((n,) + (0,) * (v.arity - 1), v)
-    return complete_prefix(n, v)[n]
+        raise ValueError("complete polynomials are defined for n >= 0")
+    return complete_prefix(n, v)[n] if n else v.one
 
 
 def power(n: int, v: PointVector):
@@ -147,31 +140,20 @@ def power_prefix(nmax: int, v: PointVector) -> list:
     return acc
 
 
-def _det(matrix):
-    if matrix and isinstance(matrix[0][0], (int, Fraction)):
-        return det_fraction_free(matrix)
-    return det_cofactor(matrix)
-
-
 def schur(lam, v: PointVector):
     """Quotient of the alternant det(z_i^(lam_j + r - j)) by the Vandermonde
-    determinant.
-
-    Nonnegative shapes of any length are accepted; a negative row is only
-    allowed in the one-row shape (-n, 0, ..., 0) used to extend the complete
-    polynomials below index zero.
-    """
+    determinant, for a partition lam of at most r parts; int entries divide
+    as Fractions, and other entries need exact division."""
     lam = tuple(int(x) for x in lam)
     r = v.arity
     if len(lam) > r:
         raise ValueError("shape longer than the vector")
     lam = lam + (0,) * (r - len(lam))
-    if any(p < 0 for p in lam):
-        if any(p != 0 for p in lam[1:]):
-            raise ValueError("negative entries only in the one-row shape")
-    elif any(lam[i] < lam[i + 1] for i in range(r - 1)):
-        raise ValueError("shape must be weakly decreasing")
+    if lam[-1] < 0 or any(lam[i] < lam[i + 1] for i in range(r - 1)):
+        raise ValueError("shape must be weakly decreasing and nonnegative")
     exps = [lam[j] + r - 1 - j for j in range(r)]
-    alternant = _det([[v[i] ** exps[j] for j in range(r)] for i in range(r)])
-    vandermonde = _det([[v[i] ** (r - 1 - j) for j in range(r)] for i in range(r)])
+    alternant = det_cofactor([[v[i] ** exps[j] for j in range(r)] for i in range(r)])
+    vandermonde = det_cofactor([[v[i] ** (r - 1 - j) for j in range(r)] for i in range(r)])
+    if isinstance(vandermonde, int):
+        return Fraction(alternant, vandermonde)
     return alternant / vandermonde

@@ -69,6 +69,21 @@ class TestTableCommand:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("argv, refused, takes", [
+        (("cnk", "--r", "1:2"), "--r", "--n, --k"),
+        (("fib", "--k", "1:2"), "--k", "--r, --n"),
+        (("lucas", "--n", "0:3", "--k", "1"), "--k", "--r, --n"),
+    ])
+    def test_option_the_kind_does_not_take_is_refused(self, capsys, argv, refused, takes):
+        code, out, err = run_cli(capsys, "table", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: table %s does not take %s (it takes %s)\n" % (argv[0], refused, takes)
+
+    def test_empty_range_is_refused(self, capsys):
+        code, out, err = run_cli(capsys, "table", "fib", "--r", "")
+        assert (code, out, err) == (2, "", "error: bad r range '' (expected a:b)\n")
+
     def test_write_to_file(self, capsys, tmp_path):
         target = tmp_path / "t.csv"
         code, out, _ = run_cli(capsys, "table", "fib", "--r", "1:2", "--n", "1:3",

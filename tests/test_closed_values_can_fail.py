@@ -1,13 +1,16 @@
 """The checks that compare against a closed value written once, shown able
-to fail: the values of h_n and p_n at the doubled roots, the centralizer
-order behind the partition sums and the published tables.  One value made
-wrong turns each check that reads it to `fail` with the index named."""
+to fail: the values of h_n and p_n at the doubled roots, the closed q-forms
+of the principal specialisations, the centralizer order behind the
+partition sums and the published tables.  One value made wrong turns each
+check that reads it to `fail` with the index named."""
 
 import re
 
 import pytest
 
-from symident import sequences, suites
+from symident import identities, sequences, suites
+from symident.exactalg import UniLaurent
+from symident.identities import _shown
 
 R = 3  # zeta of order 7
 T = 4  # the index whose closed value is made wrong below
@@ -51,6 +54,41 @@ def test_every_reader_of_a_doubled_roots_value_can_fail(monkeypatch, family):
         rep = check()
         assert rep.status == "fail", label
         assert re.search(pattern, rep.counterexample), (label, rep.counterexample)
+
+
+q = UniLaurent.monomial(1, 1)
+
+
+def _failed_principal_specs():
+    return [rep for rep in suites.suite_principal([R], T)
+            if rep.check.startswith("principal_spec") and not rep.passed]
+
+
+@pytest.mark.parametrize("family, name", [("e", "_elem_q_closed"), ("h", "_complete_q_closed")])
+def test_principal_spec_fails_on_a_wrong_closed_coefficient(monkeypatch, family, name):
+    assert _failed_principal_specs() == []
+    closed = getattr(identities, name)
+    monkeypatch.setattr(identities, name,
+                        lambda r, n: closed(r, n) + q if n == T else closed(r, n))
+    (rep,) = _failed_principal_specs()
+    assert (rep.check, rep.params) == ("principal_spec_" + family, {"r": R, "n": T})
+    # lhs is f_T of the doubled q-vector, rhs the closed form with its q^1
+    # coefficient one more
+    right = closed(R, T)
+    assert rep.counterexample == "lhs=%s rhs=%s" % (_shown(right), _shown(right + q))
+
+
+def test_principal_spec_p_fails_on_a_wrong_power_sum(monkeypatch):
+    assert _failed_principal_specs() == []
+    power = identities.power
+    monkeypatch.setattr(identities, "power",
+                        lambda n, v: power(n, v) + 1 if n == T else power(n, v))
+    (rep,) = _failed_principal_specs()
+    assert (rep.check, rep.params) == ("principal_spec_p", {"r": R, "n": T})
+    # both sides are cleared of 1 - q^T, so p_T one more puts 1 - q^T more
+    # into lhs = (p_T + 1)(1 - q^T); rhs is q^(-rT) (1 - q^((2r+1)T))
+    rhs = q ** (-R * T) * (1 - q ** ((2 * R + 1) * T))
+    assert rep.counterexample == "lhs=%s rhs=%s" % (_shown(rhs + 1 - q ** T), _shown(rhs))
 
 
 def test_partition_relations_fail_on_a_wrong_centralizer_order(monkeypatch):

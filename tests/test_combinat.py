@@ -93,7 +93,8 @@ class TestQBinom:
     def test_specialize_to_binomial(self):
         for n in range(10):
             for k in range(n + 1):
-                assert q_binom(n, k).evaluate(1) == math.comb(n, k)
+                # the value at q = 1 is the sum of the coefficients
+                assert sum(q_binom(n, k).coeffs.values()) == math.comb(n, k)
 
     def test_symmetry(self):
         for n in range(12):
@@ -199,18 +200,17 @@ class TestBallotSeries:
 
 class TestPartitions:
     def test_examples(self):
-        assert partitions_of(2, 2) == [(2,), (1, 1)]
-        assert partitions_of(0, 3) == [()]
+        assert partitions_of(2) == [(2,), (1, 1)]
+        assert partitions_of(0) == [()]
 
     def test_count_against_brute_force(self):
         for n in range(0, 9):
-            for cap in range(0, n + 2):
-                got = set(partitions_of(n, cap))
-                assert got == brute_partitions(n, cap), (n, cap)
-        assert len(partitions_of(6, 6)) == 11
+            got = partitions_of(n)
+            assert len(got) == len(set(got)) and set(got) == brute_partitions(n, n), n
+        assert len(partitions_of(6)) == 11
 
     def test_reverse_lexicographic_order(self):
-        parts = partitions_of(7, 7)
+        parts = partitions_of(7)
         assert parts == sorted(parts, reverse=True)
 
 
@@ -225,7 +225,7 @@ class TestCentralizerOrder:
         for n in (3, 4, 5):
             counts = permutation_count_by_cycle_type(n)
             total = 0
-            for lam in partitions_of(n, n):
+            for lam in partitions_of(n):
                 size = math.factorial(n) // centralizer_order(lam)
                 assert counts[lam] == size, lam
                 total += size

@@ -269,13 +269,6 @@ class TestUniLaurent:
             assert (a * b) * c == a * (b * c)
             assert a * (b + c) == a * b + a * c
 
-    def test_evaluate(self):
-        q = UniLaurent.monomial(1, 1)
-        p = q ** 2 + q ** -1 * 3
-        assert p.evaluate(Fraction(1, 2)) == Fraction(1, 4) + 6
-        with pytest.raises(ValueError):
-            p.evaluate(0)
-
     def test_no_zero_coefficients_stored(self):
         p = UniLaurent({2: 5, 3: 0, -1: 1})
         assert 3 not in p.coeffs
@@ -293,18 +286,6 @@ class TestMultiLaurent:
         zi = z ** -1
         assert (z + zi) * (z - zi) == z ** 2 - zi ** 2
 
-    def test_eval_example(self):
-        z1 = MultiLaurent.variable(0, 2)
-        z2 = MultiLaurent.variable(1, 2)
-        assert (z1 * z2 ** -1).evaluate((Fraction(1, 2), 3)) == Fraction(1, 6)
-
-    def test_eval_zero_with_negative_exponent(self):
-        z1 = MultiLaurent.variable(0, 2)
-        with pytest.raises(ValueError):
-            (z1 ** -1).evaluate((0, 1))
-        # zero is fine where only nonnegative exponents occur
-        assert (z1 ** 2).evaluate((0, 5)) == 0
-
     def test_commutativity_random(self):
         rng = random.Random(5)
         for _ in range(100):
@@ -319,16 +300,6 @@ class TestMultiLaurent:
             assert (a + b) + c == a + (b + c)
             assert (a * b) * c == a * (b * c)
             assert a * (b + c) == a * b + a * c
-
-    def test_eval_is_ring_homomorphism(self):
-        rng = random.Random(7)
-        for _ in range(25):
-            a = rand_multilaurent(rng, 2)
-            b = rand_multilaurent(rng, 2)
-            pt = (Fraction(rng.randint(1, 9), rng.randint(1, 9)),
-                  Fraction(-rng.randint(1, 9), rng.randint(1, 9)))
-            assert (a * b).evaluate(pt) == a.evaluate(pt) * b.evaluate(pt)
-            assert (a + b).evaluate(pt) == a.evaluate(pt) + b.evaluate(pt)
 
     def test_exact_division_roundtrip(self):
         rng = random.Random(8)

@@ -39,7 +39,7 @@ def test_bialternants_match_the_per_n_route(monkeypatch, r):
 def _entry(rng, field):
     if field is None:
         return rng.choice((0, 1, -1, rng.randint(-9, 9), rng.randint(-2 ** 70, 2 ** 70)))
-    return rng.choice((0, 1, -3, field.zero, field.element(
+    return rng.choice((0, 1, -3, field.from_int(0), field.element(
         [rng.randint(-2 ** 40, 2 ** 40) for _ in range(field.degree)])))
 
 

@@ -69,7 +69,8 @@ def test_discriminant_fails_on_a_swapped_root(monkeypatch):
                         _swap_first(cyclotomic.shifted_roots_vector, lambda f: -f.zeta(1)))
     rep = suites.suite_discriminant([R])[0]
     assert rep.status == "fail"
-    assert rep.counterexample == "squared determinant mismatch at r=%d" % R
+    # lhs is the squared Vandermonde determinant, rhs (2r+1)^(r-1) = 7^2
+    assert rep.counterexample == "r=3: lhs=CycInt(m=7, (35, 4, -9, 31, 26, -24)) rhs=49"
 
 
 def _cross_oracle():
