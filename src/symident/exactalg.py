@@ -371,38 +371,40 @@ def series_sqrt(s):
 # Both Laurent classes store their terms as a dict from an int key to a
 # nonzero int coefficient, with keys that add when monomials multiply: a
 # UniLaurent key is its exponent, a MultiLaurent key packs the exponent vector
-# as sum_i e_i 2^(32 i).  The sparse sum and product below serve both.
+# as sum_i e_i 2^(32 i).  One fused kernel gives their sums and products.
+
+_ONE = {0: 1}  # the terms of 1; never mutated
 
 
-def _sparse_add(a, b):
-    """Sum of two key -> nonzero coefficient dicts."""
-    if len(a) < len(b):
-        a, b = b, a
-    d = dict(a)
-    get = d.get
-    for k, c in b.items():
-        v = get(k, 0) + c
-        if v:
-            d[k] = v
-        else:
-            del d[k]  # c is nonzero, so a zero sum means k was there
-    return d
-
-
-def _sparse_mul(a, b):
-    """Product of two key -> nonzero coefficient dicts; keys add."""
+def _sparse_addmul(acc, a, b):
+    """acc + a * b on key -> nonzero coefficient dicts, in one pass over a
+    copy of acc; a zero sum drops its key at once."""
     if len(a) > len(b):
         a, b = b, a
-    if len(a) == 1:
+    if len(a) == 1 and not acc:
         (s, c), = a.items()
         return {k + s: v * c for k, v in b.items()}
-    d = {}
+    if a == _ONE and len(acc) < len(b):
+        acc, b = b, acc  # a plain add copies the larger operand
+    d = dict(acc)
     get = d.get
+    if a == _ONE:
+        for k, v in b.items():
+            v += get(k, 0)
+            if v:
+                d[k] = v
+            else:
+                del d[k]  # the term added is nonzero, so k was there
+        return d
     for s, c in a.items():
         for k, v in b.items():
             k += s
-            d[k] = get(k, 0) + c * v
-    return {k: v for k, v in d.items() if v}
+            v = get(k, 0) + c * v
+            if v:
+                d[k] = v
+            else:
+                del d[k]
+    return d
 
 
 class UniLaurent:
@@ -416,12 +418,7 @@ class UniLaurent:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        d = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                if c:
-                    d[e] = c
-        self.coeffs = d
+        self.coeffs = {e: c for e, c in (coeffs or {}).items() if c}
 
     def _of(self, coeffs):
         # a value from a dict with no zero coefficient
@@ -448,16 +445,18 @@ class UniLaurent:
             return UniLaurent({0: other})
         return None
 
-    def is_zero(self):
-        return not self.coeffs
-
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self._of(_sparse_add(self.coeffs, other.coeffs))
+        return self._of(_sparse_addmul(self.coeffs, _ONE, other.coeffs))
 
     __radd__ = __add__
+
+    def addmul(self, a, b):
+        """self + a * b in one pass; a may be an int."""
+        a, b = self._coerce(a), self._coerce(b)
+        return self._of(_sparse_addmul(self.coeffs, a.coeffs, b.coeffs))
 
     def __neg__(self):
         return self._of({e: -c for e, c in self.coeffs.items()})
@@ -466,7 +465,7 @@ class UniLaurent:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._of(_sparse_addmul(self.coeffs, {0: -1}, other.coeffs))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -476,7 +475,7 @@ class UniLaurent:
             return UniLaurent({e: c * other for e, c in self.coeffs.items()})
         if not isinstance(other, UniLaurent):
             return NotImplemented
-        return self._of(_sparse_mul(self.coeffs, other.coeffs))
+        return self._of(_sparse_addmul({}, self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -526,10 +525,11 @@ class MultiLaurent:
     The terms are a map from packed exponent keys (see ``_pack``) to nonzero
     coefficients.  ``bound`` is an upper bound on every |exponent|: the max
     of the operands' for a sum, their sum for a product (the exact largest
-    |exponent| of a product of monomials whose sum reaches 2^31), times |n| for a negative n-th
-    power.  A value whose bound reaches 2^31 raises ValueError, so
-    distinct exponent vectors always have distinct keys.  ``coeffs`` gives
-    the terms keyed by exponent tuples of length nvars.
+    |exponent| of a product of monomials whose sum reaches 2^31), times |n|
+    for a negative n-th power, max(bound, a.bound + b.bound) for the fused
+    self + a * b of ``addmul(a, b)``.  A value whose bound reaches 2^31
+    raises ValueError, so distinct exponent vectors always have distinct
+    keys.  ``coeffs`` gives the terms keyed by exponent tuples of length nvars.
     """
 
     __slots__ = ("nvars", "bound", "_terms")
@@ -586,7 +586,7 @@ class MultiLaurent:
                 raise ValueError("mixed variable counts")
             return other
         if isinstance(other, int):
-            return MultiLaurent.constant(other, self.nvars)
+            return self._of({0: other} if other else {}, 0)
         return None
 
     def is_zero(self):
@@ -596,9 +596,16 @@ class MultiLaurent:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self._of(_sparse_add(self._terms, other._terms), max(self.bound, other.bound))
+        return self._of(_sparse_addmul(self._terms, _ONE, other._terms),
+                        max(self.bound, other.bound))
 
     __radd__ = __add__
+
+    def addmul(self, a, b):
+        """self + a * b in one pass; a may be an int."""
+        a, b = self._coerce(a), self._coerce(b)
+        return self._of(_sparse_addmul(self._terms, a._terms, b._terms),
+                        max(self.bound, a.bound + b.bound))
 
     def __neg__(self):
         return self._of({k: -c for k, c in self._terms.items()}, self.bound)
@@ -607,7 +614,8 @@ class MultiLaurent:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._of(_sparse_addmul(self._terms, {0: -1}, other._terms),
+                        max(self.bound, other.bound))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -627,7 +635,7 @@ class MultiLaurent:
             (a,), (b,), v = self._terms, other._terms, self.nvars
             bound = max(abs(x + y) for x, y in
                         zip(_unpack(a, _EXP_BITS, v), _unpack(b, _EXP_BITS, v)))
-        return self._of(_sparse_mul(self._terms, other._terms), bound)
+        return self._of(_sparse_addmul({}, self._terms, other._terms), bound)
 
     __rmul__ = __mul__
 

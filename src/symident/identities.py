@@ -173,11 +173,14 @@ def _expansion_values(direction, family, top, doubled, shifted):
 
 def _expansion_sides(direction, family, n, kernel, values):
     """(lhs, rhs): f_n of one vector, and the kernel applied to f_0..f_n of
-    the other (a sum from the ring's zero, manys[0] * 0), read from
-    _expansion_values; the first-kind p kernel expands 2 p_n."""
+    the other (summed from manys[0] * 0, by the ring's addmul if it has one),
+    read from _expansion_values; the first-kind p kernel expands 2 p_n."""
     singles, manys = values
     single = singles[n] * 2 if (direction, family) == ("first", "p") else singles[n]
-    return single, sum((manys[i] * c for i, c in kernel), manys[0] * 0)
+    acc, addmul = manys[0] * 0, getattr(type(manys[0]), "addmul", None)
+    for i, c in kernel:
+        acc = addmul(acc, c, manys[i]) if addmul else acc + manys[i] * c
+    return single, acc
 
 
 def _single_at(n, singles, manys):

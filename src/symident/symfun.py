@@ -4,9 +4,10 @@ prod (1 + z_j y), prod 1/(1 - z_j y) and sum_j 1/(1 - z_j y) truncated at
 y^n.
 
 All routines take a PointVector and work by duck typing: the entries only
-have to support +, -, * (with int) and ** on nonnegative exponents.  This
-lets one code path evaluate over rationals, Laurent polynomials, or
-cyclotomic integers.
+have to support +, -, * (with int) and ** on nonnegative exponents, and may
+give a fused acc.addmul(a, b) = acc + a * b for the prefix recurrences to
+step with.  This lets one code path evaluate over rationals, Laurent
+polynomials, or cyclotomic integers.
 
 Conventions fixed here once and used everywhere downstream:
 
@@ -76,14 +77,14 @@ def symbolic_vectors(r: int):
 
 def elementary_prefix(nmax: int, v: PointVector) -> list:
     """[e_0, ..., e_nmax] by coefficient extraction from prod (1 + z_j y)."""
-    one, zero = v.one, v.zero
+    one, zero, addmul = v.one, v.zero, getattr(type(v[0]), "addmul", None)
     top = min(nmax, v.arity)
     e = [one] + [zero] * top
     count = 0
     for z in v:
         count += 1
         for k in range(min(count, top), 0, -1):
-            e[k] = e[k] + z * e[k - 1]
+            e[k] = addmul(e[k], z, e[k - 1]) if addmul else e[k] + z * e[k - 1]
     return e + [zero] * (nmax - top)
 
 
@@ -99,11 +100,11 @@ def elementary(n: int, v: PointVector):
 
 def complete_prefix(nmax: int, v: PointVector) -> list:
     """[h_0, ..., h_nmax] by coefficient extraction from prod 1/(1 - z_j y)."""
-    one, zero = v.one, v.zero
+    one, zero, addmul = v.one, v.zero, getattr(type(v[0]), "addmul", None)
     h = [one] + [zero] * nmax
     for z in v:
         for k in range(1, nmax + 1):
-            h[k] = h[k] + z * h[k - 1]
+            h[k] = addmul(h[k], z, h[k - 1]) if addmul else h[k] + z * h[k - 1]
     return h
 
 

@@ -11,28 +11,32 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 
 
-def brute_elementary(n, values):
+def brute_elementary(n, values, one=Fraction(1)):
+    """Sum over n-subsets of the entries of their products; ``one`` is the
+    unit of the entries' ring, so Laurent entries work too."""
     if n == 0:
-        return Fraction(1)
+        return one
     if n < 0 or n > len(values):
-        return Fraction(0)
-    total = Fraction(0)
+        return one * 0
+    total = one * 0
     for combo in combinations(values, n):
-        prod = Fraction(1)
+        prod = one
         for x in combo:
             prod *= x
         total += prod
     return total
 
 
-def brute_complete(n, values):
+def brute_complete(n, values, one=Fraction(1)):
+    """Sum over n-multisets of the entries of their products; ``one`` as in
+    brute_elementary."""
     if n == 0:
-        return Fraction(1)
+        return one
     if n < 0:
         raise ValueError("brute oracle only covers n >= 0")
-    total = Fraction(0)
+    total = one * 0
     for combo in combinations_with_replacement(values, n):
-        prod = Fraction(1)
+        prod = one
         for x in combo:
             prod *= x
         total += prod

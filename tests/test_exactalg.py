@@ -446,6 +446,112 @@ class TestPackedLaurent:
         assert (edge + MultiLaurent.variable(0, 3)).bound == top
 
 
+def terms_sum(x, y):
+    """Two coefficient dicts added key by key, zeros dropped."""
+    out = dict(x)
+    for e, c in y.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def const_terms(c, nvars):
+    return {(0,) * nvars: c} if c else {}
+
+
+class TestFusedAddMul:
+    """acc.addmul(a, b) is acc + a * b in one pass: checked against the
+    tuple-keyed schoolbook product and against the two-step expression."""
+
+    INTS = (0, 1, -1, 3)
+
+    def test_multilaurent_matches_schoolbook(self):
+        rng = random.Random(31)
+        for nvars in (1, 3):
+            ops = laurent_operands(rng, nvars)
+            for acc in ops:
+                for a in ops + list(self.INTS):
+                    at = a.coeffs if isinstance(a, MultiLaurent) else const_terms(a, nvars)
+                    for b in ops:
+                        got = acc.addmul(a, b)
+                        want = terms_sum(acc.coeffs, brute_laurent_mul(at, b.coeffs))
+                        assert got.coeffs == want, (acc, a, b)
+                        assert got == acc + a * b and hash(got) == hash(acc + a * b)
+                for b in ops:
+                    negated = {e: -c for e, c in b.coeffs.items()}
+                    assert (acc - b).coeffs == terms_sum(acc.coeffs, negated), (acc, b)
+
+    def test_unilaurent_matches_schoolbook(self):
+        rng = random.Random(32)
+        ops = [UniLaurent.zero(), UniLaurent.one(), UniLaurent.monomial(-5, 3),
+               UniLaurent.monomial(2 ** 70, -4)]
+        ops += [rand_unilaurent(rng, terms) for terms in (2, 3, 6, 10) for _ in range(2)]
+        for acc in ops:
+            for a in ops + list(self.INTS):
+                at = as_multi(a) if isinstance(a, UniLaurent) else const_terms(a, 1)
+                for b in ops:
+                    got = acc.addmul(a, b)
+                    want = terms_sum(as_multi(acc), brute_laurent_mul(at, as_multi(b)))
+                    assert as_multi(got) == want, (acc, a, b)
+                    assert got == acc + a * b and hash(got) == hash(acc + a * b)
+            for b in ops:
+                negated = {e: -c for e, c in as_multi(b).items()}
+                assert as_multi(acc - b) == terms_sum(as_multi(acc), negated), (acc, b)
+
+    def test_cancels_to_zero(self):
+        z = [MultiLaurent.variable(i, 2) for i in range(2)]
+        x, y = z[0] + 3 * z[1] ** -1, z[0] - z[1]
+        q = UniLaurent.monomial(1, 1)
+        u, w = q + 2, q ** -3 - 5 * q
+        for acc, a, b in ((-(x * y), x, y), (-(x * 3), 3, x), (x, -1, x),
+                          (-(u * w), u, w), (u, -1, u), (w * -3, w, 3)):
+            got = acc.addmul(a, b)
+            assert got == 0 and hash(got) == hash(0) and len({got, 0}) == 1, (acc, a, b)
+            assert got.coeffs == {}, (acc, a, b)
+
+    def test_running_sum_passes_through_zero(self):
+        # acc = q and (q - 1)(q + 1): the q^1 coefficient goes 1 -> 0 -> 1 when
+        # the -1 term of a meets b first, so the key is dropped and put back
+        want = {2: 1, 1: 1, 0: -1}
+        for a, b in (({0: -1, 1: 1}, {1: 1, 0: 1}), ({1: 1, 0: -1}, {0: 1, 1: 1})):
+            for x, y in ((a, b), (b, a)):
+                got = UniLaurent({1: 1}).addmul(UniLaurent(x), UniLaurent(y))
+                assert got.coeffs == want, (x, y)
+                m = MultiLaurent(2, {(e, -e): c for e, c in x.items()})
+                n = MultiLaurent(2, {(e, -e): c for e, c in y.items()})
+                got = MultiLaurent(2, {(1, -1): 1}).addmul(m, n)
+                assert got.coeffs == {(e, -e): c for e, c in want.items()}, (x, y)
+
+    def test_bound_rule(self):
+        def v(i, e):
+            return MultiLaurent.variable(i, 3, e)
+        for acc, a, b in ((v(0, 5), v(1, -2), v(0, 1)), (v(0, 1), v(1, 3), v(2, -4)),
+                          (v(2, 6), 7, v(1, -2)), (v(2, 1), 0, v(1, 9)),
+                          (MultiLaurent.zero(3), v(0, 2), v(0, -2))):
+            a_bound = a.bound if isinstance(a, MultiLaurent) else 0
+            assert acc.addmul(a, b).bound == max(acc.bound, a_bound + b.bound), (acc, a, b)
+        # a bound that reaches 2^31 is refused, as for a product
+        with pytest.raises(ValueError):
+            v(0, 1).addmul(v(1, 2 ** 30), v(1, 2 ** 30))
+        with pytest.raises(ValueError):
+            MultiLaurent.zero(3).addmul(v(0, 2 ** 31 - 1), v(2, 1))
+
+    def test_mixed_variable_counts_rejected(self):
+        z2, z3 = MultiLaurent.variable(0, 2), MultiLaurent.variable(0, 3)
+        for acc, a, b in ((z2, z3, z3), (z2, z2, z3), (z2, z3, z2), (z3, 2, z2)):
+            with pytest.raises(ValueError, match="mixed variable counts"):
+                acc.addmul(a, b)
+
+    def test_subtraction_builds_no_negation(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("__sub__ negated its operand")
+        z = MultiLaurent.variable(0, 2)
+        q = UniLaurent.monomial(1, 1)
+        monkeypatch.setattr(MultiLaurent, "__neg__", refuse)
+        monkeypatch.setattr(UniLaurent, "__neg__", refuse)
+        assert (z - z ** 2 - 4).coeffs == {(1, 0): 1, (2, 0): -1, (0, 0): -4}
+        assert (q - q ** 2 - 4).coeffs == {1: 1, 2: -1, 0: -4}
+
+
 class TestPower:
     """One binary powering routine serves every ring."""
 

@@ -171,6 +171,63 @@ class TestGenfun:
                     assert p[n - 1] == power(n, v)
 
 
+def two_step_prefixes(nmax, v):
+    """[e_0..e_nmax] and [h_0..h_nmax] by the recurrences written with
+    acc + z * x, the step every ring without a fused addmul takes."""
+    one, zero = v.one, v.zero
+    e, h = [one] + [zero] * nmax, [one] + [zero] * nmax
+    for count, z in enumerate(v, 1):
+        for k in range(min(count, nmax), 0, -1):
+            e[k] = e[k] + z * e[k - 1]
+        for k in range(1, nmax + 1):
+            h[k] = h[k] + z * h[k - 1]
+    return e, h
+
+
+class TestFusedPrefixSteps:
+    """Laurent prefixes step with the fused addmul; other rings keep the
+    acc + z * x step and its values."""
+
+    def test_symbolic_against_enumeration(self):
+        for r in (2, 3):
+            for v in symbolic_vectors(r):
+                es, hs = elementary_prefix(8, v), complete_prefix(8, v)
+                for n in range(9):
+                    assert es[n] == brute_elementary(n, v.entries, v.one), (r, v, n)
+                    assert hs[n] == brute_complete(n, v.entries, v.one), (r, v, n)
+
+    def test_other_rings_unchanged(self):
+        rng = random.Random(41)
+        vectors = [PointVector([2, -3, 5, 1]), rand_vector(rng, 4),
+                   doubled_roots_vector(3), shifted_roots_vector(4)]
+        for v in vectors:
+            assert getattr(type(v[0]), "addmul", None) is None
+            for nmax in (0, 3, 9):
+                got = elementary_prefix(nmax, v), complete_prefix(nmax, v)
+                want = two_step_prefixes(nmax, v)
+                assert got == want, (v, nmax)
+                assert [list(map(type, x)) for x in got] == \
+                    [list(map(type, x)) for x in want], (v, nmax)
+
+    def test_laurent_steps_make_no_products(self, monkeypatch):
+        _, doubled, shifted = symbolic_vectors(3)
+        q = UniLaurent.monomial(1, 1)
+        q_vector = PointVector([q ** 2 + q ** -2, q + q ** -1])
+        for v in (doubled, shifted, q_vector):
+            want = two_step_prefixes(6, v)
+            ring, calls = type(v[0]), []
+            mul = ring.__mul__
+
+            def counted(a, b, mul=mul):
+                calls.append(1)
+                return mul(a, b)
+
+            monkeypatch.setattr(ring, "__mul__", counted)
+            assert (elementary_prefix(6, v), complete_prefix(6, v)) == want
+            assert calls == [], ring
+            monkeypatch.undo()
+
+
 class TestClebschGordan:
     def test_laurent_identity(self):
         # (z + 1/z)^n (z - 1/z) = sum_k ballot(n,k) (z^(n-2k+1) - z^(2k-n-1))
