@@ -9,8 +9,8 @@ verify runs one suite of the table ``suites.SUITES`` at its default window
 with the given options laid over it; table and verify refuse an option the
 table kind or the suite does not take; report --all runs
 ``suites.battery``.  Exit codes: 0 all checks passed, 1 at least one check
-failed (the counterexamples are in the rendered report), 2 usage or
-configuration error.  With the same arguments and seed the rendered output
+failed or raised (the counterexamples, or the exceptions, are in the
+rendered report), 2 usage or configuration error.  With the same arguments and seed the rendered output
 is byte-identical across runs; wall-clock timings only appear when asked
 for with --timings.
 """

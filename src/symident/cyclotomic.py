@@ -5,34 +5,34 @@ Working modulo the cyclotomic polynomial (rather than x^m - 1) keeps the
 ring an integral domain, so "this element is a rational integer" is
 decidable by looking at the coordinates.
 
-Products run on the Kronecker-substitution kernel of ``exactalg``: each
-pair of operands is packed into big ints, and a dot product
-``CycInt.dot(xs, ys)`` adds the big-int products of all its pairs before
-one unpack, so it is reduced once rather than once per product (a single
-product, or a determinant from its row-0 cofactors, is one dot), and
-``CycInt.krylov`` runs the Krylov pass of a Berkowitz step on the same
-kernel (``exactalg._int_poly_krylov``).  A packed sum is folded modulo
-x^m - 1 (which Phi_m divides) before it is unpacked.  A product with a
-sparse factor is not packed: when the factor is a signed root of unity
-+-x^e (e < m; looked up by its coordinates, which are dense for e >= deg
-Phi_m) or has at most two nonzero coordinates, the product is the sum
-over its terms c x^e of c times the other operand shifted cyclically by
-e modulo x^m - 1, reduced once.
+A value is stored as any polynomial of degree below m in its class modulo
+x^m - 1, which Phi_m divides.  It is reduced modulo Phi_m only when it is
+observed (==, hash, ``coords``, repr, ``is_rational_integer``, or as an
+input of the packed kernels), and the canonical coordinates are kept.
+Sums, differences, negations and int multiples map over the stored
+tuples, and a product with a factor of at most two nonzero stored
+coordinates is the sum over its terms c x^e of c times the other operand
+shifted cyclically by e; none of these is reduced.  ``field.zeta(j)`` is
+the one term x^j, so a doubled root has one stored term, a shifted root
+two, and the fused ``addmul`` step of the prefix recurrences is one pass.
 
-The remaining degrees m-1 .. deg Phi_m are then cancelled, if any is
-nonzero, leaving the canonical remainder.  For m a power of a prime p,
-Phi_m = 1 + x^w + ... + x^(m-w) with w = m/p (all ones for prime m), and
-one pass cancels them; for other m each is cancelled in turn against the
-nonzero terms of Phi_m.  Sums, differences and negations map over the
-coordinate tuples, and results are built without re-validating their
-coordinates.
+Other products run on the Kronecker-substitution kernel of ``exactalg``,
+over canonical coordinates: a dot product ``CycInt.dot(xs, ys)`` adds the
+big-int products of all its pairs before one unpack and one reduction (a
+single product is a one-pair dot), and ``CycInt.krylov`` runs the Krylov
+pass of a Berkowitz step on it (``exactalg._int_poly_krylov``).  A packed
+sum is folded modulo x^m - 1 before it is unpacked; the results are
+canonical, so slot widths do not grow.  A reduction cancels the degrees
+m-1 .. deg Phi_m: in one pass for m a power of a prime p, where Phi_m = 1 +
+x^w + ... + x^(m-w) with w = m/p, and else each in turn against the
+nonzero terms of Phi_m.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, cycle
-from operator import add, neg, sub
+from itertools import chain, compress, cycle, repeat
+from operator import add, mul, neg, sub
 
 from .exactalg import _int_poly_dot, _int_poly_krylov, _power, _unpack, det_cofactor
 from .symfun import PointVector
@@ -78,9 +78,9 @@ def cyclotomic_poly(m: int) -> tuple:
 
 
 class CycField:
-    """The ring Z[x]/Phi_m(x); elements are CycInt values in the power basis."""
+    """The ring Z[x]/Phi_m(x); elements are CycInt values."""
 
-    __slots__ = ("m", "phi", "degree", "_tail", "_period", "_units")
+    __slots__ = ("m", "phi", "degree", "_tail", "_period", "_pad")
 
     def __init__(self, m: int):
         self.m = m
@@ -94,39 +94,23 @@ class CycField:
         w = m - self.degree
         self._period = w if w and self.phi == tuple(
             int(j % w == 0) for j in range(self.degree + 1)) else 0
-        # canonical coordinates of +-x^e -> ((e, +-1),); + wins where
-        # -x^e = x^(e + m/2)
-        d = self.degree
-        units = [tuple(int(i == e) for i in range(d)) for e in range(d)]
-        units += [self._reduce([0] * e + [1]) for e in range(d, m)]
-        self._units = {tuple(map(neg, u)): ((e, -1),) for e, u in enumerate(units)}
-        self._units.update({u: ((e, 1),) for e, u in enumerate(units)})
+        self._pad = (0,) * w  # the stored coordinates d .. m-1 of a canonical value
 
-    def _reduce(self, coeffs: list) -> tuple:
-        """Canonical coordinates of sum_i coeffs[i] x^i; may consume coeffs."""
-        m, d, w = self.m, self.degree, self._period
-        if len(coeffs) > m:  # fold modulo x^m - 1
-            out = coeffs[:m]
-            for i in range(m, len(coeffs), m):
-                hi = coeffs[i:i + m]
-                out[:len(hi)] = map(add, out, hi)
-        else:
-            out = coeffs
-        if w and len(out) > d:
+    def _reduce(self, out: list) -> tuple:
+        """Canonical coordinates of sum_i out[i] x^i, for m coefficients;
+        may consume out."""
+        d, w = self.degree, self._period
+        if w:
             # m is a prime power, so d = m - w and, in one pass, x^(d+j) =
             # -(x^j + x^(w+j) + ... + x^(d-w+j)) for j < w
-            out.extend([0] * (m - len(out)))
             return tuple(map(sub, out[:d], cycle(out[d:])))
-        for top in range(len(out) - 1, d - 1, -1):
+        for top in range(self.m - 1, d - 1, -1):
             c = out[top]
             if c:
                 shift = top - d
                 for j, p in self._tail:
                     out[shift + j] -= c * p
-        if len(out) > d:
-            del out[d:]
-        else:
-            out.extend([0] * (d - len(out)))
+        del out[d:]
         return tuple(out)
 
     def _unpack(self, packed: int, k: int) -> tuple:
@@ -155,30 +139,31 @@ class CycField:
         i + m is fixed by each coordinate of the other."""
         return _int_poly_dot(xs, ys, self._unpack)
 
-    def _rotate(self, coords, factor):
-        """Canonical coordinates of coords times a sparse factor (see the
-        module header), or None for any other factor."""
-        terms = self._units.get(factor)
-        if terms is None:
-            if factor.count(0) < len(factor) - 2:
+    def _shifted(self, acc, a, b):
+        """acc + a * b modulo x^m - 1 on stored coordinates (acc None for
+        0), in one pass over cyclic shifts of b when a has at most two
+        nonzero coordinates, else of a when b has; None when neither has."""
+        m = self.m
+        if a.count(0) < m - 2:
+            a, b = b, a
+            if a.count(0) < m - 2:
                 return None
-            terms = [(e, c) for e, c in enumerate(factor) if c]
-        m, d = self.m, self.degree
-        pad = list(coords) + [0] * (m - d)
-        out = None
-        for e, c in terms:
-            t = pad[-e:] + pad[:-e]
+        out = acc
+        for e in compress(range(m), a):
+            c, t = a[e], b[-e:] + b[:-e]  # t = b x^e
             if out is None:
-                out = t if c == 1 else list(map(neg, t)) if c == -1 else [c * a for a in t]
+                out = t if c == 1 else map(neg, t) if c == -1 else map(mul, t, repeat(c))
             else:
-                out = list(map(add, out, t) if c == 1 else map(sub, out, t) if c == -1
-                           else (a + c * b for a, b in zip(out, t)))
-        if out is None:  # the zero factor
-            return (0,) * d
-        return self._reduce(out) if any(out[d:]) else tuple(out[:d])
+                out = map(add, out, t) if c == 1 else map(sub, out, t) if c == -1 \
+                    else map(add, out, map(mul, t, repeat(c)))
+        return (0,) * m if out is None else tuple(out)
 
     def element(self, coords) -> "CycInt":
-        return _cyc(self, self._reduce(list(coords)))
+        """The class of sum_i coords[i] x^i, stored folded modulo x^m - 1."""
+        out = [0] * self.m
+        for i, c in enumerate(coords):
+            out[i % self.m] += c
+        return _cyc(self, tuple(out))
 
     def from_int(self, c: int) -> "CycInt":
         return self.element([c])
@@ -188,7 +173,8 @@ class CycField:
         return self.from_int(1)
 
     def zeta(self, j: int = 1) -> "CycInt":
-        """The class of x^j, a primitive m-th root of unity for gcd(j,m)=1."""
+        """The class of x^j, stored as that one term; a primitive m-th root
+        of unity for gcd(j,m)=1."""
         j %= self.m
         return self.element([0] * j + [1])
 
@@ -203,15 +189,27 @@ class CycField:
 
 
 class CycInt:
-    """Element of Z[x]/Phi_m(x), stored as power-basis coordinates."""
+    """Element of Z[x]/Phi_m(x).  ``rep`` holds the m coefficients of one
+    polynomial of its class modulo x^m - 1; ``coords``, the canonical
+    power-basis coordinates (the remainder modulo Phi_m), are computed when
+    first read and kept."""
 
-    __slots__ = ("field", "coords")
+    __slots__ = ("field", "rep", "_coords")
 
     def __init__(self, field: CycField, coords):
-        self.field = field
-        self.coords = tuple(coords)
-        if len(self.coords) != field.degree:
+        coords = tuple(coords)
+        if len(coords) != field.degree:
             raise ValueError("coordinate vector of wrong length")
+        self.field, self.rep, self._coords = field, coords + field._pad, coords
+
+    @property
+    def coords(self) -> tuple:
+        c = self._coords
+        if c is None:
+            rep, field = self.rep, self.field
+            d = field.degree
+            c = self._coords = field._reduce(list(rep)) if any(rep[d:]) else rep[:d]
+        return c
 
     def _same_field(self, other: "CycInt") -> CycField:
         field = self.field
@@ -221,21 +219,21 @@ class CycInt:
 
     def __add__(self, other):
         if isinstance(other, CycInt):
-            return _cyc(self._same_field(other), tuple(map(add, self.coords, other.coords)))
+            return _cyc(self._same_field(other), tuple(map(add, self.rep, other.rep)))
         if isinstance(other, int):  # the class of c is (c, 0, ..., 0)
-            return _cyc(self.field, (self.coords[0] + other,) + self.coords[1:])
+            return _cyc(self.field, (self.rep[0] + other,) + self.rep[1:])
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _cyc(self.field, tuple(map(neg, self.coords)))
+        return _cyc(self.field, tuple(map(neg, self.rep)))
 
     def __sub__(self, other):
         if isinstance(other, CycInt):
-            return _cyc(self._same_field(other), tuple(map(sub, self.coords, other.coords)))
+            return _cyc(self._same_field(other), tuple(map(sub, self.rep, other.rep)))
         if isinstance(other, int):
-            return _cyc(self.field, (self.coords[0] - other,) + self.coords[1:])
+            return _cyc(self.field, (self.rep[0] - other,) + self.rep[1:])
         return NotImplemented
 
     def __rsub__(self, other):
@@ -243,17 +241,27 @@ class CycInt:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return _cyc(self.field, tuple([a * other for a in self.coords]))
+            return _cyc(self.field, tuple([a * other for a in self.rep]))
         if not isinstance(other, CycInt):
             return NotImplemented
         field = self._same_field(other)
-        a, b = self.coords, other.coords
-        out = field._rotate(b, a)
+        out = field._shifted(None, self.rep, other.rep)
         if out is None:
-            out = field._rotate(a, b)
-        return _cyc(field, field._dot((a,), (b,)) if out is None else out)
+            return _canonical(field, field._dot((self.coords,), (other.coords,)))
+        return _cyc(field, out)
 
     __rmul__ = __mul__
+
+    def addmul(self, a, b):
+        """self + a * b, in one pass when a or b has at most two nonzero
+        stored coordinates (as the doubled and the shifted roots have)."""
+        if isinstance(a, CycInt) and isinstance(b, CycInt):
+            field = self._same_field(a)
+            self._same_field(b)
+            out = field._shifted(self.rep, a.rep, b.rep)
+            if out is not None:
+                return _cyc(field, out)
+        return self + a * b
 
     @staticmethod
     def dot(xs, ys):
@@ -263,7 +271,7 @@ class CycInt:
         field = _field_of(chain(xs, ys))
         if field is None:
             return sum(x * y for x, y in zip(xs, ys))
-        return _cyc(field, field._dot(_coords_in(field, xs), _coords_in(field, ys)))
+        return _canonical(field, field._dot(_coords_in(field, xs), _coords_in(field, ys)))
 
     @staticmethod
     def krylov(R, A, v):
@@ -274,7 +282,7 @@ class CycInt:
         once (the slot widths cover the folded sums as in
         ``CycField._dot``).  At least one entry must be a CycInt."""
         field = _field_of(chain(R, v, chain.from_iterable(A)))
-        return [_cyc(field, x) for x in _int_poly_krylov(
+        return [_canonical(field, x) for x in _int_poly_krylov(
             _coords_in(field, R), [_coords_in(field, row) for row in A], _coords_in(field, v),
             field._unpack)]
 
@@ -302,11 +310,17 @@ class CycInt:
         return "CycInt(m=%d, %r)" % (self.field.m, self.coords)
 
 
-def _cyc(field: CycField, coords: tuple) -> CycInt:
-    # a CycInt from canonical coordinates, without CycInt.__init__'s check
+def _cyc(field: CycField, rep: tuple, coords=None) -> CycInt:
+    # a CycInt from m stored coordinates and, if known, its canonical ones,
+    # without CycInt.__init__'s check
     x = object.__new__(CycInt)
-    x.field, x.coords = field, coords
+    x.field, x.rep, x._coords = field, rep, coords
     return x
+
+
+def _canonical(field: CycField, coords: tuple) -> CycInt:
+    # a CycInt from canonical coordinates
+    return _cyc(field, coords + field._pad, coords)
 
 
 def _field_of(values):

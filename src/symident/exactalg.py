@@ -482,14 +482,14 @@ class UniLaurent:
     def __pow__(self, n):
         if not isinstance(n, int):
             raise ValueError("polynomial powers take integer exponents")
-        if n < 0:
-            if len(self.coeffs) != 1:
-                raise ValueError("only monomials have Laurent inverses")
-            (e, c), = self.coeffs.items()
-            if c * c != 1:
-                raise ValueError("coefficient %d is not invertible" % c)
-            return UniLaurent({e * n: c ** (n & 1)})
-        return _power(self, n) if n else UniLaurent.one()
+        if n < 0 and len(self.coeffs) != 1:
+            raise ValueError("only monomials have Laurent inverses")
+        if not n or len(self.coeffs) != 1:
+            return _power(self, n) if n else UniLaurent.one()
+        (e, c), = self.coeffs.items()  # a monomial's power is one term
+        if n < 0 and c * c != 1:
+            raise ValueError("coefficient %d is not invertible" % c)
+        return self._of({e * n: c ** abs(n)})
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -524,12 +524,14 @@ class MultiLaurent:
 
     The terms are a map from packed exponent keys (see ``_pack``) to nonzero
     coefficients.  ``bound`` is an upper bound on every |exponent|: the max
-    of the operands' for a sum, their sum for a product (the exact largest
-    |exponent| of a product of monomials whose sum reaches 2^31), times |n|
-    for a negative n-th power, max(bound, a.bound + b.bound) for the fused
-    self + a * b of ``addmul(a, b)``.  A value whose bound reaches 2^31
-    raises ValueError, so distinct exponent vectors always have distinct
-    keys.  ``coeffs`` gives the terms keyed by exponent tuples of length nvars.
+    of the operands' for a sum, their sum for a product, |n| times it for
+    the n-th power of a monomial (one term; a power of any other value is
+    repeated products), max(bound, a.bound + b.bound) for the fused self +
+    a * b of ``addmul(a, b)``.  Where the bound of a product of monomials
+    or of a monomial's power reaches 2^31, it is taken exactly from the
+    keys.  A value whose bound reaches 2^31 raises ValueError, so distinct
+    exponent vectors always have distinct keys.  ``coeffs`` gives the terms
+    keyed by exponent tuples of length nvars.
     """
 
     __slots__ = ("nvars", "bound", "_terms")
@@ -642,14 +644,17 @@ class MultiLaurent:
     def __pow__(self, n):
         if not isinstance(n, int):
             raise ValueError("polynomial powers take integer exponents")
-        if n < 0:
-            if len(self._terms) != 1:
-                raise ValueError("only monomials have Laurent inverses")
-            (k, c), = self._terms.items()
-            if c * c != 1:
-                raise ValueError("coefficient %d is not invertible" % c)
-            return self._of({k * n: c ** (n & 1)}, self.bound * -n)
-        return _power(self, n) if n else MultiLaurent.one(self.nvars)
+        if n < 0 and len(self._terms) != 1:
+            raise ValueError("only monomials have Laurent inverses")
+        if not n or len(self._terms) != 1:
+            return _power(self, n) if n else MultiLaurent.one(self.nvars)
+        (k, c), = self._terms.items()  # a monomial's power is one term
+        if n < 0 and c * c != 1:
+            raise ValueError("coefficient %d is not invertible" % c)
+        bound = self.bound * abs(n)
+        if bound >= 1 << (_EXP_BITS - 1):  # n times the exact largest |exponent|
+            bound = abs(n) * max(map(abs, _unpack(k, _EXP_BITS, self.nvars)))
+        return self._of({k * n: c ** abs(n)}, bound)
 
     def __truediv__(self, other):
         other = self._coerce(other)

@@ -55,7 +55,7 @@ class VerifyMode:
 class CheckReport:
     check: str
     params: dict
-    status: str  # "pass" | "fail"
+    status: str  # "pass" | "fail" | "error"
     counterexample: Optional[str] = None
     elapsed: float = field(default=0.0, compare=False)
 

@@ -13,6 +13,8 @@ function patched on its module is the one that runs.
 
 from __future__ import annotations
 
+import inspect
+import os
 import time
 from fractions import Fraction
 
@@ -33,6 +35,33 @@ def _families_and_mode(family, mode, trials, seed):
     if family in ("e", "h", "p"):
         return (family,), verify_mode
     raise ValueError("family must be e, h, p or all")
+
+
+def _guarded(check, *args):
+    """check(*args), or, if it raises anything but ValueError (a usage
+    error), an "error" report that names the check, its int and str
+    arguments, the exception and the line that raised it, so that the run
+    still renders (exit 1)."""
+    t0 = time.perf_counter()
+    try:
+        return check(*args)
+    except ValueError:
+        raise
+    except Exception as exc:
+        named = inspect.signature(check).bind(*args).arguments
+        at = exc.__traceback__
+        while at.tb_next:
+            at = at.tb_next
+        code = at.tb_frame.f_code
+        where = "%s:%d in %s" % (os.path.basename(code.co_filename), at.tb_lineno, code.co_name)
+        return identities.CheckReport(
+            check.__name__, {k: v for k, v in named.items() if isinstance(v, (int, str))},
+            "error", "%s: %s (%s)" % (type(exc).__name__, exc, where), time.perf_counter() - t0)
+
+
+def _each(check, firsts, *rest):
+    """The guarded check(x, *rest) for each x of firsts."""
+    return [_guarded(check, x, *rest) for x in firsts]
 
 
 def _charged(reports, t0, built):
@@ -62,8 +91,9 @@ def suite_expansion(direction, rs, top, families, mode):
                 _, doubled, shifted = symfun.symbolic_vectors(r)
                 values = identities._expansion_values(direction, fam, hi, doubled, shifted)
             built = time.perf_counter()
-            out += _charged([identities.expansion_check(direction, fam, r, n, mode, values)
-                             for n in range(1 if fam == "p" else 0, hi + 1)], t0, built)
+            out += _charged([_guarded(identities.expansion_check, direction, fam, r, n, mode,
+                                      values) for n in range(1 if fam == "p" else 0, hi + 1)],
+                            t0, built)
     return out
 
 
@@ -138,8 +168,8 @@ def suite_principal(rs, n_max):
     for r in rs:
         for n in range(0, n_max + 1):
             for family in ("e", "h", "p") if n else ("e", "h"):
-                out.append(identities.principal_spec(family, r, n))
-        out.append(identities.principal_combination_check(r, n_max))
+                out.append(_guarded(identities.principal_spec, family, r, n))
+        out.append(_guarded(identities.principal_combination_check, r, n_max))
     return out
 
 
@@ -183,7 +213,7 @@ def suite_roots(rs):
         except ArithmeticError as exc:
             fails = [str(exc)]
         out.append(identities._report("roots_char_coeffs", {"r": r}, fails, t0))
-        out.append(identities.unit_binomial_sum_check(r))
+        out.append(_guarded(identities.unit_binomial_sum_check, r))
     return out
 
 
@@ -213,9 +243,9 @@ def suite_inversion(rs, n_max):
         built = time.perf_counter()
         row = []
         for n in range(0, n_max + 1):
-            row.append(sequences.inversion_check_F(r, n, F))
+            row.append(_guarded(sequences.inversion_check_F, r, n, F))
             if n >= 1:
-                row.append(sequences.inversion_check_L(r, n, L))
+                row.append(_guarded(sequences.inversion_check_L, r, n, L))
         out += _charged(row, t0, built)
     return out
 
@@ -234,7 +264,7 @@ def suite_congruence(r, q, n_max, k_max):
         raise ValueError("congruence with --q needs a single --r")
     else:
         pairs = [(r[0], q)]
-    return [sequences.congruence_check(pr, pq, n_max, k_max) for pr, pq in pairs]
+    return [_guarded(sequences.congruence_check, pr, pq, n_max, k_max) for pr, pq in pairs]
 
 
 _EXPANSION_OPTIONS = {"family": "all", "mode": "symbolic", "trials": 5, "seed": None}
@@ -250,43 +280,40 @@ SUITES = {
                     suite_expansion("second", r, n_max, *_families_and_mode(**opts)),
                     dict(r=(1, 2, 3), n_max=None, **_EXPANSION_OPTIONS)),
     "genfun-transfer": (lambda r, order:
-                        [identities.genfun_transfer_check(x, 2 * x + 4 if order is None
-                                                          else order) for x in r],
+                        [_guarded(identities.genfun_transfer_check, x,
+                                  2 * x + 4 if order is None else order) for x in r],
                         {"r": (1, 2, 3), "order": None}),
     "series": (suite_series, {"order": 30, "alpha_max": 8}),
     "principal": (lambda r, n_max: suite_principal(r, n_max),
                   {"r": (1, 2, 3, 4), "n_max": 10}),
     "principal-combined": (lambda r, bound:
-                           [identities.principal_combination_check(x, bound) for x in r],
+                           _each(identities.principal_combination_check, r, bound),
                            {"r": (1, 2, 3, 4), "bound": 10}),
-    "binomial-unit": (lambda r: [identities.unit_binomial_sum_check(x) for x in r],
+    "binomial-unit": (lambda r: _each(identities.unit_binomial_sum_check, r),
                       {"r": range(1, 9)}),
     "roots": (lambda r: suite_roots(r), {"r": range(1, 9)}),
     "discriminant": (lambda r: suite_discriminant(r), {"r": (1, 2, 3, 5, 6)}),
-    "cross-oracle": (lambda r, n_max: [sequences.cross_oracle_check(x, n_max) for x in r],
+    "cross-oracle": (lambda r, n_max: _each(sequences.cross_oracle_check, r, n_max),
                      {"r": range(1, 9), "n_max": 60}),
     "inversion": (lambda r, n_max: suite_inversion(r, n_max),
                   {"r": range(1, 9), "n_max": 60}),
-    "fibonacci-sums": (lambda bound: [sequences.fibonacci_sums_check(bound)],
+    "fibonacci-sums": (lambda bound: _each(sequences.fibonacci_sums_check, [bound]),
                        {"bound": 60}),
-    "lucas-sums": (lambda bound: [sequences.lucas_sums_check(bound)], {"bound": 60}),
+    "lucas-sums": (lambda bound: _each(sequences.lucas_sums_check, [bound]), {"bound": 60}),
     "congruence": (suite_congruence, {"r": None, "q": None, "n_max": 200, "k_max": 3}),
-    "determinants": (lambda r, n_max:
-                     [sequences.determinant_formulas_check(x, n_max) for x in r],
+    "determinants": (lambda r, n_max: _each(sequences.determinant_formulas_check, r, n_max),
                      {"r": (1, 2, 3), "n_max": 8}),
-    "genfun-sequences": (lambda r, order:
-                         [sequences.sequence_genfun_check(x, order) for x in r],
+    "genfun-sequences": (lambda r, order: _each(sequences.sequence_genfun_check, r, order),
                          {"r": (1, 2, 3, 4, 5, 6), "order": 30}),
     "partition-relations": (lambda r, n_max:
-                            [sequences.partition_relations_check(x, n_max) for x in r],
+                            _each(sequences.partition_relations_check, r, n_max),
                             {"r": (1, 2, 3), "n_max": 12}),
-    "initial-block": (lambda r: [sequences.initial_block_check(x) for x in r],
+    "initial-block": (lambda r: _each(sequences.initial_block_check, r),
                       {"r": range(1, 9)}),
     "consistency": (lambda r, m_max:
-                    [identities.composition_consistency_check(x, m_max) for x in r],
+                    _each(identities.composition_consistency_check, r, m_max),
                     {"r": (1, 2), "m_max": 6}),
-    "tables": (lambda: [sequences.compare_with_golden(k) for k in ("cnk", "fib", "lucas")],
-               {}),
+    "tables": (lambda: _each(sequences.compare_with_golden, ("cnk", "fib", "lucas")), {}),
 }
 
 # report --all: every suite at its default window, and the expansion

@@ -177,27 +177,31 @@ def brute_cyclotomic_poly(m):
     return num
 
 
+def brute_cyclotomic_reduce(m, coeffs):
+    """Coordinates in Z[x]/Phi_m of the polynomial with the given ascending
+    coefficients, of any length: its remainder by Phi_m."""
+    phi = brute_cyclotomic_poly(m)
+    _, rem = _poly_divmod_monic(list(coeffs), phi)
+    return rem + [0] * (len(phi) - 1 - len(rem))
+
+
 def brute_cyclotomic_mul(m, a, b):
     """Coordinates of a * b in Z[x]/Phi_m: the full convolution, then its
     remainder by Phi_m."""
-    phi = brute_cyclotomic_poly(m)
-    _, rem = _poly_divmod_monic(_poly_mul(list(a), list(b)), phi)
-    return rem + [0] * (len(phi) - 1 - len(rem))
+    return brute_cyclotomic_reduce(m, _poly_mul(list(a), list(b)))
 
 
 def brute_cyclotomic_dot(m, xs, ys):
     """Coordinates of sum_i xs[i] * ys[i] in Z[x]/Phi_m, for coordinate
     lists of any length: the schoolbook convolutions added up, then their
     remainder by Phi_m."""
-    phi = brute_cyclotomic_poly(m)
     total = [0]
     for a, b in zip(xs, ys):
         prod = _poly_mul(list(a), list(b))
         total += [0] * (len(prod) - len(total))
         for i, c in enumerate(prod):
             total[i] += c
-    _, rem = _poly_divmod_monic(total, phi)
-    return rem + [0] * (len(phi) - 1 - len(rem))
+    return brute_cyclotomic_reduce(m, total)
 
 
 def brute_series_mul(a, b, order):

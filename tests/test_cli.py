@@ -222,6 +222,32 @@ class TestVerifyCommand:
         assert rec["status"] == "fail"
         assert "closed forms disagree at r=3" in rec["counterexample"]
 
+    def test_a_raising_check_is_an_error_report(self, capsys, monkeypatch):
+        from symident import identities
+
+        def unit_binomial_sum_check(r):
+            raise RuntimeError("injected at r=%d" % r)
+
+        monkeypatch.setattr(identities, "unit_binomial_sum_check", unit_binomial_sum_check)
+        code, out, err = run_cli(capsys, "verify", "roots", "--r", "2", "--format", "json")
+        assert code == 1 and err == ""
+        recs = json.loads(out)["reports"]
+        where = "test_cli.py:%d in unit_binomial_sum_check" % (
+            unit_binomial_sum_check.__code__.co_firstlineno + 1)
+        assert [rec for rec in recs if rec["status"] != "pass"] == [
+            {"check": "unit_binomial_sum_check", "params": {"r": 2}, "status": "error",
+             "counterexample": "RuntimeError: injected at r=2 (%s)" % where}]
+        assert len(recs) == 5  # the row's other checks still ran
+        code, out, err = run_cli(capsys, "verify", "roots", "--r", "2")
+        assert code == 1 and "Traceback" not in out + err
+        assert "| unit_binomial_sum_check[r=2] | error | RuntimeError: injected at r=2 (%s) |" \
+            % where in out
+        assert "4 passed, 1 failed" in out
+        # a ValueError is still a usage error
+        monkeypatch.setattr(identities, "unit_binomial_sum_check", lambda r: int("r"))
+        code, out, err = run_cli(capsys, "verify", "roots", "--r", "2")
+        assert code == 2 and out == "" and err.startswith("error: invalid literal")
+
     def test_tables_suite(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "tables", "--format", "json")
         assert code == 0

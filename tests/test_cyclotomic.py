@@ -8,7 +8,11 @@ from symident.cyclotomic import (CycField, CycInt, cyclotomic_poly, discriminant
 from symident.exactalg import det_cofactor
 from symident.symfun import complete_prefix, elementary_prefix, power, power_prefix
 
-from oracles import brute_cyclotomic_dot, brute_cyclotomic_mul, det_permutation_expansion
+from symident.sequences import (_doubled_roots_h, _doubled_roots_p, fib_recurrence,
+                                lucas_recurrence)
+
+from oracles import (brute_cyclotomic_dot, brute_cyclotomic_mul, brute_cyclotomic_reduce,
+                     det_permutation_expansion)
 
 
 def totient(m):
@@ -350,6 +354,120 @@ def test_doubled_root_prefixes_make_no_packed_product(monkeypatch):
         n = 2 * r + 3
         assert elementary_prefix(n, v)[n] == 0
         assert len(complete_prefix(n, v)) == len(power_prefix(n, v)) + 1 == n + 1
+
+
+def test_root_prefixes_make_no_packed_product_and_no_reduction(monkeypatch):
+    # a doubled root is one stored term and a shifted root two, so every
+    # step of the h and p prefixes is cyclic shifts and sums, exact modulo
+    # x^m - 1; only reading a value reduces it
+    cases = [(r, doubled_roots_vector(r), shifted_roots_vector(r)) for r in (9, 10, 12)]
+    calls = []
+    for name in ("_dot", "_reduce"):
+        method = getattr(CycField, name)
+        monkeypatch.setattr(CycField, name, lambda *args, name=name, method=method:
+                            calls.append(name) or method(*args))
+    # the suite_roots and cross_oracle windows
+    prefixes = [(r, top, complete_prefix(top, doubled), power_prefix(top, doubled),
+                 complete_prefix(59, shifted), power_prefix(60, shifted))
+                for r, doubled, shifted in cases for top in [6 * (2 * r + 1)]]
+    assert calls == []
+    for r, top, dh, dp, sh, sp in prefixes:
+        F, L = fib_recurrence(r, 60), lucas_recurrence(r, 60)
+        assert dh == [_doubled_roots_h(r, n) for n in range(top + 1)], r
+        assert dp == [_doubled_roots_p(r, n) for n in range(1, top + 1)], r
+        assert sh == [F[n] for n in range(1, 61)] and sp == [L[n] for n in range(1, 61)], r
+
+
+class TestStoredRepresentative:
+    """A value is stored as any polynomial of its class modulo x^m - 1 and
+    reduced modulo Phi_m only when observed, so no observation may depend
+    on which representative a chain of operations left stored.  Prime,
+    prime-power and composite orders."""
+
+    ORDERS = (7, 9, 15, 21, 25)
+
+    @staticmethod
+    def sparse(rng, f):
+        # c x^e or c1 x^i + c2 x^j, e < m, stored as such, and its
+        # coefficient list
+        x, coeffs = f.from_int(0), [0] * f.m
+        for _ in range(rng.choice((1, 2))):
+            e, c = rng.randrange(f.m), rng.choice((1, -1, 2, -(2 ** 40)))
+            x, coeffs[e] = x + f.zeta(e) * c, coeffs[e] + c
+        return x, coeffs
+
+    def test_chains_against_reduction_after_every_step(self):
+        rng = random.Random(51)
+        for m in self.ORDERS:
+            f = CycField(m)
+            reduced = lambda coeffs: brute_cyclotomic_reduce(m, coeffs)  # noqa: E731
+            mul = lambda a, b: brute_cyclotomic_mul(m, a, b)  # noqa: E731
+            # (value, its oracle coordinates, reduced after every step)
+            start = []
+            for _ in range(4):
+                x, coeffs = self.sparse(rng, f)
+                dense = TestProductOracle.rand_coords(rng, f.degree, 30)
+                start += [(x, reduced(coeffs)), (f.element(dense), dense)]
+            pool = list(start)
+            for _ in range(80):
+                (x, a), (y, b) = rng.choice(pool), rng.choice(pool)
+                c = rng.choice((0, 1, -1, 5, -(3 ** 30)))
+                s, sc = self.sparse(rng, f)
+                op = rng.randrange(8)
+                if op == 0:
+                    z, want = x + y, [p + q for p, q in zip(a, b)]
+                elif op == 1:
+                    z, want = x - y, [p - q for p, q in zip(a, b)]
+                elif op == 2:
+                    z, want = -x, [-p for p in a]
+                elif op == 3:
+                    z, want = rng.choice([(x * c, [c * p for p in a]),
+                                          (x + c, [a[0] + c] + a[1:]),
+                                          (x - c, [a[0] - c] + a[1:]),
+                                          (c - x, [c - a[0]] + [-p for p in a[1:]])])
+                elif op == 4:
+                    z, want = (s * x if rng.random() < 0.5 else x * s), mul(sc, a)
+                elif op == 5:  # a dense product; y is from the start, so sizes stay small
+                    (y, b) = rng.choice(start[1::2])
+                    z, want = x * y, mul(a, b)
+                elif op == 6:
+                    z, want = x.addmul(s, y), [p + q for p, q in zip(a, mul(sc, b))]
+                else:
+                    z, want = y.addmul(x, s), [p + q for p, q in zip(b, mul(a, sc))]
+                pool.append((z, reduced(want)))
+            assert sum(any(x.rep[f.degree:]) for x, _ in pool) > 20, m  # not canonical
+            for x, want in pool:
+                assert list(x.coords) == want, m
+                assert x == f.element(want) and hash(x) == hash(f.element(want)), m
+
+    def test_two_representatives_of_one_class(self):
+        rng = random.Random(52)
+        for m in self.ORDERS:
+            f = CycField(m)
+            if m == 7:  # prime: 1 + x + ... + x^(m-1) is Phi_m
+                zeros = [sum((f.zeta(k) for k in range(m)), f.from_int(0))]
+            else:  # x^j Phi_m
+                zeros = [sum((f.zeta(j + k) * c for k, c in enumerate(cyclotomic_poly(m))),
+                             f.from_int(0)) for j in range(m)]
+            for zero in zeros:
+                assert any(zero.rep), m
+                assert zero == 0 and zero == f.from_int(0) and hash(zero) == hash(0), m
+                assert zero.is_rational_integer() and zero.coords == (0,) * f.degree
+                y = f.element(TestProductOracle.rand_coords(rng, f.degree, 40))
+                other = y + zero * rng.choice((1, -7, 2 ** 50))
+                assert other.rep != y.rep and other == y and y == other, m
+                assert hash(other) == hash(y) and len({other, y}) == 1 and repr(other) == repr(y)
+                c = rng.randint(-99, 99)
+                assert other - y + c == c and hash(other - y + c) == hash(c), m
+
+    def test_constructor_rejects_a_wrong_length(self):
+        for m in self.ORDERS:
+            f = CycField(m)
+            for length in (0, f.degree - 1, f.degree + 1, m):
+                with pytest.raises(ValueError, match="wrong length"):
+                    CycInt(f, [1] * length)
+            x = CycInt(f, range(f.degree))
+            assert x.coords == tuple(range(f.degree)) and x == f.element(range(f.degree))
 
 
 class TestAddSubNeg:

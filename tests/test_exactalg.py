@@ -553,7 +553,8 @@ class TestFusedAddMul:
 
 
 class TestPower:
-    """One binary powering routine serves every ring."""
+    """One binary powering routine serves every ring; a one-term Laurent
+    base is raised in one step."""
 
     def _values(self):
         z = MultiLaurent.variable(0, 2)
@@ -600,6 +601,43 @@ class TestPower:
         assert (w ** 2 ** 30).coeffs == {(0, -(2 ** 30), 2 ** 30): 1}
         with pytest.raises(ValueError):
             w ** 2 ** 31
+
+    MONOMIALS = (UniLaurent.monomial(-3, 2), UniLaurent.monomial(1, -1), UniLaurent.monomial(7, 0),
+                 MultiLaurent(3, {(0, -1, 4): -2}), MultiLaurent.constant(5, 2),
+                 MultiLaurent.variable(1, 3, -1) * MultiLaurent.variable(2, 3))  # bound 2, not 1
+
+    def test_monomial_powers_take_no_product(self, monkeypatch):
+        for x in self.MONOMIALS:
+            want = [x]
+            for _ in range(8):
+                want.append(want[-1] * x)
+            monkeypatch.setattr(type(x), "__mul__", lambda a, b: pytest.fail("a product"))
+            for n, value in enumerate(want, 1):
+                got = x ** n
+                assert got == value and len(got.coeffs) == 1, (x, n)
+                if isinstance(x, MultiLaurent):
+                    assert got.bound == value.bound == n * x.bound, (x, n)
+            monkeypatch.undo()
+
+    def test_monomial_powers_at_the_packing_edge(self):
+        top = 2 ** 31 - 1
+        for e in (1, -3, 2 ** 15 + 1, -(2 ** 30 - 1)):
+            x = MultiLaurent.variable(1, 2, e) * -1
+            n = top // abs(e)  # |e| n < 2^31 <= |e| (n + 1)
+            got = x ** n
+            assert got.coeffs == {(0, e * n): (-1) ** n} and got.bound == abs(e) * n, e
+            with pytest.raises(ValueError):
+                x ** (n + 1)
+        x = MultiLaurent.variable(0, 2, 2 ** 30 - 1)
+        assert x ** 2 == x * x
+        with pytest.raises(ValueError):
+            x * x * x
+        with pytest.raises(ValueError):
+            x ** 3
+        # a bound above the exact one: n times the exact one still fits
+        w = self.MONOMIALS[-1]
+        assert (w ** top).coeffs == {(0, -top, top): 1}
+        assert UniLaurent.monomial(-2, 5) ** 40 == UniLaurent({200: 2 ** 40})
 
 
 class TestDeterminants:

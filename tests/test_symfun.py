@@ -185,8 +185,9 @@ def two_step_prefixes(nmax, v):
 
 
 class TestFusedPrefixSteps:
-    """Laurent prefixes step with the fused addmul; other rings keep the
-    acc + z * x step and its values."""
+    """Laurent and cyclotomic prefixes step with the fused addmul; int and
+    Fraction prefixes keep the acc + z * x step, and every ring keeps the
+    values of that step."""
 
     def test_symbolic_against_enumeration(self):
         for r in (2, 3):
@@ -198,10 +199,10 @@ class TestFusedPrefixSteps:
 
     def test_other_rings_unchanged(self):
         rng = random.Random(41)
-        vectors = [PointVector([2, -3, 5, 1]), rand_vector(rng, 4),
-                   doubled_roots_vector(3), shifted_roots_vector(4)]
-        for v in vectors:
+        plain = [PointVector([2, -3, 5, 1]), rand_vector(rng, 4)]
+        for v in plain:
             assert getattr(type(v[0]), "addmul", None) is None
+        for v in plain + [doubled_roots_vector(3), shifted_roots_vector(4)]:
             for nmax in (0, 3, 9):
                 got = elementary_prefix(nmax, v), complete_prefix(nmax, v)
                 want = two_step_prefixes(nmax, v)
