@@ -8,7 +8,9 @@ window; ``report --all`` is ``battery(seed)``.
 
 A suite reaches every verifier and substrate function through its module
 (``sequences.cross_oracle_check(...)``), looked up when the suite runs, so a
-function patched on its module is the one that runs.
+function patched on its module is the one that runs.  It calls each
+verifier through ``_guarded``, so a check that raises comes back as an
+"error" report.
 """
 
 from __future__ import annotations
@@ -59,9 +61,9 @@ def _guarded(check, *args):
             "error", "%s: %s (%s)" % (type(exc).__name__, exc, where), time.perf_counter() - t0)
 
 
-def _each(check, firsts, *rest):
-    """The guarded check(x, *rest) for each x of firsts."""
-    return [_guarded(check, x, *rest) for x in firsts]
+def _each(check, xs, *rest):
+    """The guarded check(x, *rest) for each x of xs."""
+    return [_guarded(check, x, *rest) for x in xs]
 
 
 def _charged(reports, t0, built):

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 
@@ -400,8 +401,7 @@ class TestStoredRepresentative:
         rng = random.Random(51)
         for m in self.ORDERS:
             f = CycField(m)
-            reduced = lambda coeffs: brute_cyclotomic_reduce(m, coeffs)  # noqa: E731
-            mul = lambda a, b: brute_cyclotomic_mul(m, a, b)  # noqa: E731
+            reduced, mul = partial(brute_cyclotomic_reduce, m), partial(brute_cyclotomic_mul, m)
             # (value, its oracle coordinates, reduced after every step)
             start = []
             for _ in range(4):
