@@ -8,11 +8,12 @@
 verify runs one suite of the table ``suites.SUITES`` at its default window
 with the given options laid over it; table and verify refuse an option the
 table kind or the suite does not take; report --all runs
-``suites.battery``.  Exit codes: 0 all checks passed, 1 at least one check
-failed or raised (the counterexamples, or the exceptions, are in the
-rendered report), 2 usage or configuration error.  With the same arguments and seed the rendered output
-is byte-identical across runs; wall-clock timings only appear when asked
-for with --timings.
+``suites.battery``.  Exit codes: 0 all checks passed; 1 at least one
+check failed or raised, a ValueError from inside a check included (the
+counterexamples or exceptions are in the report); 2 usage error, as is a
+ValueError from a suite's options or a check's own argument checks.  The
+rendered output is byte-identical across runs with the same arguments and
+seed; timings only appear when asked for with --timings.
 """
 
 from __future__ import annotations
@@ -96,6 +97,7 @@ def render_table(tab, fmt: str) -> str:
 
 def render_reports(reports, fmt: str, seed=None, timings=False) -> str:
     reports = sorted(reports, key=lambda r: r.sort_key())
+    passed = sum(1 for r in reports if r.passed)
     if fmt == "json":
         recs = []
         for r in reports:
@@ -105,9 +107,7 @@ def render_reports(reports, fmt: str, seed=None, timings=False) -> str:
             if timings:
                 rec["elapsed_ms"] = round(r.elapsed * 1000, 3)
             recs.append(rec)
-        payload = {"reports": recs,
-                   "passed": sum(1 for r in reports if r.passed),
-                   "failed": sum(1 for r in reports if not r.passed)}
+        payload = {"reports": recs, "passed": passed, "failed": len(reports) - passed}
         if seed is not None:
             payload["seed"] = seed
         return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
@@ -130,9 +130,7 @@ def render_reports(reports, fmt: str, seed=None, timings=False) -> str:
         lines = ["| check | status | counterexample |", "|---|---|---|"]
         for r in reports:
             lines.append("| %s | %s | %s |" % (r.check_id, r.status, r.counterexample or ""))
-        lines.append("")
-        lines.append("%d passed, %d failed" % (sum(1 for r in reports if r.passed),
-                                               sum(1 for r in reports if not r.passed)))
+        lines += ["", "%d passed, %d failed" % (passed, len(reports) - passed)]
         return "\n".join(lines) + "\n"
     raise UsageError("unknown format %r" % fmt)
 

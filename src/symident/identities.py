@@ -1,6 +1,6 @@
 """Verifiers for the expansion identities between the symmetric polynomials
 of r variables evaluated at z + z^-1 and those of 2r variables evaluated at
-(z, z^-1), plus their principal q-specializations.
+(z, z^-1), their principal q-specializations, and the ballot series.
 
 Every verifier runs in one of two modes:
 
@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .combinat import binom, expansion_kernel, q_binom
-from .exactalg import UniLaurent
+from .combinat import ballot, binom, expansion_kernel, q_binom
+from .exactalg import Series, UniLaurent, series_compose, series_sqrt
 from .symfun import (PointVector, complete, complete_prefix, elementary,
                      elementary_prefix, power, power_prefix, symbolic_vectors)
 
@@ -86,10 +85,10 @@ def _shown(value) -> str:
     return "%s… (%d terms)" % (text[:_SHOWN], len(terms))
 
 
-def _report(check, params, failures, t0) -> CheckReport:
+def _report(check, params, failures) -> CheckReport:
     status = "pass" if not failures else "fail"
     ce = None if not failures else "; ".join(failures[:3])
-    return CheckReport(check, dict(params), status, ce, time.perf_counter() - t0)
+    return CheckReport(check, dict(params), status, ce)
 
 
 def _drawn_points(rng: random.Random, count: int) -> list:
@@ -210,7 +209,6 @@ def expansion_check(direction: str, family: str, r: int, n: int,
         raise ValueError("shared values are for symbolic mode only")
     kernel = expansion_kernel(direction, family, r, n)
     check, params = "%s_kind_%s" % (direction, family), {"r": r, index: n}
-    t0 = time.perf_counter()
     failures = []
     at = " ".join("%s=%s" % kv for kv in sorted(params.items()))
     evaluations = [(values, 1)] if values is not None else (
@@ -227,7 +225,7 @@ def expansion_check(direction: str, family: str, r: int, n: int,
     reported = dict(params, mode=mode.mode)
     if mode.mode == "random":
         reported["seed"] = mode.seed
-    return _report(check, reported, failures, t0)
+    return _report(check, reported, failures)
 
 
 # the six named expansion checks
@@ -270,7 +268,6 @@ def genfun_transfer_check(r: int, order: int) -> CheckReport:
     """
     if r < 1 or order < 0:
         raise ValueError("need r >= 1 and order >= 0")
-    t0 = time.perf_counter()
     _, doubled, shifted = symbolic_vectors(r)
     zero = shifted.zero
 
@@ -304,7 +301,56 @@ def genfun_transfer_check(r: int, order: int) -> CheckReport:
             failures.append("e coefficient y^%d" % n)
         if h2[n] != h_sub[n]:
             failures.append("h coefficient y^%d" % n)
-    return _report("genfun_transfer", {"r": r, "order": order}, failures, t0)
+    return _report("genfun_transfer", {"r": r, "order": order}, failures)
+
+
+# ---------------------------------------------------------------------------
+# ballots[a] = combinat.ballot_series(a, order), C_a(x) = sum_k ballot(a +
+# 2k - 1, k) x^k, and y = x C_1(x^2), which x = y/(1 + y^2) inverts
+
+
+def series_ballot_coefficients(ballots, order: int, alpha_max: int) -> CheckReport:
+    """The coefficients of C_alpha against the ballot numbers."""
+    failures = ["alpha=%d k=%d" % (alpha, k) for alpha in range(alpha_max + 1)
+                for k in range(order + 1) if ballots[alpha][k] != ballot(alpha + 2 * k - 1, k)]
+    return _report("series_ballot_coefficients", {"order": order, "alpha_max": alpha_max},
+                   failures)
+
+
+def series_closed_form(ballots, order: int, alpha_max: int) -> CheckReport:
+    """C_alpha against the alpha-th power of (1 - sqrt(1 - 4x)) / 2x."""
+    root = series_sqrt(Series([1, -4], order + 1))
+    base = (Series.one(order + 1) - root).divided_by_x(1) * Fraction(1, 2)
+    failures = ["alpha=%d" % alpha for alpha in range(alpha_max + 1)
+                if base ** alpha != ballots[alpha]]
+    return _report("series_closed_form", {"order": order, "alpha_max": alpha_max}, failures)
+
+
+def series_index_law(ballots, order: int) -> CheckReport:
+    """C_a C_b = C_(a+b) for 1 <= a, b <= 6."""
+    failures = ["a=%d b=%d" % (a, b) for a in range(1, 7) for b in range(1, 7)
+                if ballots[a] * ballots[b] != ballots[a + b]]
+    return _report("series_index_law", {"order": order}, failures)
+
+
+def series_quadratic(y, order: int) -> CheckReport:
+    """x y^2 - y + x = 0."""
+    x = Series.x(order)
+    failures = [] if x * y * y - y + x == Series.zero(order) else ["quadratic relation"]
+    return _report("series_quadratic", {"order": order}, failures)
+
+
+def series_substitution(ballots, y, order: int, n_max: int) -> CheckReport:
+    """y^N = x^N C_N(x^2) for N <= n_max, and x/(1 + x^2) composed with y
+    is x (to order min(order, 20))."""
+    x, x2 = Series.x(order), Series([0, 0, 1], order)
+    failures = ["power N=%d" % n for n in range(n_max + 1)
+                if y ** n != (x ** n) * series_compose(ballots[n], x2)]
+    inv = Series([0, 1], order) * Series([1, 0, 1], order).inverse()
+    short = min(order, 20)
+    if series_compose(inv, y.truncated(short)) != Series.x(short):
+        failures.append("inverse substitution")
+    return _report("series_substitution", {"order": order, "n_max": n_max}, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +397,6 @@ def principal_spec(family: str, r: int, n: int) -> CheckReport:
     low = 1 if family == "p" else 0
     if r < 1 or n < low:
         raise ValueError("need r >= 1 and n >= %d" % low)
-    t0 = time.perf_counter()
     doubled, _ = _q_vectors(r)
     if family == "e":
         lhs, rhs = elementary(n, doubled), _elem_q_closed(r, n)
@@ -363,73 +408,39 @@ def principal_spec(family: str, r: int, n: int) -> CheckReport:
         lhs = (power(n, doubled) + one) * clear
         rhs = _q_power(-r * n) * (one - _q_power((2 * r + 1) * n))
     failures = [] if lhs == rhs else ["lhs=%s rhs=%s" % (_shown(lhs), _shown(rhs))]
-    return _report("principal_spec_" + family, {"r": r, "n": n}, failures, t0)
+    return _report("principal_spec_" + family, {"r": r, "n": n}, failures)
 
 
 def principal_combination_check(r: int, bound: int) -> CheckReport:
     """The six q-identities obtained by feeding the closed q-forms through
-    both expansion directions: the six expansion kernels applied over
-    Laurent polynomials in q, all compared exactly."""
+    both expansion directions: each kernel applied, by expansion_check's
+    sum, between f_0..f_bound of the shifted q-vector and the closed forms
+    at the doubled one (p_t is q^(-tr) geom(t) - 1, with geom(t) the sum of
+    q^(jt) for j = 0..2r), compared exactly; (1)..(3) are e, h, p, and (a),
+    (b) the first and second kind."""
     if r < 1 or bound < 1:
         raise ValueError("need r >= 1 and bound >= 1")
-    t0 = time.perf_counter()
     _, shifted = _q_vectors(r)
-    one = UniLaurent.one()
-    zero = UniLaurent.zero()
-    es = elementary_prefix(bound, shifted)
-    hs = complete_prefix(bound, shifted)
+    one, zero, top = UniLaurent.one(), UniLaurent.zero(), range(bound + 1)
+    geom = [sum((_q_power(j * t) for j in range(2 * r + 1)), zero) for t in top]
+    closed = {"e": [_elem_q_closed(r, t) for t in top],
+              "h": [_complete_q_closed(r, t) for t in top],
+              "p": [_q_power(-t * r) * g - one for t, g in zip(top, geom)]}
+    ours = {"e": elementary_prefix(bound, shifted), "h": complete_prefix(bound, shifted),
+            "p": [_power_sum(0, shifted)] + power_prefix(bound, shifted)}
     failures = []
-
-    # (1a) ballot-weighted sums of the alternating q-binomial forms
-    for m in range(bound + 1):
-        lhs = sum((_elem_q_closed(r, i) * c for i, c in expansion_kernel("first", "e", r, m)), zero)
-        if lhs != es[m]:
-            failures.append("(1a) m=%d" % m)
-
-    # (1b) alternating q-binomial sum re-expanded over the shifted vector
-    for n in range(min(bound, 2 * r) + 1):
-        rhs = sum((es[i] * c for i, c in expansion_kernel("second", "e", r, n)), zero)
-        if _elem_q_closed(r, n) != rhs:
-            failures.append("(1b) n=%d" % n)
-
-    # (2a) h of the shifted vector as a ballot-weighted sum of closed forms
-    for m in range(bound + 1):
-        rhs = sum((_complete_q_closed(r, i) * c for i, c in expansion_kernel("first", "h", r, m)),
-                  zero)
-        if hs[m] != rhs:
-            failures.append("(2a) m=%d" % m)
-
-    # (2b) closed h-form as an alternating binomial sum over the shifted h's
-    for n in range(bound + 1):
-        rhs = sum((hs[i] * c for i, c in expansion_kernel("second", "h", r, n)), zero)
-        if _complete_q_closed(r, n) != rhs:
-            failures.append("(2b) n=%d" % n)
-
-    # (3a) power sums of the shifted vector from the closed forms
-    # q^(-tr) geom(t) - 1 of the doubled vector, 2r at t = 0
-    def geom(t):
-        # sum_{j=0}^{2r} q^(jt); value 2r+1 at t = 0
-        out = zero
-        for j in range(2 * r + 1):
-            out = out + _q_power(j * t)
-        return out
-
-    for m in range(bound + 1):
-        rhs = sum(((_q_power(-i * r) * geom(i) - one) * c
-                   for i, c in expansion_kernel("first", "p", r, m)), zero)
-        if _power_sum(m, shifted) * 2 != rhs:
-            failures.append("(3a) m=%d" % m)
-
-    # (3b) closed p-form as the double alternating binomial sum, cleared
-    for n in range(1, bound + 1):
-        clear = one - _q_power(n)
-        lhs = (zero - clear) + _q_power(-r * n) - _q_power((r + 1) * n)
-        total = sum((_power_sum(i, shifted) * c for i, c in expansion_kernel("second", "p", r, n)),
-                    zero)
-        if lhs != total * clear:
-            failures.append("(3b) n=%d" % n)
-
-    return _report("principal_combination", {"r": r, "bound": bound}, failures, t0)
+    for label, family in enumerate("ehp", 1):
+        for direction, part, index in (("first", "a", "m"), ("second", "b", "n")):
+            values = ((ours[family], closed[family]) if direction == "first"
+                      else (closed[family], ours[family]))
+            low = 1 if (direction, family) == ("second", "p") else 0
+            high = min(bound, 2 * r) if (direction, family) == ("second", "e") else bound
+            for n in range(low, high + 1):
+                kernel = expansion_kernel(direction, family, r, n)
+                lhs, rhs = _expansion_sides(direction, family, n, kernel, values)
+                if lhs != rhs:
+                    failures.append("(%d%s) %s=%d" % (label, part, index, n))
+    return _report("principal_combination", {"r": r, "bound": bound}, failures)
 
 
 def unit_binomial_sum_check(r: int) -> CheckReport:
@@ -438,13 +449,12 @@ def unit_binomial_sum_check(r: int) -> CheckReport:
     coefficients binom(i-r-1, floor(i/2))."""
     if r < 1:
         raise ValueError("need r >= 1")
-    t0 = time.perf_counter()
     failures = []
     for n in range(2 * r + 1):
         total = sum(c * binom(i - r - 1, i // 2) for i, c in expansion_kernel("second", "e", r, n))
         if total != 1:
             failures.append("n=%d gives %d" % (n, total))
-    return _report("unit_binomial_sum_check", {"r": r}, failures, t0)
+    return _report("unit_binomial_sum_check", {"r": r}, failures)
 
 
 def composition_consistency_check(r: int, m_max: int) -> CheckReport:
@@ -452,7 +462,6 @@ def composition_consistency_check(r: int, m_max: int) -> CheckReport:
     re-expanding each of those back must reproduce the original value."""
     if r < 1 or m_max < 0:
         raise ValueError("need r >= 1 and m_max >= 0")
-    t0 = time.perf_counter()
     _, doubled, shifted = symbolic_vectors(r)
     hs = complete_prefix(m_max, shifted)
     failures = []
@@ -463,4 +472,4 @@ def composition_consistency_check(r: int, m_max: int) -> CheckReport:
                 total = total + hs[i] * (outer * inner)
         if total != hs[m]:
             failures.append("m=%d" % m)
-    return _report("composition_consistency", {"r": r, "m_max": m_max}, failures, t0)
+    return _report("composition_consistency", {"r": r, "m_max": m_max}, failures)

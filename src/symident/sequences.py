@@ -2,9 +2,9 @@
 characteristic coefficients, each computed by several independent routes
 (closed-form sums, linear recurrence, exact root-of-unity evaluation,
 determinants, generating functions, partition sums) that are cross-checked
-against one another.  The closed values of h_n and p_n at the doubled roots
-of unity, which the inversion checks, the binomial displays and the roots
-suite all compare against, are written once here.
+against one another.  The closed values of e_n, h_n and p_n at the doubled
+roots of unity, which the inversion checks, the binomial displays and the
+roots checks compare against, are written once here.
 
 Indexing conventions, fixed once (F and L are both HigherSequence values,
 which hold where their storage starts):
@@ -22,13 +22,12 @@ which hold where their storage starts):
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
 from .combinat import ballot, binom, centralizer_order, expansion_kernel, partitions_of
-from .cyclotomic import _is_prime, shifted_roots_vector
+from .cyclotomic import _is_prime, discriminant_square, doubled_roots_vector, shifted_roots_vector
 from .exactalg import Series, det_cofactor, det_fraction_free, first_row_cofactors
 from .identities import CheckReport, _report
 from .symfun import complete_prefix, elementary_prefix, power_prefix
@@ -231,8 +230,31 @@ def char_coeffs(r: int) -> CharCoeffs:
     return CharCoeffs(r, closed)
 
 
+def char_coeffs_check(r: int) -> CheckReport:
+    """char_coeffs(r): a disagreement between its three routes fails."""
+    try:
+        char_coeffs(r)
+        failures = []
+    except ArithmeticError as exc:
+        failures = [str(exc)]
+    return _report("roots_char_coeffs", {"r": r}, failures)
+
+
+def discriminant_check(r: int) -> CheckReport:
+    """The squared Vandermonde determinant of the shifted roots (lhs)
+    against (2r+1)^(r-1) (rhs), for 2r + 1 prime."""
+    square, want = discriminant_square(r), (2 * r + 1) ** (r - 1)
+    failures = [] if square == want else ["r=%d: lhs=%r rhs=%d" % (r, square, want)]
+    return _report("discriminant_square", {"r": r}, failures)
+
+
 # ---------------------------------------------------------------------------
 # values at the doubled roots, and the inversion checks
+
+
+def _doubled_roots_e(r: int, n: int) -> int:
+    """e_n of the doubled roots: 1 up to n = 2r, then 0."""
+    return 1 if n <= 2 * r else 0
 
 
 def _doubled_roots_h(r: int, n: int) -> int:
@@ -247,18 +269,34 @@ def _doubled_roots_p(r: int, n: int) -> int:
     return _sign_pow(n) * (-1 + (2 * r + 1) * (1 if n % (2 * r + 1) == 0 else 0))
 
 
+def roots_check(family: str, r: int) -> CheckReport:
+    """f_n of the doubled roots against its closed value, reported as
+    roots_<family>: e_n for n <= 2r + 4, h_n and p_n up to n = 6(2r + 1)."""
+    if family not in ("e", "h", "p") or r < 1:
+        raise ValueError("need family e, h or p and r >= 1")
+    doubled = doubled_roots_vector(r)
+    top = 2 * r + 4 if family == "e" else 6 * (2 * r + 1)
+    if family == "p":
+        values = enumerate(power_prefix(top, doubled), 1)
+    else:
+        values = enumerate((elementary_prefix if family == "e" else complete_prefix)(top, doubled))
+    closed = {"e": _doubled_roots_e, "h": _doubled_roots_h, "p": _doubled_roots_p}[family]
+    failures = ["%s n=%d" % (family, n) for n, value in values if value != closed(r, n)]
+    return _report("roots_" + family, {"r": r} if family == "e" else {"r": r, "n_max": top},
+                   failures)
+
+
 def inversion_check_F(r: int, n: int, F: HigherSequence = None) -> CheckReport:
     """The second-kind h kernel over F, sum_k (-1)^k binom(n-k+r-1, k)
     F_(n-2k+1), against h_n of the doubled roots.  F, if given, is
     fib_recurrence(r, top) for some top >= n + 1, shared across a row."""
     if r < 1 or n < 0:
         raise ValueError("need r >= 1 and n >= 0")
-    t0 = time.perf_counter()
     F = fib_recurrence(r, n + 1) if F is None else F
     total = sum(c * F[i + 1] for i, c in expansion_kernel("second", "h", r, n))
     expected = _doubled_roots_h(r, n)
     failures = [] if total == expected else ["n=%d: sum=%d expected=%d" % (n, total, expected)]
-    return _report("inversion_F", {"r": r, "n": n}, failures, t0)
+    return _report("inversion_F", {"r": r, "n": n}, failures)
 
 
 def inversion_check_L(r: int, n: int, L: HigherSequence = None) -> CheckReport:
@@ -268,12 +306,11 @@ def inversion_check_L(r: int, n: int, L: HigherSequence = None) -> CheckReport:
     row."""
     if r < 1 or n < 1:
         raise ValueError("need r >= 1 and n >= 1")
-    t0 = time.perf_counter()
     L = lucas_recurrence(r, n) if L is None else L
     total = sum(c * L[i] for i, c in expansion_kernel("second", "p", r, n))
     expected = _doubled_roots_p(r, n)
     failures = [] if total == expected else ["n=%d: sum=%d expected=%d" % (n, total, expected)]
-    return _report("inversion_L", {"r": r, "n": n}, failures, t0)
+    return _report("inversion_L", {"r": r, "n": n}, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +323,6 @@ def initial_block_check(r: int) -> CheckReport:
     for m < 2r+1, odd Lucas for m < r."""
     if r < 1:
         raise ValueError("need r >= 1")
-    t0 = time.perf_counter()
     failures = []
     F = fib_recurrence(r, 2 * r + 1)
     F1 = fib_recurrence(r + 1, 2 * r + 1)
@@ -304,7 +340,7 @@ def initial_block_check(r: int) -> CheckReport:
     for m in range(r):
         if L[2 * m + 1] != 4 ** m:
             failures.append("L[%d]: %d vs %d" % (2 * m + 1, L[2 * m + 1], 4 ** m))
-    return _report("initial_block", {"r": r}, failures, t0)
+    return _report("initial_block", {"r": r}, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +361,6 @@ def fibonacci_sums_check(bound: int) -> CheckReport:
     """
     if bound < 1:
         raise ValueError("need bound >= 1")
-    t0 = time.perf_counter()
     failures = []
     F = fib_recurrence(2, bound + 2)
 
@@ -350,7 +385,7 @@ def fibonacci_sums_check(bound: int) -> CheckReport:
         if total != _doubled_roots_h(2, n):
             failures.append("(4) n=%d: %d vs %d" % (n, total, _doubled_roots_h(2, n)))
 
-    return _report("fibonacci_sums", {"bound": bound}, failures, t0)
+    return _report("fibonacci_sums", {"bound": bound}, failures)
 
 
 def lucas_sums_check(bound: int) -> CheckReport:
@@ -361,7 +396,6 @@ def lucas_sums_check(bound: int) -> CheckReport:
     at r = 1 and r = 2 over L, against p_n of the doubled roots)."""
     if bound < 1:
         raise ValueError("need bound >= 1")
-    t0 = time.perf_counter()
     failures = []
     L = lucas_recurrence(2, 2 * bound + 1)
 
@@ -384,7 +418,7 @@ def lucas_sums_check(bound: int) -> CheckReport:
         if total != _doubled_roots_p(2, n):
             failures.append("(6) n=%d: %d vs %d" % (n, total, _doubled_roots_p(2, n)))
 
-    return _report("lucas_sums", {"bound": bound}, failures, t0)
+    return _report("lucas_sums", {"bound": bound}, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +436,6 @@ def congruence_check(r: int, q: int, n_max: int, k_max: int = 3) -> CheckReport:
         raise ValueError("hypothesis failed: q = %d is not an odd prime" % q)
     if q % p not in (1, p - 1):
         raise ValueError("hypothesis failed: q = %d is not +-1 mod %d" % (q, p))
-    t0 = time.perf_counter()
     top = max(n_max + q - 1, k_max * (q - 1) + 2)
     F = fib_recurrence(r, top + 1)
     L = lucas_recurrence(r, top + 1)
@@ -425,7 +458,7 @@ def congruence_check(r: int, q: int, n_max: int, k_max: int = 3) -> CheckReport:
             failures.append("L[%d+1] != 1 mod %d" % (i, q))
         if L[i + 2] % q != (p - 2) % q:
             failures.append("L[%d+2] != p-2 mod %d" % (i, q))
-    return _report("congruence", {"r": r, "q": q, "n_max": n_max}, failures, t0)
+    return _report("congruence", {"r": r, "q": q, "n_max": n_max}, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -439,12 +472,11 @@ def determinant_formulas_check(r: int, n_max: int) -> CheckReport:
     numerator its top row dot one row-0 cofactor vector built once per r."""
     if r < 1 or n_max < 1:
         raise ValueError("need r >= 1 and n_max >= 1")
-    t0 = time.perf_counter()
     failures = []
     try:
         C = char_coeffs(r)
     except ArithmeticError as exc:
-        return _report("determinant_formulas", {"r": r, "n_max": n_max}, [str(exc)], t0)
+        return _report("determinant_formulas", {"r": r, "n_max": n_max}, [str(exc)])
     F = fib_recurrence(r, n_max + 2)
     L = lucas_recurrence(r, n_max + 1)
 
@@ -494,7 +526,7 @@ def determinant_formulas_check(r: int, n_max: int) -> CheckReport:
         if det_cofactor([top] + vdm_rows[1:], below) != vdm * F[n + 1]:
             failures.append("bialternant n=%d" % n)
 
-    return _report("determinant_formulas", {"r": r, "n_max": n_max}, failures, t0)
+    return _report("determinant_formulas", {"r": r, "n_max": n_max}, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +566,6 @@ def sequence_genfun_check(r: int, order: int) -> CheckReport:
     """
     if r < 1 or order < 0:
         raise ValueError("need r >= 1 and order >= 0")
-    t0 = time.perf_counter()
     D = sequence_genfun_denominator(r, order)
     inv = D.inverse()
     NL = sequence_genfun_numerator_L(r, order)
@@ -548,7 +579,7 @@ def sequence_genfun_check(r: int, order: int) -> CheckReport:
     for n in range(order + 1):
         if lh[n] != L[n + 1]:
             failures.append("L coefficient u^%d: %s vs %d" % (n, lh[n], L[n + 1]))
-    return _report("genfun_sequences", {"r": r, "order": order}, failures, t0)
+    return _report("genfun_sequences", {"r": r, "order": order}, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -564,13 +595,12 @@ def partition_relations_check(r: int, n_max: int) -> CheckReport:
     """
     if r < 1 or n_max < 1:
         raise ValueError("need r >= 1 and n_max >= 1")
-    t0 = time.perf_counter()
     F = fib_recurrence(r, n_max + 1)
     L = lucas_recurrence(r, n_max)
     try:
         C = char_coeffs(r)
     except ArithmeticError as exc:
-        return _report("partition_relations", {"r": r, "n_max": n_max}, [str(exc)], t0)
+        return _report("partition_relations", {"r": r, "n_max": n_max}, [str(exc)])
     failures = []
     for n in range(1, n_max + 1):
         s = Fraction(sum(L[i] * F[n + 1 - i] for i in range(1, n + 1)), n)
@@ -589,7 +619,7 @@ def partition_relations_check(r: int, n_max: int) -> CheckReport:
             failures.append("partition F n=%d" % n)
         if signed != C[n]:
             failures.append("partition C n=%d" % n)
-    return _report("partition_relations", {"r": r, "n_max": n_max}, failures, t0)
+    return _report("partition_relations", {"r": r, "n_max": n_max}, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +632,6 @@ def cross_oracle_check(r: int, n_max: int, det_max: int = 10) -> CheckReport:
     functions to order 30."""
     if r < 1 or n_max < 1:
         raise ValueError("need r >= 1 and n_max >= 1")
-    t0 = time.perf_counter()
     failures = []
     F = fib_recurrence(r, n_max + 1)
     L = lucas_recurrence(r, n_max)
@@ -630,7 +659,7 @@ def cross_oracle_check(r: int, n_max: int, det_max: int = 10) -> CheckReport:
     gf = sequence_genfun_check(r, 30)
     if not gf.passed:
         failures.append("generating functions: %s" % gf.counterexample)
-    return _report("cross_oracle", {"r": r, "n_max": n_max}, failures, t0)
+    return _report("cross_oracle", {"r": r, "n_max": n_max}, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +764,6 @@ def compare_with_golden(kind: str) -> CheckReport:
     """Cell-by-cell comparison of the computed table against the embedded
     published one.  Cells listed in the typo sidecar must show exactly the
     documented disagreement; everything else must match."""
-    t0 = time.perf_counter()
     gold = golden_table(kind)
     comp = table(kind, gold.rows, gold.cols)
     typos = {(row, col): (printed, corrected)
@@ -752,4 +780,4 @@ def compare_with_golden(kind: str) -> CheckReport:
                                 % (row, col, cval, corrected))
         elif cval != gval:
             failures.append("cell (%d,%d): computed %s, published %s" % (row, col, cval, gval))
-    return _report("golden_table", {"kind": kind}, failures, t0)
+    return _report("golden_table", {"kind": kind}, failures)

@@ -6,11 +6,13 @@ a sequence of r values), and ``suite(**window)`` runs the suite and returns
 its CheckReports.  ``verify`` lays the options it is given over the default
 window; ``report --all`` is ``battery(seed)``.
 
-A suite reaches every verifier and substrate function through its module
-(``sequences.cross_oracle_check(...)``), looked up when the suite runs, so a
-function patched on its module is the one that runs.  It calls each
-verifier through ``_guarded``, so a check that raises comes back as an
-"error" report.
+A suite only orchestrates: every report comes from a public verifier in
+``identities`` or ``sequences`` called through ``_guarded``, the one place
+a check is timed and a raising check becomes an "error" report; ``_row``
+builds the inputs a row of checks shares once, guarded too.  A suite
+reaches every verifier and substrate function through its module
+(``sequences.cross_oracle_check``), looked up when the suite runs, so a
+function patched on its module is the one that runs.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 import inspect
 import os
 import time
-from fractions import Fraction
 
 from . import combinat, cyclotomic, exactalg, identities, sequences, symfun
 
@@ -40,25 +41,29 @@ def _families_and_mode(family, mode, trials, seed):
 
 
 def _guarded(check, *args):
-    """check(*args), or, if it raises anything but ValueError (a usage
-    error), an "error" report that names the check, its int and str
-    arguments, the exception and the line that raised it, so that the run
-    still renders (exit 1)."""
+    """check(*args), with the call's wall time as the report's elapsed; or,
+    if it raises, an "error" report named after the check and its int and
+    str arguments that gives the exception and the line that raised it
+    (exit 1).  A ValueError raised by the check's own body is a bad
+    argument, and passes through as a usage error (exit 2)."""
     t0 = time.perf_counter()
     try:
-        return check(*args)
-    except ValueError:
-        raise
+        out = check(*args)
     except Exception as exc:
-        named = inspect.signature(check).bind(*args).arguments
         at = exc.__traceback__
         while at.tb_next:
             at = at.tb_next
         code = at.tb_frame.f_code
+        if isinstance(exc, ValueError) and code is inspect.unwrap(check).__code__:
+            raise
+        named = inspect.signature(check).bind(*args).arguments
         where = "%s:%d in %s" % (os.path.basename(code.co_filename), at.tb_lineno, code.co_name)
-        return identities.CheckReport(
+        out = identities.CheckReport(
             check.__name__, {k: v for k, v in named.items() if isinstance(v, (int, str))},
-            "error", "%s: %s (%s)" % (type(exc).__name__, exc, where), time.perf_counter() - t0)
+            "error", "%s: %s (%s)" % (type(exc).__name__, exc, where))
+    if isinstance(out, identities.CheckReport):
+        out.elapsed = time.perf_counter() - t0
+    return out
 
 
 def _each(check, xs, *rest):
@@ -66,13 +71,37 @@ def _each(check, xs, *rest):
     return [_guarded(check, x, *rest) for x in xs]
 
 
-def _charged(reports, t0, built):
-    """The row's reports, with the time spent building its shared inputs
-    (from t0 to built) charged to the first, so that the row's elapsed
-    times still add up to its run."""
+def _row(build, args, checks):
+    """checks(build(*args)), the reports of a row whose checks share what
+    build makes, with the build's time charged to the first report so that
+    the row's times add up to its run; a build that raises is the row's
+    one error report."""
+    t0 = time.perf_counter()
+    shared = _guarded(build, *args)
+    if isinstance(shared, identities.CheckReport):
+        return [shared]
+    built = time.perf_counter()
+    reports = checks(shared)
     if reports:
         reports[0].elapsed += built - t0
     return reports
+
+
+# the inputs that the checks of one row share, built once
+def _expansion_row(direction, family, r, top):
+    return identities._expansion_values(direction, family, top,
+                                        *symfun.symbolic_vectors(r)[1:])
+
+
+def _inversion_row(r, n_max):
+    return sequences.fib_recurrence(r, n_max + 1), sequences.lucas_recurrence(r, n_max)
+
+
+def _series_row(order, alpha_max):
+    # the index law reads a + b <= 12
+    ballots = [combinat.ballot_series(alpha, order) for alpha in range(max(alpha_max, 12) + 1)]
+    Series = exactalg.Series
+    return ballots, Series.x(order) * exactalg.series_compose(ballots[1], Series([0, 0, 1], order))
 
 
 def suite_expansion(direction, rs, top, families, mode):
@@ -87,78 +116,31 @@ def suite_expansion(direction, rs, top, families, mode):
             hi = top if top is not None else (3 * r + 2 if direction == "first" else 2 * r + 6)
             if (direction, fam) == ("second", "e"):
                 hi = min(hi, 2 * r)
-            t0 = time.perf_counter()
-            values = None
-            if mode.mode == "symbolic":
-                _, doubled, shifted = symfun.symbolic_vectors(r)
-                values = identities._expansion_values(direction, fam, hi, doubled, shifted)
-            built = time.perf_counter()
-            out += _charged([_guarded(identities.expansion_check, direction, fam, r, n, mode,
-                                      values) for n in range(1 if fam == "p" else 0, hi + 1)],
-                            t0, built)
+
+            def checks(values):
+                return [_guarded(identities.expansion_check, direction, fam, r, n, mode, values)
+                        for n in range(1 if fam == "p" else 0, hi + 1)]
+            out += (checks(None) if mode.mode == "random"
+                    else _row(_expansion_row, (direction, fam, r, hi), checks))
     return out
 
 
 def suite_series(order=30, alpha_max=8):
     """Truncated-series facts about the ballot generating function family:
     ballot coefficients, closed form via the square root, index law,
-    quadratic relation, and the inverse substitution x = y/(1+y^2)."""
+    quadratic relation, and the inverse substitution x = y/(1+y^2).  The
+    ballot series and y are built once for the five checks."""
     if order < 0 or alpha_max < 0:
         raise ValueError("series needs --order >= 0 and --alpha-max >= 0")
-    Series = exactalg.Series
-    out = []
-    t0 = time.perf_counter()
-    # every ballot series the suite reads, built once: alpha <= alpha_max,
-    # and a + b <= 12 in the index law
-    ballots = [combinat.ballot_series(alpha, order)
-               for alpha in range(max(alpha_max, 12) + 1)]
-    fails = []
-    for alpha in range(0, alpha_max + 1):
-        s = ballots[alpha]
-        for k in range(order + 1):
-            if s[k] != combinat.ballot(alpha + 2 * k - 1, k):
-                fails.append("alpha=%d k=%d" % (alpha, k))
-    out.append(identities._report("series_ballot_coefficients",
-                                  {"order": order, "alpha_max": alpha_max}, fails, t0))
 
-    t0 = time.perf_counter()
-    fails = []
-    root = exactalg.series_sqrt(Series([1, -4], order + 1))
-    base = (Series.one(order + 1) - root).divided_by_x(1) * Fraction(1, 2)
-    for alpha in range(0, alpha_max + 1):
-        if base ** alpha != ballots[alpha]:
-            fails.append("alpha=%d" % alpha)
-    out.append(identities._report("series_closed_form",
-                                  {"order": order, "alpha_max": alpha_max}, fails, t0))
-
-    t0 = time.perf_counter()
-    fails = []
-    for a in range(1, 7):
-        for b in range(1, 7):
-            if ballots[a] * ballots[b] != ballots[a + b]:
-                fails.append("a=%d b=%d" % (a, b))
-    out.append(identities._report("series_index_law", {"order": order}, fails, t0))
-
-    t0 = time.perf_counter()
-    x = Series.x(order)
-    y = x * exactalg.series_compose(ballots[1], Series([0, 0, 1], order))
-    fails = [] if x * y * y - y + x == Series.zero(order) else ["quadratic relation"]
-    out.append(identities._report("series_quadratic", {"order": order}, fails, t0))
-
-    t0 = time.perf_counter()
-    fails = []
-    for n in range(0, alpha_max + 1):
-        lhs = y ** n
-        rhs = (x ** n) * exactalg.series_compose(ballots[n], Series([0, 0, 1], order))
-        if lhs != rhs:
-            fails.append("power N=%d" % n)
-    inv = Series([0, 1], order) * Series([1, 0, 1], order).inverse()
-    short = min(order, 20)
-    if exactalg.series_compose(inv, y.truncated(short)) != Series.x(short):
-        fails.append("inverse substitution")
-    out.append(identities._report("series_substitution",
-                                  {"order": order, "n_max": alpha_max}, fails, t0))
-    return out
+    def checks(shared):
+        ballots, y = shared
+        return [_guarded(identities.series_ballot_coefficients, ballots, order, alpha_max),
+                _guarded(identities.series_closed_form, ballots, order, alpha_max),
+                _guarded(identities.series_index_law, ballots, order),
+                _guarded(identities.series_quadratic, y, order),
+                _guarded(identities.series_substitution, ballots, y, order, alpha_max)]
+    return _row(_series_row, (order, alpha_max), checks)
 
 
 def suite_principal(rs, n_max):
@@ -181,74 +163,32 @@ def suite_roots(rs):
     characteristic coefficients, and the companion binomial identity."""
     out = []
     for r in rs:
-        top = 6 * (2 * r + 1)
-        t0 = time.perf_counter()
-        fails = []
-        doubled = cyclotomic.doubled_roots_vector(r)
-        es = symfun.elementary_prefix(2 * r + 4, doubled)
-        for n in range(2 * r + 5):
-            want = 1 if n <= 2 * r else 0
-            if es[n] != want:
-                fails.append("e n=%d" % n)
-        out.append(identities._report("roots_e", {"r": r}, fails, t0))
-
-        t0 = time.perf_counter()
-        fails = []
-        hs = symfun.complete_prefix(top, doubled)
-        for n in range(top + 1):
-            if hs[n] != sequences._doubled_roots_h(r, n):
-                fails.append("h n=%d" % n)
-        out.append(identities._report("roots_h", {"r": r, "n_max": top}, fails, t0))
-
-        t0 = time.perf_counter()
-        fails = []
-        ps = symfun.power_prefix(top, doubled)
-        for n in range(1, top + 1):
-            if ps[n - 1] != sequences._doubled_roots_p(r, n):
-                fails.append("p n=%d" % n)
-        out.append(identities._report("roots_p", {"r": r, "n_max": top}, fails, t0))
-
-        t0 = time.perf_counter()
-        try:
-            sequences.char_coeffs(r)
-            fails = []
-        except ArithmeticError as exc:
-            fails = [str(exc)]
-        out.append(identities._report("roots_char_coeffs", {"r": r}, fails, t0))
-        out.append(_guarded(identities.unit_binomial_sum_check, r))
+        out += [_guarded(sequences.roots_check, family, r) for family in ("e", "h", "p")]
+        out += [_guarded(sequences.char_coeffs_check, r),
+                _guarded(identities.unit_binomial_sum_check, r)]
     return out
 
 
 def suite_discriminant(rs):
-    """The squared Vandermonde determinant of the shifted roots (lhs)
-    against (2r+1)^(r-1) (rhs), for each r with 2r + 1 prime; the other r
-    are skipped."""
-    out = []
-    for r in rs:
-        if not cyclotomic._is_prime(2 * r + 1):
-            continue
-        t0 = time.perf_counter()
-        square, want = cyclotomic.discriminant_square(r), (2 * r + 1) ** (r - 1)
-        fails = [] if square == want else ["r=%d: lhs=%r rhs=%d" % (r, square, want)]
-        out.append(identities._report("discriminant_square", {"r": r}, fails, t0))
-    return out
+    """The discriminant check for each r with 2r + 1 prime; the other r are
+    skipped."""
+    return [_guarded(sequences.discriminant_check, r)
+            for r in rs if cyclotomic._is_prime(2 * r + 1)]
 
 
 def suite_inversion(rs, n_max):
     """The inversion checks over F (n >= 0) and L (n >= 1) up to n_max,
     each row of one r over one F and one L."""
-    out = []
-    for r in rs:
-        t0 = time.perf_counter()
-        F = sequences.fib_recurrence(r, n_max + 1)
-        L = sequences.lucas_recurrence(r, n_max)
-        built = time.perf_counter()
+    def checks(r, F, L):
         row = []
         for n in range(0, n_max + 1):
             row.append(_guarded(sequences.inversion_check_F, r, n, F))
             if n >= 1:
                 row.append(_guarded(sequences.inversion_check_L, r, n, L))
-        out += _charged(row, t0, built)
+        return row
+    out = []
+    for r in rs:
+        out += _row(_inversion_row, (r, n_max), lambda FL: checks(r, *FL))
     return out
 
 

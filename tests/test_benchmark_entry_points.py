@@ -28,6 +28,16 @@ def test_tiny_workload_meets_its_pins(name):
     assert failed == 0, problems
 
 
+@pytest.mark.parametrize("name", workloads.NAMES)
+def test_the_tracer_sees_every_check(name):
+    # each check is one outermost verifier call, so a check computed
+    # anywhere else would be missing from the traced per-check profile
+    t = tracer.Tracer()
+    result = child.run_pass(name, workloads.PINNED_SEED, "tiny", tracer=t)
+    assert result["raised"] == []
+    assert sum(t.summary()["checks"].values()) == result["checks"]
+
+
 def test_tracer_self_check_holds():
     assert child.self_check() == []
 

@@ -248,6 +248,23 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", "roots", "--r", "2")
         assert code == 2 and out == "" and err.startswith("error: invalid literal")
 
+    def test_a_value_error_inside_a_check_is_an_error_report(self, capsys, monkeypatch):
+        # a ValueError from the check's own body is a bad argument (above);
+        # one raised deeper, in the arithmetic it calls, is the check's error
+        from symident import identities
+
+        def complete_prefix(n, v):
+            raise ValueError("injected")
+
+        monkeypatch.setattr(identities, "complete_prefix", complete_prefix)
+        code, out, err = run_cli(capsys, "verify", "genfun-transfer", "--r", "1",
+                                 "--format", "json")
+        assert code == 1 and err == ""
+        (rec,) = json.loads(out)["reports"]
+        assert (rec["check"], rec["params"], rec["status"]) == \
+            ("genfun_transfer_check", {"r": 1, "order": 6}, "error")
+        assert rec["counterexample"].startswith("ValueError: injected (test_cli.py:")
+
     def test_tables_suite(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "tables", "--format", "json")
         assert code == 0
@@ -291,6 +308,44 @@ class TestSuiteTable:
         assert code == 0, err
         payload = json.loads(out)
         assert payload["passed"] >= 1 and payload["failed"] == 0
+
+    @pytest.mark.parametrize("suite", list(suites.SUITES))
+    def test_no_suite_ends_in_a_traceback(self, capsys, monkeypatch, suite):
+        from symident import identities, sequences
+
+        def _report(*args):
+            raise RuntimeError("injected")
+
+        for module in (identities, sequences):
+            monkeypatch.setattr(module, "_report", _report)
+        code, out, err = run_cli(capsys, "verify", suite, *SMALL_WINDOWS[suite],
+                                 "--format", "json")
+        assert code == 1 and err == ""
+        assert "Traceback" not in out
+        recs = json.loads(out)["reports"]
+        assert recs and {rec["status"] for rec in recs} == {"error"}
+        assert all(rec["counterexample"].startswith("RuntimeError: injected (test_cli.py:")
+                   for rec in recs)
+
+    @pytest.mark.parametrize("module, name, suite, build", [
+        ("identities", "_expansion_values", "first-kind", "_expansion_row"),
+        ("sequences", "fib_recurrence", "inversion", "_inversion_row"),
+        ("combinat", "ballot_series", "series", "_series_row"),
+    ])
+    def test_a_raising_row_build_is_one_error_report(self, capsys, monkeypatch,
+                                                     module, name, suite, build):
+        import importlib
+
+        def raising(*args):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(importlib.import_module("symident." + module), name, raising)
+        argv = SMALL_WINDOWS[suite] + (("--family", "h") if suite == "first-kind" else ())
+        code, out, err = run_cli(capsys, "verify", suite, *argv, "--format", "json")
+        assert code == 1 and err == "" and "Traceback" not in out
+        (rec,) = json.loads(out)["reports"]
+        assert (rec["check"], rec["status"]) == (build, "error")
+        assert rec["counterexample"].startswith("RuntimeError: injected (test_cli.py:")
 
     def test_battery_rows_name_table_suites(self):
         for name, options in suites.BATTERY:

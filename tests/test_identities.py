@@ -181,8 +181,7 @@ class TestRandomMode:
 class TestCheckReport:
     def test_failure_carries_counterexample(self):
         from symident.identities import _report
-        import time
-        rep = _report("demo", {"r": 1}, ["lhs=1 rhs=2"], time.perf_counter())
+        rep = _report("demo", {"r": 1}, ["lhs=1 rhs=2"])
         assert rep.status == "fail"
         assert rep.counterexample
         assert not rep.passed

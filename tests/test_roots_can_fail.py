@@ -43,8 +43,8 @@ def test_roots_patterns_fail_on_a_swapped_root(monkeypatch):
     # -zeta becomes -zeta^0 = -1: every pattern goes wrong from its index 1
     # on, where the sum of the entries first enters, and the value there is
     # not even a rational integer
-    monkeypatch.setattr(cyclotomic, "doubled_roots_vector",
-                        _swap_first(cyclotomic.doubled_roots_vector, lambda f: -f.one))
+    monkeypatch.setattr(sequences, "doubled_roots_vector",
+                        _swap_first(sequences.doubled_roots_vector, lambda f: -f.one))
     reports = suites.suite_roots([R])
     for check, name in (("roots_e", "e"), ("roots_h", "h"), ("roots_p", "p")):
         rep = _one(check, reports)
