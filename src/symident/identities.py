@@ -18,6 +18,7 @@ counterexample, so suite runners can aggregate and render outcomes.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -89,6 +90,20 @@ def _report(check, params, failures) -> CheckReport:
     status = "pass" if not failures else "fail"
     ce = None if not failures else "; ".join(failures[:3])
     return CheckReport(check, dict(params), status, ce)
+
+
+def _verifier(names):
+    """Make a verifier of body(*args) -> failures: its report is named
+    names(*args) -> (check, params), which suites._guarded reads as well to
+    name the error report of a check that raises."""
+    def make(body):
+        @functools.wraps(body)
+        def verifier(*args, **kwargs):
+            failures = body(*args, **kwargs)
+            return _report(*names(*args, **kwargs), failures)
+        verifier.names = names
+        return verifier
+    return make
 
 
 def _drawn_points(rng: random.Random, count: int) -> list:
@@ -182,22 +197,71 @@ def _expansion_sides(direction, family, n, kernel, values):
     return single, acc
 
 
-def _single_at(n, singles, manys):
-    # f_n of the single side only, to free f_0..f_(n-1) before the sum
-    return {n: singles[n]}, manys
+def _index_sides(direction, family, n, kernel, doubled, shifted):
+    """(lhs, rhs) of one index, as _expansion_sides gives them, with e and h
+    built from the two halves of each vector's variables: A, the entries of
+    z_1..z_c (c = r // 2; z_j and 1/z_j in the doubled vector), and B, the
+    rest.  F_v = F_A F_B, so f_n = sum_k f_k(A) f_(n-k)(B) and the kernel
+    side is sum_k f_k(A) (sum_i c_i f_(i-k)(B)); A and B share no variable,
+    so no product adds colliding terms, and no whole-vector prefix is built.
+    p keeps the whole power prefixes: power sums add over the halves.  So
+    do int entries (random mode): an int product costs the same whatever
+    values it multiplies, so there the split would only add products."""
+    r, zero = len(shifted), shifted.zero
+    if family == "p" or isinstance(zero, int):
+        return _expansion_sides(direction, family, n, kernel,
+                                _expansion_values(direction, family, n, doubled, shifted))
+    one, many = (shifted, doubled) if direction == "first" else (doubled, shifted)
+    prefix = elementary_prefix if family == "e" else complete_prefix
+
+    def halves(v):
+        # f_0..f_n of A and of B; e stops at a half's length, and an empty
+        # half's prefix is [1]
+        width, out = len(v) // r, []
+        for part in (range(r // 2), range(r // 2, r)):
+            h = [v[j * r + i] for j in range(width) for i in part]
+            top = n if family == "h" else min(n, len(h))
+            out.append(prefix(top, PointVector(h)) if h else [v.one])
+        return out
+
+    def glued(v, coeffs):
+        # sum_i c_i f_i(v) = sum_k f_k(A) (sum_i c_i f_(i-k)(B))
+        fa, fb = halves(v)
+        acc = zero
+        for k, f in enumerate(fa):
+            inner = zero
+            for i, c in coeffs:
+                if 0 <= i - k < len(fb):
+                    inner = inner.addmul(c, fb[i - k])
+            acc = acc.addmul(f, inner)
+        return acc
+
+    return glued(one, [(n, 1)]), glued(many, kernel)
 
 
+def _expansion_names(direction, family, r, n, mode=VerifyMode(), values=None):
+    # the check name and params of an expansion report
+    params = {"r": r, ("m" if direction == "first" else "n"): n, "mode": mode.mode}
+    if mode.mode == "random":
+        params["seed"] = mode.seed
+    return "%s_kind_%s" % (direction, family), params
+
+
+@_verifier(_expansion_names)
 def expansion_check(direction: str, family: str, r: int, n: int,
-                    mode: VerifyMode = VerifyMode(), values=None) -> CheckReport:
+                    mode: VerifyMode = VerifyMode(), values=None) -> list:
     """The expansion identity of f = family ("e", "h" or "p") in the given
     direction ("first" or "second") at index n, evaluated across the mode's
     vectors with the kernel weighted for each vector's scale; a random-mode
     side is shown as the rational it stands for, itself over scale^n.
 
     The index is m in the first kind and n in the second; p starts at 1,
-    and e_n of the 2r doubled entries stops at n = 2r.  In symbolic mode
-    values may carry _expansion_values of symbolic_vectors(r) up to any
-    top >= n, built once for a row of indices.
+    and e_n of the 2r doubled entries stops at n = 2r.  Without values,
+    the check builds its own sides by _index_sides, e and h from the
+    prefixes of the two halves of each vector's variables.  In symbolic
+    mode values may instead carry _expansion_values of symbolic_vectors(r)
+    up to any top >= n, whole-vector prefixes built once for a row of
+    indices and read by _expansion_sides.
     """
     index, low = ("m" if direction == "first" else "n"), (1 if family == "p" else 0)
     if (direction, family) == ("second", "e"):
@@ -211,21 +275,20 @@ def expansion_check(direction: str, family: str, r: int, n: int,
     check, params = "%s_kind_%s" % (direction, family), {"r": r, index: n}
     failures = []
     at = " ".join("%s=%s" % kv for kv in sorted(params.items()))
-    evaluations = [(values, 1)] if values is not None else (
-        (_single_at(n, *_expansion_values(direction, family, n, doubled, shifted)), scale)
-        for doubled, shifted, scale in _vector_pairs(r, mode, check, params))
-    for trial, (at_point, scale) in enumerate(evaluations):
-        lhs, rhs = _expansion_sides(direction, family, n, _weighted(kernel, scale, n), at_point)
+    if values is not None:
+        evaluations = [(_expansion_sides(direction, family, n, kernel, values), 1)]
+    else:
+        evaluations = ((_index_sides(direction, family, n, _weighted(kernel, scale, n),
+                                     doubled, shifted), scale)
+                       for doubled, shifted, scale in _vector_pairs(r, mode, check, params))
+    for trial, ((lhs, rhs), scale) in enumerate(evaluations):
         if lhs != rhs:
             where = "symbolic"
             if mode.mode == "random":
                 where = "point %d" % trial
                 lhs, rhs = Fraction(lhs, scale ** n), Fraction(rhs, scale ** n)
             failures.append("%s %s: lhs=%s rhs=%s" % (at, where, _shown(lhs), _shown(rhs)))
-    reported = dict(params, mode=mode.mode)
-    if mode.mode == "random":
-        reported["seed"] = mode.seed
-    return _report(check, reported, failures)
+    return failures
 
 
 # the six named expansion checks
@@ -255,7 +318,8 @@ def second_kind_p(r: int, n: int, mode: VerifyMode = VerifyMode()) -> CheckRepor
     return expansion_check("second", "p", r, n, mode)
 
 
-def genfun_transfer_check(r: int, order: int) -> CheckReport:
+@_verifier(lambda r, order: ("genfun_transfer", {"r": r, "order": order}))
+def genfun_transfer_check(r: int, order: int) -> list:
     """Coefficient-wise comparison, in y up to the given order, of
 
     sum e_n^(2r)(z, z^-1) y^n  against  (1+y^2)^r sum e_m^(r)(z+z^-1) x^m
@@ -301,7 +365,7 @@ def genfun_transfer_check(r: int, order: int) -> CheckReport:
             failures.append("e coefficient y^%d" % n)
         if h2[n] != h_sub[n]:
             failures.append("h coefficient y^%d" % n)
-    return _report("genfun_transfer", {"r": r, "order": order}, failures)
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -309,38 +373,41 @@ def genfun_transfer_check(r: int, order: int) -> CheckReport:
 # 2k - 1, k) x^k, and y = x C_1(x^2), which x = y/(1 + y^2) inverts
 
 
-def series_ballot_coefficients(ballots, order: int, alpha_max: int) -> CheckReport:
+@_verifier(lambda ballots, order, alpha_max:
+           ("series_ballot_coefficients", {"order": order, "alpha_max": alpha_max}))
+def series_ballot_coefficients(ballots, order: int, alpha_max: int) -> list:
     """The coefficients of C_alpha against the ballot numbers."""
-    failures = ["alpha=%d k=%d" % (alpha, k) for alpha in range(alpha_max + 1)
-                for k in range(order + 1) if ballots[alpha][k] != ballot(alpha + 2 * k - 1, k)]
-    return _report("series_ballot_coefficients", {"order": order, "alpha_max": alpha_max},
-                   failures)
+    return ["alpha=%d k=%d" % (alpha, k) for alpha in range(alpha_max + 1)
+            for k in range(order + 1) if ballots[alpha][k] != ballot(alpha + 2 * k - 1, k)]
 
 
-def series_closed_form(ballots, order: int, alpha_max: int) -> CheckReport:
+@_verifier(lambda ballots, order, alpha_max:
+           ("series_closed_form", {"order": order, "alpha_max": alpha_max}))
+def series_closed_form(ballots, order: int, alpha_max: int) -> list:
     """C_alpha against the alpha-th power of (1 - sqrt(1 - 4x)) / 2x."""
     root = series_sqrt(Series([1, -4], order + 1))
     base = (Series.one(order + 1) - root).divided_by_x(1) * Fraction(1, 2)
-    failures = ["alpha=%d" % alpha for alpha in range(alpha_max + 1)
-                if base ** alpha != ballots[alpha]]
-    return _report("series_closed_form", {"order": order, "alpha_max": alpha_max}, failures)
+    return ["alpha=%d" % alpha for alpha in range(alpha_max + 1)
+            if base ** alpha != ballots[alpha]]
 
 
-def series_index_law(ballots, order: int) -> CheckReport:
+@_verifier(lambda ballots, order: ("series_index_law", {"order": order}))
+def series_index_law(ballots, order: int) -> list:
     """C_a C_b = C_(a+b) for 1 <= a, b <= 6."""
-    failures = ["a=%d b=%d" % (a, b) for a in range(1, 7) for b in range(1, 7)
-                if ballots[a] * ballots[b] != ballots[a + b]]
-    return _report("series_index_law", {"order": order}, failures)
+    return ["a=%d b=%d" % (a, b) for a in range(1, 7) for b in range(1, 7)
+            if ballots[a] * ballots[b] != ballots[a + b]]
 
 
-def series_quadratic(y, order: int) -> CheckReport:
+@_verifier(lambda y, order: ("series_quadratic", {"order": order}))
+def series_quadratic(y, order: int) -> list:
     """x y^2 - y + x = 0."""
     x = Series.x(order)
-    failures = [] if x * y * y - y + x == Series.zero(order) else ["quadratic relation"]
-    return _report("series_quadratic", {"order": order}, failures)
+    return [] if x * y * y - y + x == Series.zero(order) else ["quadratic relation"]
 
 
-def series_substitution(ballots, y, order: int, n_max: int) -> CheckReport:
+@_verifier(lambda ballots, y, order, n_max:
+           ("series_substitution", {"order": order, "n_max": n_max}))
+def series_substitution(ballots, y, order: int, n_max: int) -> list:
     """y^N = x^N C_N(x^2) for N <= n_max, and x/(1 + x^2) composed with y
     is x (to order min(order, 20))."""
     x, x2 = Series.x(order), Series([0, 0, 1], order)
@@ -350,7 +417,7 @@ def series_substitution(ballots, y, order: int, n_max: int) -> CheckReport:
     short = min(order, 20)
     if series_compose(inv, y.truncated(short)) != Series.x(short):
         failures.append("inverse substitution")
-    return _report("series_substitution", {"order": order, "n_max": n_max}, failures)
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +450,8 @@ def _complete_q_closed(r: int, n: int) -> UniLaurent:
     return _q_power(-n * r) * (q_binom(2 * r + n, n) - q_binom(2 * r + n - 1, n - 1) * _q_power(r))
 
 
-def principal_spec(family: str, r: int, n: int) -> CheckReport:
+@_verifier(lambda family, r, n: ("principal_spec_" + family, {"r": r, "n": n}))
+def principal_spec(family: str, r: int, n: int) -> list:
     """f_n at the doubled q-vector against its closed q-form, for f = e, h
     or p, reported as principal_spec_<family>:
 
@@ -407,11 +475,11 @@ def principal_spec(family: str, r: int, n: int) -> CheckReport:
         clear = one - _q_power(n)
         lhs = (power(n, doubled) + one) * clear
         rhs = _q_power(-r * n) * (one - _q_power((2 * r + 1) * n))
-    failures = [] if lhs == rhs else ["lhs=%s rhs=%s" % (_shown(lhs), _shown(rhs))]
-    return _report("principal_spec_" + family, {"r": r, "n": n}, failures)
+    return [] if lhs == rhs else ["lhs=%s rhs=%s" % (_shown(lhs), _shown(rhs))]
 
 
-def principal_combination_check(r: int, bound: int) -> CheckReport:
+@_verifier(lambda r, bound: ("principal_combination", {"r": r, "bound": bound}))
+def principal_combination_check(r: int, bound: int) -> list:
     """The six q-identities obtained by feeding the closed q-forms through
     both expansion directions: each kernel applied, by expansion_check's
     sum, between f_0..f_bound of the shifted q-vector and the closed forms
@@ -440,10 +508,11 @@ def principal_combination_check(r: int, bound: int) -> CheckReport:
                 lhs, rhs = _expansion_sides(direction, family, n, kernel, values)
                 if lhs != rhs:
                     failures.append("(%d%s) %s=%d" % (label, part, index, n))
-    return _report("principal_combination", {"r": r, "bound": bound}, failures)
+    return failures
 
 
-def unit_binomial_sum_check(r: int) -> CheckReport:
+@_verifier(lambda r: ("unit_binomial_sum_check", {"r": r}))
+def unit_binomial_sum_check(r: int) -> list:
     """sum_k binom(r-n+2k, k) binom(n-2k-r-1, floor(n/2)-k) = 1 for
     n = 0..2r: the second-kind e kernel applied to the characteristic
     coefficients binom(i-r-1, floor(i/2))."""
@@ -454,10 +523,11 @@ def unit_binomial_sum_check(r: int) -> CheckReport:
         total = sum(c * binom(i - r - 1, i // 2) for i, c in expansion_kernel("second", "e", r, n))
         if total != 1:
             failures.append("n=%d gives %d" % (n, total))
-    return _report("unit_binomial_sum_check", {"r": r}, failures)
+    return failures
 
 
-def composition_consistency_check(r: int, m_max: int) -> CheckReport:
+@_verifier(lambda r, m_max: ("composition_consistency", {"r": r, "m_max": m_max}))
+def composition_consistency_check(r: int, m_max: int) -> list:
     """Expanding h_m of the shifted vector into doubled-vector h's and then
     re-expanding each of those back must reproduce the original value."""
     if r < 1 or m_max < 0:
@@ -472,4 +542,4 @@ def composition_consistency_check(r: int, m_max: int) -> CheckReport:
                 total = total + hs[i] * (outer * inner)
         if total != hs[m]:
             failures.append("m=%d" % m)
-    return _report("composition_consistency", {"r": r, "m_max": m_max}, failures)
+    return failures

@@ -29,7 +29,7 @@ from importlib import resources
 from .combinat import ballot, binom, centralizer_order, expansion_kernel, partitions_of
 from .cyclotomic import _is_prime, discriminant_square, doubled_roots_vector, shifted_roots_vector
 from .exactalg import Series, det_cofactor, det_fraction_free, first_row_cofactors
-from .identities import CheckReport, _report
+from .identities import _verifier
 from .symfun import complete_prefix, elementary_prefix, power_prefix
 
 
@@ -230,22 +230,22 @@ def char_coeffs(r: int) -> CharCoeffs:
     return CharCoeffs(r, closed)
 
 
-def char_coeffs_check(r: int) -> CheckReport:
+@_verifier(lambda r: ("roots_char_coeffs", {"r": r}))
+def char_coeffs_check(r: int) -> list:
     """char_coeffs(r): a disagreement between its three routes fails."""
     try:
         char_coeffs(r)
-        failures = []
     except ArithmeticError as exc:
-        failures = [str(exc)]
-    return _report("roots_char_coeffs", {"r": r}, failures)
+        return [str(exc)]
+    return []
 
 
-def discriminant_check(r: int) -> CheckReport:
+@_verifier(lambda r: ("discriminant_square", {"r": r}))
+def discriminant_check(r: int) -> list:
     """The squared Vandermonde determinant of the shifted roots (lhs)
     against (2r+1)^(r-1) (rhs), for 2r + 1 prime."""
     square, want = discriminant_square(r), (2 * r + 1) ** (r - 1)
-    failures = [] if square == want else ["r=%d: lhs=%r rhs=%d" % (r, square, want)]
-    return _report("discriminant_square", {"r": r}, failures)
+    return [] if square == want else ["r=%d: lhs=%r rhs=%d" % (r, square, want)]
 
 
 # ---------------------------------------------------------------------------
@@ -269,24 +269,29 @@ def _doubled_roots_p(r: int, n: int) -> int:
     return _sign_pow(n) * (-1 + (2 * r + 1) * (1 if n % (2 * r + 1) == 0 else 0))
 
 
-def roots_check(family: str, r: int) -> CheckReport:
+def _roots_top(family, r):
+    return 2 * r + 4 if family == "e" else 6 * (2 * r + 1)
+
+
+@_verifier(lambda family, r: ("roots_" + family, {"r": r} if family == "e"
+                              else {"r": r, "n_max": _roots_top(family, r)}))
+def roots_check(family: str, r: int) -> list:
     """f_n of the doubled roots against its closed value, reported as
     roots_<family>: e_n for n <= 2r + 4, h_n and p_n up to n = 6(2r + 1)."""
     if family not in ("e", "h", "p") or r < 1:
         raise ValueError("need family e, h or p and r >= 1")
-    doubled = doubled_roots_vector(r)
-    top = 2 * r + 4 if family == "e" else 6 * (2 * r + 1)
+    doubled, top = doubled_roots_vector(r), _roots_top(family, r)
     if family == "p":
         values = enumerate(power_prefix(top, doubled), 1)
     else:
         values = enumerate((elementary_prefix if family == "e" else complete_prefix)(top, doubled))
     closed = {"e": _doubled_roots_e, "h": _doubled_roots_h, "p": _doubled_roots_p}[family]
     failures = ["%s n=%d" % (family, n) for n, value in values if value != closed(r, n)]
-    return _report("roots_" + family, {"r": r} if family == "e" else {"r": r, "n_max": top},
-                   failures)
+    return failures
 
 
-def inversion_check_F(r: int, n: int, F: HigherSequence = None) -> CheckReport:
+@_verifier(lambda r, n, F=None: ("inversion_F", {"r": r, "n": n}))
+def inversion_check_F(r: int, n: int, F: HigherSequence = None) -> list:
     """The second-kind h kernel over F, sum_k (-1)^k binom(n-k+r-1, k)
     F_(n-2k+1), against h_n of the doubled roots.  F, if given, is
     fib_recurrence(r, top) for some top >= n + 1, shared across a row."""
@@ -295,11 +300,11 @@ def inversion_check_F(r: int, n: int, F: HigherSequence = None) -> CheckReport:
     F = fib_recurrence(r, n + 1) if F is None else F
     total = sum(c * F[i + 1] for i, c in expansion_kernel("second", "h", r, n))
     expected = _doubled_roots_h(r, n)
-    failures = [] if total == expected else ["n=%d: sum=%d expected=%d" % (n, total, expected)]
-    return _report("inversion_F", {"r": r, "n": n}, failures)
+    return [] if total == expected else ["n=%d: sum=%d expected=%d" % (n, total, expected)]
 
 
-def inversion_check_L(r: int, n: int, L: HigherSequence = None) -> CheckReport:
+@_verifier(lambda r, n, L=None: ("inversion_L", {"r": r, "n": n}))
+def inversion_check_L(r: int, n: int, L: HigherSequence = None) -> list:
     """The second-kind p kernel over L, 2 sum_k binom(2k-n-1, k) L_(n-2k) -
     sum_k binom(2k-n, k) L_(n-2k), against p_n of the doubled roots.  L, if
     given, is lucas_recurrence(r, top) for some top >= n, shared across a
@@ -309,15 +314,15 @@ def inversion_check_L(r: int, n: int, L: HigherSequence = None) -> CheckReport:
     L = lucas_recurrence(r, n) if L is None else L
     total = sum(c * L[i] for i, c in expansion_kernel("second", "p", r, n))
     expected = _doubled_roots_p(r, n)
-    failures = [] if total == expected else ["n=%d: sum=%d expected=%d" % (n, total, expected)]
-    return _report("inversion_L", {"r": r, "n": n}, failures)
+    return [] if total == expected else ["n=%d: sum=%d expected=%d" % (n, total, expected)]
 
 
 # ---------------------------------------------------------------------------
 # small-index closed forms
 
 
-def initial_block_check(r: int) -> CheckReport:
+@_verifier(lambda r: ("initial_block", {"r": r}))
+def initial_block_check(r: int) -> list:
     """The small-index closed forms against recurrence values over their
     stated windows: F_(2m) and F_(2m-1) of order r+1 for m <= r, even Lucas
     for m < 2r+1, odd Lucas for m < r."""
@@ -340,14 +345,15 @@ def initial_block_check(r: int) -> CheckReport:
     for m in range(r):
         if L[2 * m + 1] != 4 ** m:
             failures.append("L[%d]: %d vs %d" % (2 * m + 1, L[2 * m + 1], 4 ** m))
-    return _report("initial_block", {"r": r}, failures)
+    return failures
 
 
 # ---------------------------------------------------------------------------
 # specialized binomial-sum identities
 
 
-def fibonacci_sums_check(bound: int) -> CheckReport:
+@_verifier(lambda bound: ("fibonacci_sums", {"bound": bound}))
+def fibonacci_sums_check(bound: int) -> list:
     """The four Fibonacci-flavoured binomial displays:
 
     1. both order-1 ballot sums are constantly 1;
@@ -385,10 +391,11 @@ def fibonacci_sums_check(bound: int) -> CheckReport:
         if total != _doubled_roots_h(2, n):
             failures.append("(4) n=%d: %d vs %d" % (n, total, _doubled_roots_h(2, n)))
 
-    return _report("fibonacci_sums", {"bound": bound}, failures)
+    return failures
 
 
-def lucas_sums_check(bound: int) -> CheckReport:
+@_verifier(lambda bound: ("lucas_sums", {"bound": bound}))
+def lucas_sums_check(bound: int) -> list:
     """The six Lucas-flavoured binomial displays: the even/odd case sum of
     L_n at r = 1, where L is constantly 1 (the odd one also folded to its
     k >= 0 half), and at r = 2 against the classical Lucas numbers; and
@@ -418,14 +425,15 @@ def lucas_sums_check(bound: int) -> CheckReport:
         if total != _doubled_roots_p(2, n):
             failures.append("(6) n=%d: %d vs %d" % (n, total, _doubled_roots_p(2, n)))
 
-    return _report("lucas_sums", {"bound": bound}, failures)
+    return failures
 
 
 # ---------------------------------------------------------------------------
 # congruences
 
 
-def congruence_check(r: int, q: int, n_max: int, k_max: int = 3) -> CheckReport:
+@_verifier(lambda r, q, n_max, k_max=3: ("congruence", {"r": r, "q": q, "n_max": n_max}))
+def congruence_check(r: int, q: int, n_max: int, k_max: int = 3) -> list:
     """Period q-1 of F and L mod q, for 2r+1 prime and q an odd prime
     congruent to +-1 mod 2r+1, plus the residues at multiples of q-1:
     F = 0 then 1, 1 and L = (p-1)/2 then 1 then p-2."""
@@ -458,14 +466,15 @@ def congruence_check(r: int, q: int, n_max: int, k_max: int = 3) -> CheckReport:
             failures.append("L[%d+1] != 1 mod %d" % (i, q))
         if L[i + 2] % q != (p - 2) % q:
             failures.append("L[%d+2] != p-2 mod %d" % (i, q))
-    return _report("congruence", {"r": r, "q": q, "n_max": n_max}, failures)
+    return failures
 
 
 # ---------------------------------------------------------------------------
 # determinant identities
 
 
-def determinant_formulas_check(r: int, n_max: int) -> CheckReport:
+@_verifier(lambda r, n_max: ("determinant_formulas", {"r": r, "n_max": n_max}))
+def determinant_formulas_check(r: int, n_max: int) -> list:
     """The six Jacobi-Trudi style determinant identities linking F, L and
     the characteristic coefficients, plus the bialternant form of F checked
     in cleared shape (no division) over the cyclotomic integers, each
@@ -476,7 +485,7 @@ def determinant_formulas_check(r: int, n_max: int) -> CheckReport:
     try:
         C = char_coeffs(r)
     except ArithmeticError as exc:
-        return _report("determinant_formulas", {"r": r, "n_max": n_max}, [str(exc)])
+        return [str(exc)]
     F = fib_recurrence(r, n_max + 2)
     L = lucas_recurrence(r, n_max + 1)
 
@@ -526,7 +535,7 @@ def determinant_formulas_check(r: int, n_max: int) -> CheckReport:
         if det_cofactor([top] + vdm_rows[1:], below) != vdm * F[n + 1]:
             failures.append("bialternant n=%d" % n)
 
-    return _report("determinant_formulas", {"r": r, "n_max": n_max}, failures)
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +566,8 @@ def sequence_genfun_numerator_L(r: int, order: int) -> Series:
     return Series(coeffs, order)
 
 
-def sequence_genfun_check(r: int, order: int) -> CheckReport:
+@_verifier(lambda r, order: ("genfun_sequences", {"r": r, "order": order}))
+def sequence_genfun_check(r: int, order: int) -> list:
     """Series inverses of the closed-form denominators against recurrence
     values: coefficient u^n of 1/D is F_(n+1) and of N/D is L_(n+1).
 
@@ -579,14 +589,15 @@ def sequence_genfun_check(r: int, order: int) -> CheckReport:
     for n in range(order + 1):
         if lh[n] != L[n + 1]:
             failures.append("L coefficient u^%d: %s vs %d" % (n, lh[n], L[n + 1]))
-    return _report("genfun_sequences", {"r": r, "order": order}, failures)
+    return failures
 
 
 # ---------------------------------------------------------------------------
 # partition sums
 
 
-def partition_relations_check(r: int, n_max: int) -> CheckReport:
+@_verifier(lambda r, n_max: ("partition_relations", {"r": r, "n_max": n_max}))
+def partition_relations_check(r: int, n_max: int) -> list:
     """Newton-style relations through partitions of n:
 
     F_(n+1) = (1/n) sum_i L_i F_(n+1-i)
@@ -600,7 +611,7 @@ def partition_relations_check(r: int, n_max: int) -> CheckReport:
     try:
         C = char_coeffs(r)
     except ArithmeticError as exc:
-        return _report("partition_relations", {"r": r, "n_max": n_max}, [str(exc)])
+        return [str(exc)]
     failures = []
     for n in range(1, n_max + 1):
         s = Fraction(sum(L[i] * F[n + 1 - i] for i in range(1, n + 1)), n)
@@ -619,14 +630,15 @@ def partition_relations_check(r: int, n_max: int) -> CheckReport:
             failures.append("partition F n=%d" % n)
         if signed != C[n]:
             failures.append("partition C n=%d" % n)
-    return _report("partition_relations", {"r": r, "n_max": n_max}, failures)
+    return failures
 
 
 # ---------------------------------------------------------------------------
 # cross-oracle aggregation
 
 
-def cross_oracle_check(r: int, n_max: int, det_max: int = 10) -> CheckReport:
+@_verifier(lambda r, n_max, det_max=10: ("cross_oracle", {"r": r, "n_max": n_max}))
+def cross_oracle_check(r: int, n_max: int, det_max: int = 10) -> list:
     """Route agreement for one r: closed forms, recurrence and cyclotomic
     evaluation for n <= n_max, determinants for n <= det_max, generating
     functions to order 30."""
@@ -659,7 +671,7 @@ def cross_oracle_check(r: int, n_max: int, det_max: int = 10) -> CheckReport:
     gf = sequence_genfun_check(r, 30)
     if not gf.passed:
         failures.append("generating functions: %s" % gf.counterexample)
-    return _report("cross_oracle", {"r": r, "n_max": n_max}, failures)
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -760,7 +772,8 @@ def known_typos() -> list:
     return out
 
 
-def compare_with_golden(kind: str) -> CheckReport:
+@_verifier(lambda kind: ("golden_table", {"kind": kind}))
+def compare_with_golden(kind: str) -> list:
     """Cell-by-cell comparison of the computed table against the embedded
     published one.  Cells listed in the typo sidecar must show exactly the
     documented disagreement; everything else must match."""
@@ -780,4 +793,4 @@ def compare_with_golden(kind: str) -> CheckReport:
                                 % (row, col, cval, corrected))
         elif cval != gval:
             failures.append("cell (%d,%d): computed %s, published %s" % (row, col, cval, gval))
-    return _report("golden_table", {"kind": kind}, failures)
+    return failures

@@ -42,10 +42,11 @@ def _families_and_mode(family, mode, trials, seed):
 
 def _guarded(check, *args):
     """check(*args), with the call's wall time as the report's elapsed; or,
-    if it raises, an "error" report named after the check and its int and
-    str arguments that gives the exception and the line that raised it
-    (exit 1).  A ValueError raised by the check's own body is a bad
-    argument, and passes through as a usage error (exit 2)."""
+    if it raises, an "error" report that gives the exception and the line
+    that raised it (exit 1), named as the check's own report would be
+    (check.names, see identities._verifier) or else after the function and
+    its int and str arguments.  A ValueError raised by the check's own body
+    is a bad argument, and passes through as a usage error (exit 2)."""
     t0 = time.perf_counter()
     try:
         out = check(*args)
@@ -56,11 +57,15 @@ def _guarded(check, *args):
         code = at.tb_frame.f_code
         if isinstance(exc, ValueError) and code is inspect.unwrap(check).__code__:
             raise
-        named = inspect.signature(check).bind(*args).arguments
+        if hasattr(check, "names"):
+            name, params = check.names(*args)
+        else:
+            named = inspect.signature(check).bind(*args).arguments
+            name = check.__name__
+            params = {k: v for k, v in named.items() if isinstance(v, (int, str))}
         where = "%s:%d in %s" % (os.path.basename(code.co_filename), at.tb_lineno, code.co_name)
-        out = identities.CheckReport(
-            check.__name__, {k: v for k, v in named.items() if isinstance(v, (int, str))},
-            "error", "%s: %s (%s)" % (type(exc).__name__, exc, where))
+        out = identities.CheckReport(name, params, "error",
+                                     "%s: %s (%s)" % (type(exc).__name__, exc, where))
     if isinstance(out, identities.CheckReport):
         out.elapsed = time.perf_counter() - t0
     return out

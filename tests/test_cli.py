@@ -262,8 +262,34 @@ class TestVerifyCommand:
         assert code == 1 and err == ""
         (rec,) = json.loads(out)["reports"]
         assert (rec["check"], rec["params"], rec["status"]) == \
-            ("genfun_transfer_check", {"r": 1, "order": 6}, "error")
+            ("genfun_transfer", {"r": 1, "order": 6}, "error")
         assert rec["counterexample"].startswith("ValueError: injected (test_cli.py:")
+
+    def test_an_error_report_is_named_after_its_check(self, capsys, monkeypatch):
+        # a check that raises reports the check name and params that its
+        # pass or fail report carries, not its function and arguments
+        from symident import identities, sequences
+
+        def raising(*args):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(identities, "expansion_kernel", raising)
+        code, out, err = run_cli(capsys, "verify", "first-kind", "--r", "1", "--m-max", "1",
+                                 "--family", "h", "--mode", "random", "--seed", "3",
+                                 "--format", "json")
+        assert code == 1 and err == ""
+        assert [(rec["check"], rec["params"], rec["status"])
+                for rec in json.loads(out)["reports"]] == [
+            ("first_kind_h", {"r": 1, "m": m, "mode": "random", "seed": 3}, "error")
+            for m in (0, 1)]
+        monkeypatch.undo()
+        monkeypatch.setattr(sequences, "doubled_roots_vector", raising)
+        code, out, err = run_cli(capsys, "verify", "roots", "--r", "2", "--format", "json")
+        assert code == 1 and err == ""
+        assert [(rec["check"], rec["params"]) for rec in json.loads(out)["reports"]
+                if rec["status"] == "error"] == [
+            ("roots_e", {"r": 2}), ("roots_h", {"r": 2, "n_max": 30}),
+            ("roots_p", {"r": 2, "n_max": 30})]
 
     def test_tables_suite(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "tables", "--format", "json")
@@ -311,21 +337,27 @@ class TestSuiteTable:
 
     @pytest.mark.parametrize("suite", list(suites.SUITES))
     def test_no_suite_ends_in_a_traceback(self, capsys, monkeypatch, suite):
-        from symident import identities, sequences
+        # every verifier's report is built by identities._report; made to
+        # raise, it turns each check into an error report that carries the
+        # check name and params of the report it stands in for
+        from symident import identities
+
+        argv = ("verify", suite, *SMALL_WINDOWS[suite], "--format", "json")
+        _, out, _ = run_cli(capsys, *argv)
+        names = [(rec["check"], rec["params"]) for rec in json.loads(out)["reports"]]
 
         def _report(*args):
             raise RuntimeError("injected")
 
-        for module in (identities, sequences):
-            monkeypatch.setattr(module, "_report", _report)
-        code, out, err = run_cli(capsys, "verify", suite, *SMALL_WINDOWS[suite],
-                                 "--format", "json")
+        monkeypatch.setattr(identities, "_report", _report)
+        code, out, err = run_cli(capsys, *argv)
         assert code == 1 and err == ""
         assert "Traceback" not in out
         recs = json.loads(out)["reports"]
         assert recs and {rec["status"] for rec in recs} == {"error"}
         assert all(rec["counterexample"].startswith("RuntimeError: injected (test_cli.py:")
                    for rec in recs)
+        assert [(rec["check"], rec["params"]) for rec in recs] == names
 
     @pytest.mark.parametrize("module, name, suite, build", [
         ("identities", "_expansion_values", "first-kind", "_expansion_row"),

@@ -192,9 +192,12 @@ class TestCheckReport:
         complete, prefix = identities.complete, identities.complete_prefix
 
         def off(n, v):
-            # h_n of the doubled vector, the single side, one more
+            # h_n of the doubled vector's half B (z2, z3 and their inverses),
+            # one more: the single side h_n = sum_k h_k(A) h_(n-k)(B) is then
+            # one more, since h_0(A) = 1; the shifted halves have 1 and 2
+            # entries
             out = prefix(n, v)
-            if len(v) == 6:
+            if len(v) == 4:
                 out[n] = out[n] + 1
             return out
 

@@ -29,24 +29,18 @@ def _indices(check, r):
 
 def _sides_of(monkeypatch, check, r, k, mode):
     """What one check evaluates, trial by trial: the direction, family and
-    index, the (doubled, shifted) vectors its values are built from, the
+    index, the (doubled, shifted) vectors its sides are built from, the
     weighted kernel, and the (lhs, rhs) that came back."""
-    vectors, calls = [], []
-    values_of, sides = identities._expansion_values, identities._expansion_sides
+    calls = []
+    sides = identities._index_sides
 
-    def spy_values(direction, family, top, doubled, shifted):
-        vectors.append((doubled, shifted))
-        return values_of(direction, family, top, doubled, shifted)
-
-    def spy_sides(direction, family, n, kernel, values):
-        out = sides(direction, family, n, kernel, values)
-        doubled, shifted = vectors[len(calls)]
+    def spy(direction, family, n, kernel, doubled, shifted):
+        out = sides(direction, family, n, kernel, doubled, shifted)
         calls.append(((direction, family, n), doubled, shifted, kernel, out))
         return out
 
     with monkeypatch.context() as m:
-        m.setattr(identities, "_expansion_values", spy_values)
-        m.setattr(identities, "_expansion_sides", spy_sides)
+        m.setattr(identities, "_index_sides", spy)
         getattr(identities, check)(r, k, mode)
     return calls
 

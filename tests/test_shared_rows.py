@@ -133,10 +133,10 @@ def test_series_builds_each_ballot_series_once_per_call(monkeypatch):
         assert sorted(calls) == [(alpha, 10) for alpha in range(13)]
 
 
-def test_a_per_index_check_frees_the_single_side_before_the_sum():
-    # a check that builds its own values keeps f_n of the single side, not
-    # f_0..f_n, while it sums the kernel; handed both prefixes through
-    # values, the same check holds them all, and peaks higher
+def test_a_per_index_check_peaks_below_one_that_holds_whole_prefixes():
+    # a check that builds its own sides holds f_0..f_n of the two halves
+    # of each vector's variables; handed f_0..f_n of both whole vectors
+    # through values, the same check holds those, and peaks higher
     direction, family, r, n = "second", "h", 4, 14
     _, doubled, shifted = identities.symbolic_vectors(r)
     want = identities.expansion_check(direction, family, r, n)  # fills the caches
