@@ -4,8 +4,11 @@ of r variables evaluated at z + z^-1 and those of 2r variables evaluated at
 
 Every verifier runs in one of two modes:
 
-* symbolic - both sides are built as Laurent polynomials in z_1..z_r and
-  compared structurally, which is a proof for the given (r, index);
+* symbolic - the sides of an expansion identity are built as polynomials
+  in E_k = e_k(z_1 + 1/z_1, ..., z_r + 1/z_r) and compared structurally;
+  E_k -> e_k(z + z^-1) is injective, so this is a proof for the given
+  (r, index).  The other symbolic checks build Laurent polynomials in
+  z_1..z_r or in q;
 * random - both sides are evaluated at reproducibly drawn rational points
   (pairwise distinct, nonzero), which is a strong randomized check for
   parameter ranges where the symbolic expansion would be too large.  Each
@@ -26,7 +29,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .combinat import ballot, binom, expansion_kernel, q_binom
-from .exactalg import Series, UniLaurent, series_compose, series_sqrt
+from .exactalg import MultiLaurent, Series, UniLaurent, series_compose, series_sqrt
 from .symfun import (PointVector, complete, complete_prefix, elementary,
                      elementary_prefix, power, power_prefix, symbolic_vectors)
 
@@ -78,8 +81,12 @@ _SHOWN = 300
 
 def _shown(value) -> str:
     """repr of one side of a check; a long Laurent polynomial is cut to its
-    first _SHOWN characters and its number of terms."""
+    first _SHOWN characters and its number of terms.  A MultiLaurent side
+    is a polynomial in E_1..E_r (see _symbolic_values), so it is written in
+    E1..Er, not in the z1..zr of its repr."""
     text = repr(value)
+    if isinstance(value, MultiLaurent):
+        text = text.replace("z", "E")
     terms = getattr(value, "coeffs", None)
     if terms is None or len(text) <= _SHOWN:
         return text
@@ -129,16 +136,9 @@ def _rng_for(mode: VerifyMode, check: str, params: dict) -> random.Random:
 
 
 def _vector_pairs(r: int, mode: VerifyMode, check: str, params: dict):
-    """Yield (doubled, shifted, scale) for the requested mode.
-
-    Symbolic mode yields the Laurent vectors with scale 1.  Random mode
-    draws points x = a/b and yields them as integers: x, 1/x and
-    x + 1/x = (a^2 + b^2)/(ab), each times the scale, the lcm of the |a| b.
-    """
-    if mode.mode == "symbolic":
-        _, doubled, shifted = symbolic_vectors(r)
-        yield doubled, shifted, 1
-        return
+    """Yield (doubled, shifted, scale) for each random-mode trial: points
+    x = a/b drawn as integers, x, 1/x and x + 1/x = (a^2 + b^2)/(ab), each
+    times the scale, the lcm of the |a| b."""
     rng = _rng_for(mode, check, params)
     for _ in range(mode.trials):
         pts = _drawn_points(rng, r)
@@ -188,7 +188,8 @@ def _expansion_values(direction, family, top, doubled, shifted):
 def _expansion_sides(direction, family, n, kernel, values):
     """(lhs, rhs): f_n of one vector, and the kernel applied to f_0..f_n of
     the other (summed from manys[0] * 0, by the ring's addmul if it has one),
-    read from _expansion_values; the first-kind p kernel expands 2 p_n."""
+    read from _expansion_values or _symbolic_values; the first-kind p
+    kernel expands 2 p_n."""
     singles, manys = values
     single = singles[n] * 2 if (direction, family) == ("first", "p") else singles[n]
     acc, addmul = manys[0] * 0, getattr(type(manys[0]), "addmul", None)
@@ -197,46 +198,42 @@ def _expansion_sides(direction, family, n, kernel, values):
     return single, acc
 
 
-def _index_sides(direction, family, n, kernel, doubled, shifted):
-    """(lhs, rhs) of one index, as _expansion_sides gives them, with e and h
-    built from the two halves of each vector's variables: A, the entries of
-    z_1..z_c (c = r // 2; z_j and 1/z_j in the doubled vector), and B, the
-    rest.  F_v = F_A F_B, so f_n = sum_k f_k(A) f_(n-k)(B) and the kernel
-    side is sum_k f_k(A) (sum_i c_i f_(i-k)(B)); A and B share no variable,
-    so no product adds colliding terms, and no whole-vector prefix is built.
-    p keeps the whole power prefixes: power sums add over the halves.  So
-    do int entries (random mode): an int product costs the same whatever
-    values it multiplies, so there the split would only add products."""
-    r, zero = len(shifted), shifted.zero
-    if family == "p" or isinstance(zero, int):
-        return _expansion_sides(direction, family, n, kernel,
-                                _expansion_values(direction, family, n, doubled, shifted))
-    one, many = (shifted, doubled) if direction == "first" else (doubled, shifted)
-    prefix = elementary_prefix if family == "e" else complete_prefix
+def _symbolic_values(direction, family, r, top):
+    """(singles, manys) as _expansion_values gives them at the Laurent
+    vectors symbolic_vectors(r), written as polynomials in E_k =
+    e_k(x_1..x_r), x_j = z_j + 1/z_j: a MultiLaurent in r variables E_1..E_r
+    with no negative exponent.  The x_j are algebraically independent, and
+    so are their e_k, so E_k -> e_k(z + z^-1) is injective: sides equal in
+    Z[E] are equal as Laurent polynomials in z.
 
-    def halves(v):
-        # f_0..f_n of A and of B; e stops at a half's length, and an empty
-        # half's prefix is [1]
-        width, out = len(v) // r, []
-        for part in (range(r // 2), range(r // 2, r)):
-            h = [v[j * r + i] for j in range(width) for i in part]
-            top = n if family == "h" else min(n, len(h))
-            out.append(prefix(top, PointVector(h)) if h else [v.one])
+    The shifted vector's e are E_0..E_r.  The doubled vector's come from
+    prod_j (1 + z_j t)(1 + t/z_j) = prod_j (1 + x_j t + t^2) =
+    sum_k E_k t^k (1 + t^2)^(r-k), so e_i = sum_k binom(r-k, (i-k)/2) E_k.
+    h is the reciprocal of e(-t): h_n = sum_i (-1)^(i-1) e_i h_(n-i); p is
+    Newton's identities, the same sum with n e_n for e_n p_0, and p_0 the
+    arity.  The doubled p is not taken from z^i + z^-i = L_i(x), which is
+    the second-kind p kernel itself."""
+    E = [MultiLaurent.one(r)] + [MultiLaurent.variable(k, r) for k in range(r)]
+    zero = E[0] * 0
+    doubled = [sum((E[k] * binom(r - k, (i - k) // 2) for k in range(i % 2, min(i, r) + 1, 2)),
+                   zero) for i in range(2 * r + 1)]
+
+    def prefix(e):
+        # f_0..f_top of the vector whose e_0..e_arity are e
+        arity = len(e) - 1
+        if family == "e":
+            return e[:top + 1] + [zero] * (top - arity)
+        signed = [x if i % 2 else -x for i, x in enumerate(e)]
+        out = [E[0] * arity if family == "p" else E[0]]
+        for n in range(1, top + 1):
+            acc = zero
+            for i in range(1, min(n, arity) + 1):
+                acc = acc.addmul(signed[i], out[n - i] if i < n or family == "h" else n)
+            out.append(acc)
         return out
 
-    def glued(v, coeffs):
-        # sum_i c_i f_i(v) = sum_k f_k(A) (sum_i c_i f_(i-k)(B))
-        fa, fb = halves(v)
-        acc = zero
-        for k, f in enumerate(fa):
-            inner = zero
-            for i, c in coeffs:
-                if 0 <= i - k < len(fb):
-                    inner = inner.addmul(c, fb[i - k])
-            acc = acc.addmul(f, inner)
-        return acc
-
-    return glued(one, [(n, 1)]), glued(many, kernel)
+    one, many = (E, doubled) if direction == "first" else (doubled, E)
+    return prefix(one), prefix(many)
 
 
 def _expansion_names(direction, family, r, n, mode=VerifyMode(), values=None):
@@ -251,17 +248,16 @@ def _expansion_names(direction, family, r, n, mode=VerifyMode(), values=None):
 def expansion_check(direction: str, family: str, r: int, n: int,
                     mode: VerifyMode = VerifyMode(), values=None) -> list:
     """The expansion identity of f = family ("e", "h" or "p") in the given
-    direction ("first" or "second") at index n, evaluated across the mode's
-    vectors with the kernel weighted for each vector's scale; a random-mode
-    side is shown as the rational it stands for, itself over scale^n.
+    direction ("first" or "second") at index n.  The index is m in the
+    first kind and n in the second; p starts at 1, and e_n of the 2r
+    doubled entries stops at n = 2r.
 
-    The index is m in the first kind and n in the second; p starts at 1,
-    and e_n of the 2r doubled entries stops at n = 2r.  Without values,
-    the check builds its own sides by _index_sides, e and h from the
-    prefixes of the two halves of each vector's variables.  In symbolic
-    mode values may instead carry _expansion_values of symbolic_vectors(r)
-    up to any top >= n, whole-vector prefixes built once for a row of
-    indices and read by _expansion_sides.
+    In symbolic mode the sides are read from values, _symbolic_values of
+    (direction, family, r) up to any top >= n: a row of indices builds
+    them once, and a check called alone builds them up to n.  In random
+    mode the sides are evaluated across the drawn points with the kernel
+    weighted for each point's scale, and a side is shown as the rational
+    it stands for, itself over scale^n.
     """
     index, low = ("m" if direction == "first" else "n"), (1 if family == "p" else 0)
     if (direction, family) == ("second", "e"):
@@ -273,21 +269,19 @@ def expansion_check(direction: str, family: str, r: int, n: int,
         raise ValueError("shared values are for symbolic mode only")
     kernel = expansion_kernel(direction, family, r, n)
     check, params = "%s_kind_%s" % (direction, family), {"r": r, index: n}
-    failures = []
     at = " ".join("%s=%s" % kv for kv in sorted(params.items()))
-    if values is not None:
-        evaluations = [(_expansion_sides(direction, family, n, kernel, values), 1)]
-    else:
-        evaluations = ((_index_sides(direction, family, n, _weighted(kernel, scale, n),
-                                     doubled, shifted), scale)
-                       for doubled, shifted, scale in _vector_pairs(r, mode, check, params))
-    for trial, ((lhs, rhs), scale) in enumerate(evaluations):
+    if mode.mode == "symbolic":
+        if values is None:
+            values = _symbolic_values(direction, family, r, n)
+        lhs, rhs = _expansion_sides(direction, family, n, kernel, values)
+        return [] if lhs == rhs else ["%s symbolic: lhs=%s rhs=%s" % (at, _shown(lhs), _shown(rhs))]
+    failures = []
+    for trial, (doubled, shifted, scale) in enumerate(_vector_pairs(r, mode, check, params)):
+        lhs, rhs = _expansion_sides(direction, family, n, _weighted(kernel, scale, n),
+                                    _expansion_values(direction, family, n, doubled, shifted))
         if lhs != rhs:
-            where = "symbolic"
-            if mode.mode == "random":
-                where = "point %d" % trial
-                lhs, rhs = Fraction(lhs, scale ** n), Fraction(rhs, scale ** n)
-            failures.append("%s %s: lhs=%s rhs=%s" % (at, where, _shown(lhs), _shown(rhs)))
+            failures.append("%s point %d: lhs=%s rhs=%s" % (
+                at, trial, _shown(Fraction(lhs, scale ** n)), _shown(Fraction(rhs, scale ** n))))
     return failures
 
 

@@ -21,7 +21,7 @@ import inspect
 import os
 import time
 
-from . import combinat, cyclotomic, exactalg, identities, sequences, symfun
+from . import combinat, cyclotomic, exactalg, identities, sequences
 
 
 def _families_and_mode(family, mode, trials, seed):
@@ -94,8 +94,7 @@ def _row(build, args, checks):
 
 # the inputs that the checks of one row share, built once
 def _expansion_row(direction, family, r, top):
-    return identities._expansion_values(direction, family, top,
-                                        *symfun.symbolic_vectors(r)[1:])
+    return identities._symbolic_values(direction, family, r, top)
 
 
 def _inversion_row(r, n_max):

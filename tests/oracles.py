@@ -2,12 +2,15 @@
 
 Everything here enumerates definitions directly (combinations, tableaux,
 permutations) and never calls the library code paths it is used to check.
-The one exception, ``bialternant_numerators``, runs the library's full
-Berkowitz determinant once per n, the reference for the cofactor route.
+Two exceptions: ``bialternant_numerators`` runs the library's full
+Berkowitz determinant once per n, the reference for the cofactor route;
+``laurent_values`` runs the library's symfun prefixes over the literal
+Laurent vectors, the reference for the symbolic sides in Z[E_1..E_r].
 """
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
 
 
@@ -404,3 +407,42 @@ def fraction_vector_pairs(rng, r, trials):
         ints = [v.numerator * (scale // v.denominator) for v in values]
         out.append((ints[:2 * r], ints[2 * r:], scale))
     return out
+
+
+def laurent_values(direction, family, r, top):
+    """(singles, manys) of an expansion identity up to top, as Laurent
+    polynomials in z_1..z_r: the prefixes of the literal vectors
+    (z_j, 1/z_j) and z_j + 1/z_j of symbolic_vectors, in the layout of
+    identities._expansion_values (p_0 is the arity)."""
+    from symident.symfun import complete_prefix, elementary_prefix, power_prefix, symbolic_vectors
+    _, doubled, shifted = symbolic_vectors(r)
+    one, many = (shifted, doubled) if direction == "first" else (doubled, shifted)
+    if family == "p":
+        return tuple([v.one * v.arity] + power_prefix(top, v) for v in (one, many))
+    prefix = elementary_prefix if family == "e" else complete_prefix
+    return prefix(top, one), prefix(top, many)
+
+
+@lru_cache(maxsize=None)
+def _e_image(r, exps):
+    """The Laurent image of the E-monomial with these exponents: the image
+    with one E_k fewer (k its first E) times e_k(z + z^-1), e_k by
+    brute_elementary."""
+    from symident.symfun import symbolic_vectors
+    _, _, shifted = symbolic_vectors(r)
+    k = next((k for k, a in enumerate(exps) if a), None)
+    if k is None:
+        return shifted.one
+    less = exps[:k] + (exps[k] - 1,) + exps[k + 1:]
+    return _e_image(r, less) * brute_elementary(k + 1, list(shifted), shifted.one)
+
+
+def substituted(value, r):
+    """The Laurent polynomial in z_1..z_r that a polynomial in E_1..E_r (a
+    MultiLaurent with no negative exponent) maps to under E_k ->
+    e_k(z_1 + 1/z_1, ..., z_r + 1/z_r)."""
+    total = _e_image(r, (0,) * r) * 0
+    for exps, c in value.coeffs.items():
+        assert min(exps) >= 0, exps
+        total = total.addmul(c, _e_image(r, exps))
+    return total

@@ -91,10 +91,10 @@ def _golden_cell_off(kind, cell):
 
 
 def _expansion_at(direction, family, index):
-    """The per-index check at (R, index), whose sides come from the two
-    halves of each vector, once shown equal to the report at that index of
-    the symbolic row, whose sides come from whole-vector prefixes: pass or
-    fail, both paths give the same report and counterexample text."""
+    """The per-index check at (R, index), once shown equal to the report at
+    that index of the symbolic row, which builds its values once for all
+    its indices: pass or fail, both give the same report and counterexample
+    text."""
     def call():
         rep = identities.expansion_check(direction, family, R, index)
         row = suites.suite_expansion(direction, [R], index, (family,), SYM)
@@ -114,7 +114,8 @@ def _expansion_row(direction, family, index=5):
     name = "m" if direction == "first" else "n"
     return (identities, "expansion_kernel", _kernel_off(direction, family, index),
             _expansion_at(direction, family, index),
-            r"^%s=%d r=%d symbolic: lhs=.+ rhs=" % (name, index, R))
+            # both sides are written as polynomials in E1..Er, never in z
+            r"^%s=%d r=%d symbolic: lhs=[-+*^ 0-9E]+ rhs=[-+*^ 0-9E]+$" % (name, index, R))
 
 
 # check name -> (module, attribute, wrong(original), call, counterexample pattern)

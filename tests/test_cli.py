@@ -360,7 +360,7 @@ class TestSuiteTable:
         assert [(rec["check"], rec["params"]) for rec in recs] == names
 
     @pytest.mark.parametrize("module, name, suite, build", [
-        ("identities", "_expansion_values", "first-kind", "_expansion_row"),
+        ("identities", "_symbolic_values", "first-kind", "_expansion_row"),
         ("sequences", "fib_recurrence", "inversion", "_inversion_row"),
         ("combinat", "ballot_series", "series", "_series_row"),
     ])

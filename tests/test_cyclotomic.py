@@ -440,6 +440,26 @@ class TestStoredRepresentative:
                 assert list(x.coords) == want, m
                 assert x == f.element(want) and hash(x) == hash(f.element(want)), m
 
+    def test_addmul_of_dense_operands(self):
+        # a and b with three or more nonzero stored coordinates each leave
+        # the one-pass shift (_shifted gives None), so addmul falls back to
+        # self + a * b; self is a nonzero, unreduced value
+        rng = random.Random(53)
+        for m in self.ORDERS:
+            f = CycField(m)
+            for _ in range(10):
+                x, _ = self.sparse(rng, f)
+                x = x + f.element(TestProductOracle.rand_coords(rng, f.degree, 30))
+                a, b = (f.element(TestProductOracle.rand_coords(rng, m, 20)) for _ in range(2))
+                assert x != 0
+                assert m - a.rep.count(0) >= 3 and m - b.rep.count(0) >= 3
+                assert f._shifted(x.rep, a.rep, b.rep) is None
+                want = [p + q for p, q in zip(x.coords, brute_cyclotomic_mul(
+                    m, a.coords, b.coords))]
+                got = x.addmul(a, b)
+                assert list(got.coords) == want == list((x + a * b).coords), m
+                assert got == f.element(want), m
+
     def test_two_representatives_of_one_class(self):
         rng = random.Random(52)
         for m in self.ORDERS:

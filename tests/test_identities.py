@@ -14,6 +14,8 @@ from symident.identities import (CheckReport, VerifyMode,
                                  second_kind_h, second_kind_p)
 import random
 
+from oracles import laurent_values, substituted
+
 SYM = VerifyMode("symbolic")
 
 
@@ -146,6 +148,53 @@ class TestComposition:
             assert rep.passed, rep.counterexample
 
 
+KINDS = [(d, f) for d in ("first", "second") for f in "ehp"]
+
+
+class TestSymbolicSides:
+    """Symbolic sides are polynomials in E_k = e_k(x_1..x_r), x_j = z_j +
+    1/z_j.  Mapped through E_k -> e_k(z + z^-1), both sides of every index
+    are the Laurent ones of the literal vectors (z, z^-1) and z + z^-1,
+    for r <= 4 and n <= 2r + 4.  Each kernel at index n has a nonzero
+    coefficient at index n wherever f_n of its vector can be nonzero, so
+    the sides cover every value."""
+
+    @pytest.mark.parametrize("direction,family", KINDS)
+    def test_the_e_sides_map_onto_the_laurent_sides(self, direction, family):
+        from symident import identities
+        for r in range(1, 5):
+            top = 2 * r if (direction, family) == ("second", "e") else 2 * r + 4
+            ours = identities._symbolic_values(direction, family, r, top)
+            theirs = laurent_values(direction, family, r, top)
+            for n in range(1 if family == "p" else 0, top + 1):
+                kernel = identities.expansion_kernel(direction, family, r, n)
+                sides = identities._expansion_sides(direction, family, n, kernel, ours)
+                want = identities._expansion_sides(direction, family, n, kernel, theirs)
+                assert [substituted(side, r) for side in sides] == list(want), (r, n)
+
+    @pytest.mark.parametrize("direction,family", KINDS)
+    def test_every_kernel_coefficient_off_by_one_fails(self, monkeypatch, direction, family):
+        # at r = 1, 2, 5 and every n <= 2r; a kernel of one entry (second-
+        # kind e at n = 2r: e_2r of the doubled vector is 1) is perturbed
+        # too, so every coefficient of every kernel is
+        from symident import identities
+        kernel = identities.expansion_kernel
+        for r in (1, 2, 5):
+            assert len(kernel(direction, family, r, 2 * r)) >= (
+                1 if (direction, family) == ("second", "e") else 2)
+            for n in range(1 if family == "p" else 0, 2 * r + 1):
+                right = kernel(direction, family, r, n)
+                assert identities.expansion_check(direction, family, r, n).passed
+                for j, (i, c) in enumerate(right):
+                    off = right[:j] + [(i, c + 1)] + right[j + 1:]
+                    with monkeypatch.context() as m:
+                        m.setattr(identities, "expansion_kernel", lambda *args: off)
+                        rep = identities.expansion_check(direction, family, r, n)
+                    assert rep.status == "fail", (r, n, j)
+                    assert " symbolic: lhs=" in rep.counterexample and "z" not in \
+                        rep.counterexample
+
+
 class TestRandomMode:
     def test_points_are_distinct_nonzero_bounded(self):
         rng = random.Random(0)
@@ -188,25 +237,31 @@ class TestCheckReport:
 
     def test_long_laurent_sides_are_cut(self, monkeypatch):
         from symident import identities
-        from symident.symfun import symbolic_vectors
-        complete, prefix = identities.complete, identities.complete_prefix
-
-        def off(n, v):
-            # h_n of the doubled vector's half B (z2, z3 and their inverses),
-            # one more: the single side h_n = sum_k h_k(A) h_(n-k)(B) is then
-            # one more, since h_0(A) = 1; the shifted halves have 1 and 2
-            # entries
-            out = prefix(n, v)
-            if len(v) == 4:
-                out[n] = out[n] + 1
-            return out
-
-        monkeypatch.setattr(identities, "complete_prefix", off)
-        rep = second_kind_h(3, 8, SYM)
+        from symident.symfun import complete, symbolic_vectors
+        # a long MultiLaurent, h_8 of the doubled vector at r = 3, plus 1,
+        # is cut to its first _SHOWN characters, written in E1..Er as every
+        # MultiLaurent side is
         lhs = complete(8, symbolic_vectors(3)[1]) + 1
-        assert rep.status == "fail" and len(repr(lhs)) > 8000
-        cut = "lhs=%s… (%d terms) rhs=" % (repr(lhs)[:identities._SHOWN], len(lhs.coeffs))
-        assert rep.counterexample.startswith("n=8 r=3 symbolic: " + cut)
+        text = repr(lhs).replace("z", "E")
+        assert len(text) > 8000
+        assert identities._shown(lhs) == "%s… (%d terms)" % (text[:identities._SHOWN],
+                                                            len(lhs.coeffs))
+        # a failing report whose Z[E] sides are long cuts them: second-kind
+        # h at r = 5, n = 12, with the kernel's first coefficient one more
+        kernel = identities.expansion_kernel
+
+        def off(d, f, r, n):
+            (i, c), *rest = kernel(d, f, r, n)
+            return [(i, c + 1)] + rest
+
+        monkeypatch.setattr(identities, "expansion_kernel", off)
+        rep = second_kind_h(5, 12, SYM)
+        values = identities._symbolic_values("second", "h", 5, 12)
+        lhs, rhs = identities._expansion_sides("second", "h", 12, off("second", "h", 5, 12),
+                                               values)
+        assert rep.status == "fail" and len(repr(lhs)) > identities._SHOWN
+        assert rep.counterexample == "n=12 r=5 symbolic: lhs=%s rhs=%s" % (
+            identities._shown(lhs), identities._shown(rhs))
         assert rep.counterexample.endswith(" terms)")
         assert len(rep.counterexample) < 3 * identities._SHOWN
         # short sides, and sides that are not Laurent polynomials, stay whole

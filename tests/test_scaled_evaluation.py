@@ -29,18 +29,24 @@ def _indices(check, r):
 
 def _sides_of(monkeypatch, check, r, k, mode):
     """What one check evaluates, trial by trial: the direction, family and
-    index, the (doubled, shifted) vectors its sides are built from, the
+    index, the (doubled, shifted) vectors its values are built from, the
     weighted kernel, and the (lhs, rhs) that came back."""
-    calls = []
-    sides = identities._index_sides
+    vectors, calls = [], []
+    values_of, sides = identities._expansion_values, identities._expansion_sides
 
-    def spy(direction, family, n, kernel, doubled, shifted):
-        out = sides(direction, family, n, kernel, doubled, shifted)
+    def spy_values(direction, family, top, doubled, shifted):
+        vectors.append((doubled, shifted))
+        return values_of(direction, family, top, doubled, shifted)
+
+    def spy_sides(direction, family, n, kernel, values):
+        out = sides(direction, family, n, kernel, values)
+        doubled, shifted = vectors[len(calls)]
         calls.append(((direction, family, n), doubled, shifted, kernel, out))
         return out
 
     with monkeypatch.context() as m:
-        m.setattr(identities, "_index_sides", spy)
+        m.setattr(identities, "_expansion_values", spy_values)
+        m.setattr(identities, "_expansion_sides", spy_sides)
         getattr(identities, check)(r, k, mode)
     return calls
 
@@ -123,12 +129,24 @@ def test_a_reduced_duplicate_is_skipped(monkeypatch):
     assert scale == 2
 
 
-def test_symbolic_mode_is_unscaled():
-    mode = identities.VerifyMode("symbolic")
-    (_, _, scale), = identities._vector_pairs(3, mode, "first_kind_h", {"r": 3, "m": 5})
-    assert scale == 1
+def test_symbolic_mode_is_unscaled(monkeypatch):
+    # a symbolic check draws no points and applies the kernel unweighted
     kernel = expansion_kernel("first", "h", 3, 5)
     assert identities._weighted(kernel, 1, 5) is kernel
+    seen = []
+    sides = identities._expansion_sides
+
+    def spy(direction, family, n, kernel, values):
+        seen.append(kernel)
+        return sides(direction, family, n, kernel, values)
+
+    def drawn(*args):
+        raise AssertionError("symbolic mode drew points")
+
+    monkeypatch.setattr(identities, "_expansion_sides", spy)
+    monkeypatch.setattr(identities, "_vector_pairs", drawn)
+    assert identities.first_kind_h(3, 5, identities.VerifyMode("symbolic")).passed
+    assert seen == [kernel]
 
 
 # the first trial's points at seed 7, one check per family

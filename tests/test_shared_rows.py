@@ -11,6 +11,8 @@ import pytest
 
 from symident import identities, sequences, suites
 
+from oracles import laurent_values
+
 SYM = identities.VerifyMode("symbolic")
 RANDOM = identities.VerifyMode("random", trials=5, seed=7)
 KINDS = [(d, f) for d in ("first", "second") for f in ("e", "h", "p")]
@@ -111,8 +113,8 @@ def _slowed(fn, seconds):
 
 def test_a_row_charges_its_shared_build_to_its_first_report(monkeypatch):
     pause = 0.05
-    monkeypatch.setattr(identities, "_expansion_values",
-                        _slowed(identities._expansion_values, pause))
+    monkeypatch.setattr(identities, "_symbolic_values",
+                        _slowed(identities._symbolic_values, pause))
     rows = suites.suite_expansion("first", [1], 3, ("h",), SYM)
     assert rows[0].elapsed >= pause
     monkeypatch.setattr(sequences, "fib_recurrence", _slowed(sequences.fib_recurrence, pause))
@@ -133,12 +135,12 @@ def test_series_builds_each_ballot_series_once_per_call(monkeypatch):
         assert sorted(calls) == [(alpha, 10) for alpha in range(13)]
 
 
-def test_a_per_index_check_peaks_below_one_that_holds_whole_prefixes():
-    # a check that builds its own sides holds f_0..f_n of the two halves
-    # of each vector's variables; handed f_0..f_n of both whole vectors
-    # through values, the same check holds those, and peaks higher
-    direction, family, r, n = "second", "h", 4, 14
-    _, doubled, shifted = identities.symbolic_vectors(r)
+def test_a_per_index_check_peaks_below_the_laurent_values_of_its_index():
+    # a check that builds its own sides builds them in Z[E_1..E_r]; it
+    # peaks at a small part of what f_0..f_n of the literal Laurent
+    # vectors alone take, and gives the report it gives when handed a
+    # row's values
+    direction, family, r, n = "second", "h", 4, 10
     want = identities.expansion_check(direction, family, r, n)  # fills the caches
 
     def peak(call):
@@ -149,8 +151,8 @@ def test_a_per_index_check_peaks_below_one_that_holds_whole_prefixes():
             tracemalloc.stop()
 
     own, own_peak = peak(lambda: identities.expansion_check(direction, family, r, n))
-    held, held_peak = peak(lambda: identities.expansion_check(
-        direction, family, r, n,
-        values=identities._expansion_values(direction, family, n, doubled, shifted)))
-    assert own_peak < 0.95 * held_peak, (own_peak, held_peak)
+    _, laurent_peak = peak(lambda: laurent_values(direction, family, r, n))
+    assert own_peak < 0.05 * laurent_peak, (own_peak, laurent_peak)
+    held = identities.expansion_check(direction, family, r, n, values=suites._expansion_row(
+        direction, family, r, n + 4))
     assert own == held == want and want.passed
