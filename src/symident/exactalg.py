@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain
-from operator import floordiv, mul, truediv
+from operator import mul
 
 
 # ---------------------------------------------------------------------------
@@ -841,32 +841,27 @@ def det_cofactor(rows, below=None):
 
 
 def det_fraction_free(rows):
-    """Determinant of an integer or rational matrix by fraction-free
-    (Bareiss) elimination.  Returns a Fraction; for integer input the value
-    is integral.
-
-    Integer input is eliminated over the ints, where every Bareiss quotient
-    is exact, so it uses floor division; anything else runs over Fractions.
-    """
+    """Determinant of an int matrix by fraction-free (Bareiss) elimination
+    over the ints, where every Bareiss quotient is exact; TypeError on an
+    entry that is not an int, which a floor division would get wrong."""
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("need a nonempty square matrix")
-    if all(isinstance(x, int) for row in rows for x in row):
-        m, div = [list(row) for row in rows], floordiv
-    else:
-        m, div = [[Fraction(x) for x in row] for row in rows], truediv
+    if not all(isinstance(x, int) for row in rows for x in row):
+        raise TypeError("need int entries")
+    m = [list(row) for row in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
             pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
             if pivot is None:
-                return Fraction(0)
+                return 0
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                m[i][j] = div(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = m[k][k]
-    return Fraction(sign * m[n - 1][n - 1])
+    return sign * m[n - 1][n - 1]

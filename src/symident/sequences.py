@@ -1,10 +1,12 @@
 """Higher-order Fibonacci and Lucas sequences with their companion
 characteristic coefficients, each computed by several independent routes
 (closed-form sums, linear recurrence, exact root-of-unity evaluation,
-determinants, generating functions, partition sums) that are cross-checked
-against one another.  The closed values of e_n, h_n and p_n at the doubled
-roots of unity, which the inversion checks, the binomial displays and the
-roots checks compare against, are written once here.
+determinants, generating functions, partition sums).  A route is a plain
+value function; only the checks compare routes, and a disagreement is a
+failing report that names its route and index.  The closed values of e_n,
+h_n and p_n at the doubled roots of unity, which the inversion checks, the
+binomial displays and the roots checks compare against, are written once
+here.
 
 Indexing conventions, fixed once (F and L are both HigherSequence values,
 which hold where their storage starts):
@@ -113,19 +115,20 @@ def _sign_pow(e: int) -> int:
     return -1 if e % 2 else 1
 
 
-def _fib_halved_form(r: int, n: int) -> int:
+def _fib_halved_form(r: int, n: int) -> Fraction:
+    """F_n by the half-difference ballot sum, a Fraction not checked to be
+    an integer."""
     p = 2 * r + 1
     total = Fraction(0)
     for k in range((n - 1) // 2 + 1):
         w = Fraction(_sign_pow((n - 1 - 2 * k) // p) - _sign_pow((n - 2 * k - 3) // p), 2)
         if w:
             total += w * ballot(n + r - 2, k)
-    if total.denominator != 1:
-        raise ValueError("non-integer value from the half-difference form")
-    return int(total)
+    return total
 
 
 def _fib_alternating_form(r: int, n: int) -> int:
+    """F_n by the alternating ballot sum."""
     p = 2 * r + 1
     total = 0
     for k in range((n - 1) // p + 1):
@@ -134,26 +137,12 @@ def _fib_alternating_form(r: int, n: int) -> int:
     return total
 
 
-def fib_explicit(r: int, n: int) -> int:
-    """F_n by the two closed-form ballot sums; they must agree."""
-    if r < 1 or n < 1:
-        raise ValueError("need r >= 1 and n >= 1")
-    a = _fib_halved_form(r, n)
-    b = _fib_alternating_form(r, n)
-    if a != b:
-        raise ArithmeticError(
-            "closed forms disagree at r=%d n=%d: %d vs %d" % (r, n, a, b))
-    return a
-
-
-def _lucas_delta_form(r: int, n: int) -> int:
+def _lucas_delta_form(r: int, n: int) -> Fraction:
+    """L_n by the divisibility-indicator sum, a Fraction not checked to be
+    an integer."""
     p = 2 * r + 1
     s = sum(binom(n, k) for k in range(n + 1) if (n - 2 * k) % p == 0)
-    total = Fraction(_sign_pow(n + 1), 1) * Fraction(2 ** n, 2) \
-        + Fraction(_sign_pow(n) * p, 2) * s
-    if total.denominator != 1:
-        raise ValueError("non-integer value from the delta form")
-    return int(total)
+    return Fraction(_sign_pow(n + 1), 1) * Fraction(2 ** n, 2) + Fraction(_sign_pow(n) * p, 2) * s
 
 
 def _lucas_case_sum(r: int, n: int) -> Fraction:
@@ -166,21 +155,6 @@ def _lucas_case_sum(r: int, n: int) -> Fraction:
     s = sum(binom(2 * m + 1, m - p * k - r)
             for k in range(-((m + r + 1) // p), (m - r) // p + 1))
     return Fraction(4 ** m) - Fraction(p, 2) * s
-
-
-def lucas_explicit(r: int, n: int) -> int:
-    """L_n by the divisibility-indicator sum and the even/odd case sum;
-    they must agree."""
-    if r < 1 or n < 0:
-        raise ValueError("need r >= 1 and n >= 0")
-    a = _lucas_delta_form(r, n)
-    b = _lucas_case_sum(r, n)
-    if b.denominator != 1:
-        raise ValueError("non-integer value from the case form")
-    if a != b:
-        raise ArithmeticError(
-            "closed forms disagree at r=%d n=%d: %d vs %d" % (r, n, a, b))
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -205,39 +179,28 @@ class CharCoeffs:
     def __iter__(self):
         return iter(self.values)
 
-    def __eq__(self, other):
-        return isinstance(other, CharCoeffs) and (self.r, self.values) == (other.r, other.values)
-
-    def __repr__(self):
-        return "CharCoeffs(r=%d, %r)" % (self.r, self.values)
-
 
 def char_coeffs(r: int) -> CharCoeffs:
     """(-1)^floor(n/2) binom(r - floor((n+1)/2), floor(n/2)) for n = 0..r,
-    cross-checked against the exact elementary values of the shifted roots
-    and against the telescoping ballot sum."""
+    the closed form that char_coeffs_check compares with its other routes."""
     if r < 1:
         raise ValueError("need r >= 1")
-    closed = [_sign_pow(n // 2) * binom(r - (n + 1) // 2, n // 2) for n in range(r + 1)]
-    ballot_sum = [sum(c for _, c in expansion_kernel("first", "e", r, n)) for n in range(r + 1)]
-    if closed != ballot_sum:
-        raise ArithmeticError("ballot sum disagrees with the closed form at r=%d" % r)
-    cyc = elementary_prefix(r, shifted_roots_vector(r))
-    for n, (c, e) in enumerate(zip(closed, cyc)):
-        if e != c:
-            raise ArithmeticError("root-of-unity value disagrees with the closed form "
-                                  "at r=%d n=%d" % (r, n))
-    return CharCoeffs(r, closed)
+    return CharCoeffs(r, [_sign_pow(n // 2) * binom(r - (n + 1) // 2, n // 2)
+                          for n in range(r + 1)])
 
 
 @_verifier(lambda r: ("roots_char_coeffs", {"r": r}))
 def char_coeffs_check(r: int) -> list:
-    """char_coeffs(r): a disagreement between its three routes fails."""
-    try:
-        char_coeffs(r)
-    except ArithmeticError as exc:
-        return [str(exc)]
-    return []
+    """char_coeffs(r) against the telescoping ballot sums (the first-kind e
+    kernel summed) and against e_n of the shifted roots, at each n = 0..r."""
+    C = char_coeffs(r)
+    cyc = elementary_prefix(r, shifted_roots_vector(r))
+    failures = ["ballot sum disagrees with the closed form at r=%d n=%d" % (r, n)
+                for n in range(r + 1)
+                if sum(c for _, c in expansion_kernel("first", "e", r, n)) != C[n]]
+    failures += ["root-of-unity value disagrees with the closed form at r=%d n=%d" % (r, n)
+                 for n in range(r + 1) if cyc[n] != C[n]]
+    return failures
 
 
 @_verifier(lambda r: ("discriminant_square", {"r": r}))
@@ -437,6 +400,8 @@ def congruence_check(r: int, q: int, n_max: int, k_max: int = 3) -> list:
     """Period q-1 of F and L mod q, for 2r+1 prime and q an odd prime
     congruent to +-1 mod 2r+1, plus the residues at multiples of q-1:
     F = 0 then 1, 1 and L = (p-1)/2 then 1 then p-2."""
+    if n_max < 1 or k_max < 0:
+        raise ValueError("need n_max >= 1 and k_max >= 0")
     p = 2 * r + 1
     if not _is_prime(p):
         raise ValueError("hypothesis failed: 2r+1 = %d is not prime" % p)
@@ -482,10 +447,7 @@ def determinant_formulas_check(r: int, n_max: int) -> list:
     if r < 1 or n_max < 1:
         raise ValueError("need r >= 1 and n_max >= 1")
     failures = []
-    try:
-        C = char_coeffs(r)
-    except ArithmeticError as exc:
-        return [str(exc)]
+    C = char_coeffs(r)
     F = fib_recurrence(r, n_max + 2)
     L = lucas_recurrence(r, n_max + 1)
 
@@ -608,10 +570,7 @@ def partition_relations_check(r: int, n_max: int) -> list:
         raise ValueError("need r >= 1 and n_max >= 1")
     F = fib_recurrence(r, n_max + 1)
     L = lucas_recurrence(r, n_max)
-    try:
-        C = char_coeffs(r)
-    except ArithmeticError as exc:
-        return [str(exc)]
+    C = char_coeffs(r)
     failures = []
     for n in range(1, n_max + 1):
         s = Fraction(sum(L[i] * F[n + 1 - i] for i in range(1, n + 1)), n)
@@ -639,8 +598,9 @@ def partition_relations_check(r: int, n_max: int) -> list:
 
 @_verifier(lambda r, n_max, det_max=10: ("cross_oracle", {"r": r, "n_max": n_max}))
 def cross_oracle_check(r: int, n_max: int, det_max: int = 10) -> list:
-    """Route agreement for one r: closed forms, recurrence and cyclotomic
-    evaluation for n <= n_max, determinants for n <= det_max, generating
+    """Route agreement for one r: each of the four closed forms and the
+    cyclotomic evaluation against the recurrence for n <= n_max, each miss
+    named by its route and n; determinants for n <= det_max, generating
     functions to order 30."""
     if r < 1 or n_max < 1:
         raise ValueError("need r >= 1 and n_max >= 1")
@@ -657,14 +617,14 @@ def cross_oracle_check(r: int, n_max: int, det_max: int = 10) -> list:
             failures.append("F cyclotomic vs recurrence n=%d" % n)
         if lucas_cyc[n - 1] != L[n]:
             failures.append("L cyclotomic vs recurrence n=%d" % n)
-    # a closed-form pair that disagrees ends its route as a failure
-    for name, explicit, values, start in (("F", fib_explicit, F, 1), ("L", lucas_explicit, L, 0)):
-        try:
-            for n in range(start, n_max + 1):
-                if explicit(r, n) != values[n]:
-                    failures.append("%s explicit vs recurrence n=%d" % (name, n))
-        except ArithmeticError as exc:
-            failures.append(str(exc))
+    # each closed form against the recurrence; a form's value that is not
+    # an integer misses too
+    for name, form, values, start in (("F halved form", _fib_halved_form, F, 1),
+                                      ("F alternating form", _fib_alternating_form, F, 1),
+                                      ("L delta form", _lucas_delta_form, L, 0),
+                                      ("L case sum", _lucas_case_sum, L, 0)):
+        failures += ["%s vs recurrence n=%d" % (name, n)
+                     for n in range(start, n_max + 1) if form(r, n) != values[n]]
     det = determinant_formulas_check(r, det_max)
     if not det.passed:
         failures.append("determinants: %s" % det.counterexample)

@@ -122,7 +122,7 @@ def test_criterion_06_root_of_unity_evaluations():
         for n in range(1, top + 1):
             want = (-1 if n % 2 else 1) * (-1 + p * (n % p == 0))
             assert power(n, doubled) == want, (r, n)
-        sequences.char_coeffs(r)  # raises if the three routes disagree
+        assert sequences.char_coeffs_check(r).passed, r
         assert identities.unit_binomial_sum_check(r).passed, r
     announce(6, "exact cyclotomic evaluations for r <= 8, n <= 6(2r+1)")
 

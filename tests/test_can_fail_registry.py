@@ -152,7 +152,8 @@ REGISTRY = {
                       lambda f=f: sequences.roots_check(f, R), r"^%s n=1(;|$)" % f)
        for f in "ehp"},
     "roots_char_coeffs": (sequences, "elementary_prefix", _prefix_shift(4, 6),
-                          lambda: sequences.char_coeffs_check(6), r"at r=6 n=4$"),
+                          lambda: sequences.char_coeffs_check(6),
+                          r"^root-of-unity value disagrees with the closed form at r=6 n=4$"),
     "discriminant_square": (cyclotomic, "shifted_roots_vector",
                             _first_root(lambda field: -field.zeta(1)),
                             lambda: sequences.discriminant_check(R),

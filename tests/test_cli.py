@@ -220,7 +220,9 @@ class TestVerifyCommand:
         assert "Traceback" not in out + err
         (rec,) = json.loads(out)["reports"]
         assert rec["status"] == "fail"
-        assert "closed forms disagree at r=3" in rec["counterexample"]
+        # the first three misses, each named by its route and index
+        assert rec["counterexample"] == "; ".join(
+            "F halved form vs recurrence n=%d" % n for n in (1, 2, 3))
 
     def test_a_raising_check_is_an_error_report(self, capsys, monkeypatch):
         from symident import identities
@@ -414,6 +416,12 @@ class TestSuiteTable:
         (("series", "--order", "-1"), "series needs --order >= 0 and --alpha-max >= 0"),
         (("principal", "--r", "1", "--n-max", "0"), "principal needs --n-max >= 1"),
         (("principal", "--r", "1", "--n-max", "-1"), "principal needs --n-max >= 1"),
+        (("congruence", "--r", "2", "--q", "11", "--n-max", "0", "--k-max", "-1"),
+         "need n_max >= 1 and k_max >= 0"),
+        (("congruence", "--r", "2", "--q", "11", "--n-max", "-5"),
+         "need n_max >= 1 and k_max >= 0"),
+        (("congruence", "--r", "2", "--q", "11", "--k-max", "-1"),
+         "need n_max >= 1 and k_max >= 0"),
     ])
     def test_window_that_checks_nothing_is_refused(self, capsys, argv, message):
         code, out, err = run_cli(capsys, "verify", *argv)

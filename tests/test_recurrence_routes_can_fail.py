@@ -1,11 +1,13 @@
 """The checks that compare recurrence values with closed forms and
 residues, shown able to fail: one recurrence value, or one closed-form
 value, made wrong turns each check that reads it to `fail` with the index
-named."""
+named, and a closed form with the route named too."""
+
+from fractions import Fraction
 
 import pytest
 
-from symident import sequences
+from symident import sequences, suites
 
 
 def _fib_off_at(r, index):
@@ -50,15 +52,28 @@ def test_initial_block_fails_on_a_wrong_recurrence_value(monkeypatch):
     assert rep.counterexample == "F[%d] r=%d: %d vs %d" % (index, r, right + 1, right)
 
 
-def test_cross_oracle_closed_form_fails_on_a_wrong_explicit_value(monkeypatch):
+# closed form -> (its route in a counterexample, how much it is made wrong
+# by at one n); a value that is not an integer is a miss, not an error
+FORM_CASES = {
+    "halved": ("_fib_halved_form", "F halved form", 1),
+    "alternating": ("_fib_alternating_form", "F alternating form", 1),
+    "delta": ("_lucas_delta_form", "L delta form", 1),
+    "case_sum": ("_lucas_case_sum", "L case sum", 1),
+    "halved_plus_half": ("_fib_halved_form", "F halved form", Fraction(1, 2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORM_CASES))
+def test_cross_oracle_closed_form_fails_on_a_wrong_explicit_value(monkeypatch, case):
+    form, route, step = FORM_CASES[case]
     r, index = 3, 7
     assert sequences.cross_oracle_check(r, 12, det_max=3).passed
-    explicit = sequences.fib_explicit
-    monkeypatch.setattr(sequences, "fib_explicit",
-                        lambda order, n: explicit(order, n) + (n == index))
-    rep = sequences.cross_oracle_check(r, 12, det_max=3)
+    right = getattr(sequences, form)
+    monkeypatch.setattr(sequences, form, lambda order, n: right(order, n) + step * (n == index))
+    # through the guarded runner, where a raise would be an error report
+    rep = suites._guarded(sequences.cross_oracle_check, r, 12, 3)
     assert rep.status == "fail"
-    assert rep.counterexample == "F explicit vs recurrence n=%d" % index
+    assert rep.counterexample == "%s vs recurrence n=%d" % (route, index)
 
 
 def test_cross_oracle_fails_on_a_wrong_recurrence_value(monkeypatch):
@@ -66,5 +81,6 @@ def test_cross_oracle_fails_on_a_wrong_recurrence_value(monkeypatch):
     monkeypatch.setattr(sequences, "fib_recurrence", _fib_off_at(r, index))
     rep = sequences.cross_oracle_check(r, 12, det_max=3)
     assert rep.status == "fail"
-    assert rep.counterexample.startswith("F cyclotomic vs recurrence n=%d; "
-                                         "F explicit vs recurrence n=%d; " % (index, index))
+    # every route compared with F misses at the index (the first three shown)
+    assert rep.counterexample == ("F cyclotomic vs recurrence n=%d; F halved form vs recurrence "
+                                  "n=%d; F alternating form vs recurrence n=%d" % ((index,) * 3))

@@ -5,15 +5,16 @@ import pytest
 from symident.combinat import centralizer_order
 from symident.cyclotomic import shifted_roots_vector
 from symident.exactalg import det_fraction_free
-from symident.sequences import (char_coeffs, compare_with_golden,
+from symident.sequences import (_fib_alternating_form, _fib_halved_form,
+                                _lucas_case_sum, _lucas_delta_form,
+                                char_coeffs, compare_with_golden,
                                 congruence_check, fibonacci_sums_check,
                                 lucas_sums_check, cross_oracle_check,
                                 determinant_formulas_check,
-                                fib_explicit,
                                 fib_recurrence, sequence_genfun_check,
                                 golden_table, initial_block_check,
                                 inversion_check_F, inversion_check_L,
-                                known_typos, lucas_explicit,
+                                known_typos,
                                 lucas_recurrence, partition_relations_check,
                                 recurrence_coefficients, table)
 from symident.symfun import complete_prefix, power_prefix
@@ -55,20 +56,22 @@ class TestRecurrences:
 
 class TestExplicitForms:
     def test_table_values(self):
-        assert fib_explicit(6, 14) == 9995
-        assert fib_explicit(2, 8) == 21
-        assert all(fib_explicit(r, 1) == 1 for r in range(1, 9))
-        assert lucas_explicit(5, 4) == 25
-        assert lucas_explicit(3, 6) == 38
+        for form in (_fib_halved_form, _fib_alternating_form):
+            assert form(6, 14) == 9995
+            assert form(2, 8) == 21
+            assert all(form(r, 1) == 1 for r in range(1, 9))
+        for form in (_lucas_delta_form, _lucas_case_sum):
+            assert form(5, 4) == 25
+            assert form(3, 6) == 38
 
     def test_agree_with_recurrence(self):
         for r in (1, 2, 3, 4):
             F = fib_recurrence(r, 30)
             L = lucas_recurrence(r, 30)
             for n in range(1, 31):
-                assert fib_explicit(r, n) == F[n], (r, n)
-                assert lucas_explicit(r, n) == L[n], (r, n)
-            assert lucas_explicit(r, 0) == L[0] == r
+                assert _fib_halved_form(r, n) == _fib_alternating_form(r, n) == F[n], (r, n)
+                assert _lucas_delta_form(r, n) == _lucas_case_sum(r, n) == L[n], (r, n)
+            assert _lucas_delta_form(r, 0) == _lucas_case_sum(r, 0) == L[0] == r
 
 
 def fib_cyclotomic_prefix(r, n_max):
@@ -92,7 +95,7 @@ class TestCyclotomicRoute:
 class TestCharCoeffs:
     def test_values(self):
         assert list(char_coeffs(2)) == [1, 1, -1]
-        # derived through the root-of-unity oracle inside char_coeffs
+        # char_coeffs_check compares these with the ballot sums and the roots
         assert list(char_coeffs(4)) == [1, 1, -3, -2, 1]
         assert char_coeffs(3)[0] == 1
 
@@ -159,7 +162,6 @@ class TestBinomialSums:
         total = sum((-1) ** k * binom(5 - k + 1, k) * F[5 - 2 * k + 1] for k in range(3))
         assert total == -1
         # alternating ballot sum at n = 9 reproduces F_9 = 34
-        from symident.sequences import _fib_alternating_form
         assert _fib_alternating_form(2, 9) == 34
 
     def test_lucas_sums(self):

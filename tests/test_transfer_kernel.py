@@ -62,6 +62,9 @@ USERS = {
         ("first_kind_e", lambda: identities.first_kind_e(2, T, SYM), r"\bm=%d\b" % T),
         ("principal (1a)", lambda: identities.principal_combination_check(2, 10),
          r"\(1a\) m=%d\b" % T),
+        # the ballot-sum route of the characteristic coefficients
+        ("roots_char_coeffs", lambda: sequences.char_coeffs_check(T),
+         r"^ballot sum disagrees with the closed form at r=%d n=%d$" % (T, T)),
     ],
     ("first", "h"): [
         ("first_kind_h", lambda: identities.first_kind_h(2, T, SYM), r"\bm=%d\b" % T),
@@ -137,17 +140,3 @@ def test_genfun_transfer_is_its_own_route(monkeypatch, family, r):
     assert rep.status == "fail"
     assert re.match(r"%s coefficient y\^%d\b" % (family, T), rep.counterexample), \
         rep.counterexample
-
-
-@pytest.mark.parametrize("check", [
-    lambda: sequences.determinant_formulas_check(T, 2),
-    lambda: sequences.partition_relations_check(T, 2),
-])
-def test_wrong_ballot_sum_comes_back_as_a_failure(monkeypatch, check):
-    # char_coeffs reads the first-kind e kernel; its ArithmeticError must
-    # come back inside the report, not escape the check
-    assert check().passed
-    _perturb(monkeypatch, "first", "e")
-    rep = check()
-    assert rep.status == "fail"
-    assert "ballot sum disagrees with the closed form at r=%d" % T in rep.counterexample
