@@ -35,7 +35,7 @@ from itertools import chain, compress, cycle, repeat
 from operator import add, mul, neg, sub
 
 from .exactalg import _int_poly_dot, _int_poly_krylov, _power, _unpack, det_cofactor
-from .symfun import PointVector
+from .symfun import point_vectors
 
 
 def _poly_divide_exact(num, den):
@@ -349,26 +349,17 @@ def _coords_in(field: CycField, xs) -> list:
 
 
 @lru_cache(maxsize=None)
-def shifted_roots_vector(r: int) -> PointVector:
-    """Entries -zeta^j - zeta^(-j) for j = 1..r with zeta of order 2r+1;
-    exact versions of -2 cos(2 pi j / (2r+1)).  Built once per r: the
-    vector and its entries are immutable, and every route at one r shares
-    it."""
+def roots_vectors(r: int) -> tuple:
+    """(doubled, shifted) at z_j = -zeta^j for j = 1..r with zeta of order
+    2r+1: the doubled -zeta^j and -zeta^(-j), length 2r, and the shifted
+    -zeta^j - zeta^(-j), exact versions of -2 cos(2 pi j / (2r+1)).  Built
+    once per r: the vectors and their entries are immutable, and every
+    route at one r shares them."""
     if r < 1:
         raise ValueError("need r >= 1")
     field = CycField(2 * r + 1)
-    m = field.m
-    entries = [-(field.zeta(j) + field.zeta(m - j)) for j in range(1, r + 1)]
-    return PointVector(entries)
-
-
-def doubled_roots_vector(r: int) -> PointVector:
-    """Entries -zeta^j and -zeta^(-j) for j = 1..r, length 2r, in the field
-    of the shifted roots."""
-    field = shifted_roots_vector(r)[0].field
-    plus = [-field.zeta(j) for j in range(1, r + 1)]
-    minus = [-field.zeta(-j) for j in range(1, r + 1)]
-    return PointVector(plus + minus)
+    return point_vectors([-field.zeta(j) for j in range(1, r + 1)],
+                         [-field.zeta(-j) for j in range(1, r + 1)])
 
 
 def _is_prime(n: int) -> bool:
@@ -393,7 +384,7 @@ def discriminant_square(r: int) -> CycInt:
     p = 2 * r + 1
     if not _is_prime(p):
         raise ValueError("2r+1 = %d is not prime" % p)
-    vals = shifted_roots_vector(r).entries
+    vals = roots_vectors(r)[1].entries
     field = vals[0].field
     rows = [[field.one] for _ in vals]
     for _ in range(r - 1):

@@ -30,8 +30,8 @@ from typing import Optional
 
 from .combinat import ballot, binom, expansion_kernel, q_binom
 from .exactalg import MultiLaurent, Series, UniLaurent, series_compose, series_sqrt
-from .symfun import (PointVector, complete, complete_prefix, elementary,
-                     elementary_prefix, power, power_prefix, symbolic_vectors)
+from .symfun import (complete_prefix, elementary_prefix, point_vectors, power, prefix,
+                     symbolic_vectors)
 
 
 @dataclass(frozen=True)
@@ -137,15 +137,14 @@ def _rng_for(mode: VerifyMode, check: str, params: dict) -> random.Random:
 
 def _vector_pairs(r: int, mode: VerifyMode, check: str, params: dict):
     """Yield (doubled, shifted, scale) for each random-mode trial: points
-    x = a/b drawn as integers, x, 1/x and x + 1/x = (a^2 + b^2)/(ab), each
-    times the scale, the lcm of the |a| b."""
+    x = a/b drawn as integers, with x and 1/x each times the scale, the lcm
+    of the |a| b."""
     rng = _rng_for(mode, check, params)
     for _ in range(mode.trials):
         pts = _drawn_points(rng, r)
         scale = math.lcm(*(abs(a) * b for a, b in pts))
-        doubled = [a * (scale // b) for a, b in pts] + [b * (scale // a) for a, b in pts]
-        shifted = [(a * a + b * b) * (scale // (a * b)) for a, b in pts]
-        yield PointVector(doubled), PointVector(shifted), scale
+        yield point_vectors([a * (scale // b) for a, b in pts],
+                            [b * (scale // a) for a, b in pts]) + (scale,)
 
 
 def _weighted(kernel, scale: int, degree: int) -> list:
@@ -168,21 +167,13 @@ def _weighted(kernel, scale: int, degree: int) -> list:
 # for f = e, h, p, with [(i, c_i)] = expansion_kernel(direction, f, r, n)
 
 
-def _power_sum(n: int, v: PointVector):
-    """p_n with the degree-0 power sum read as the arity."""
-    return power(n, v) if n else v.one * v.arity
-
-
 def _expansion_values(direction, family, top, doubled, shifted):
     """(singles, manys): f_0..f_top of the vector whose f_n is the single
     side, and of the vector the kernel is applied over.  The first kind
     reads f_n at the shifted vector, the second at the doubled one; p_0 is
     the arity."""
     one, many = (shifted, doubled) if direction == "first" else (doubled, shifted)
-    if family == "p":
-        return tuple([_power_sum(0, v)] + power_prefix(top, v) for v in (one, many))
-    prefix = elementary_prefix if family == "e" else complete_prefix
-    return prefix(top, one), prefix(top, many)
+    return prefix(family, top, one), prefix(family, top, many)
 
 
 def _expansion_sides(direction, family, n, kernel, values):
@@ -218,7 +209,7 @@ def _symbolic_values(direction, family, r, top):
     doubled = [sum((E[k] * binom(r - k, (i - k) // 2) for k in range(i % 2, min(i, r) + 1, 2)),
                    zero) for i in range(2 * r + 1)]
 
-    def prefix(e):
+    def from_e(e):
         # f_0..f_top of the vector whose e_0..e_arity are e
         arity = len(e) - 1
         if family == "e":
@@ -233,7 +224,7 @@ def _symbolic_values(direction, family, r, top):
         return out
 
     one, many = (E, doubled) if direction == "first" else (doubled, E)
-    return prefix(one), prefix(many)
+    return from_e(one), from_e(many)
 
 
 def _expansion_names(direction, family, r, n, mode=VerifyMode(), values=None):
@@ -420,11 +411,7 @@ def series_substitution(ballots, y, order: int, n_max: int) -> list:
 
 def _q_vectors(r: int):
     q = UniLaurent.monomial(1, 1)
-    plus = [q ** j for j in range(r, 0, -1)]
-    minus = [q ** -j for j in range(r, 0, -1)]
-    doubled = PointVector(plus + minus)
-    shifted = PointVector([a + b for a, b in zip(plus, minus)])
-    return doubled, shifted
+    return point_vectors([q ** j for j in range(r, 0, -1)], [q ** -j for j in range(r, 0, -1)])
 
 
 def _q_power(e: int) -> UniLaurent:
@@ -460,15 +447,13 @@ def principal_spec(family: str, r: int, n: int) -> list:
     if r < 1 or n < low:
         raise ValueError("need r >= 1 and n >= %d" % low)
     doubled, _ = _q_vectors(r)
-    if family == "e":
-        lhs, rhs = elementary(n, doubled), _elem_q_closed(r, n)
-    elif family == "h":
-        lhs, rhs = complete(n, doubled), _complete_q_closed(r, n)
-    else:
+    if family == "p":
         one = UniLaurent.one()
-        clear = one - _q_power(n)
-        lhs = (power(n, doubled) + one) * clear
+        lhs = (power(n, doubled) + one) * (one - _q_power(n))
         rhs = _q_power(-r * n) * (one - _q_power((2 * r + 1) * n))
+    else:
+        lhs = prefix(family, n, doubled)[n]
+        rhs = (_elem_q_closed if family == "e" else _complete_q_closed)(r, n)
     return [] if lhs == rhs else ["lhs=%s rhs=%s" % (_shown(lhs), _shown(rhs))]
 
 
@@ -488,8 +473,7 @@ def principal_combination_check(r: int, bound: int) -> list:
     closed = {"e": [_elem_q_closed(r, t) for t in top],
               "h": [_complete_q_closed(r, t) for t in top],
               "p": [_q_power(-t * r) * g - one for t, g in zip(top, geom)]}
-    ours = {"e": elementary_prefix(bound, shifted), "h": complete_prefix(bound, shifted),
-            "p": [_power_sum(0, shifted)] + power_prefix(bound, shifted)}
+    ours = {f: prefix(f, bound, shifted) for f in "ehp"}
     failures = []
     for label, family in enumerate("ehp", 1):
         for direction, part, index in (("first", "a", "m"), ("second", "b", "n")):

@@ -29,10 +29,10 @@ from fractions import Fraction
 from importlib import resources
 
 from .combinat import ballot, binom, centralizer_order, expansion_kernel, partitions_of
-from .cyclotomic import _is_prime, discriminant_square, doubled_roots_vector, shifted_roots_vector
+from .cyclotomic import _is_prime, discriminant_square, roots_vectors
 from .exactalg import Series, det_cofactor, det_fraction_free, first_row_cofactors
 from .identities import _verifier
-from .symfun import complete_prefix, elementary_prefix, power_prefix
+from .symfun import complete_prefix, elementary_prefix, power_prefix, prefix
 
 
 # ---------------------------------------------------------------------------
@@ -90,14 +90,13 @@ def fib_recurrence(r: int, n_max: int) -> HigherSequence:
 
 def lucas_initial(r: int, n: int) -> int:
     """Small-index closed form: -2^(2m-1) + (2r+1)/2 binom(2m, m) at n = 2m
-    and 4^m at n = 2m+1; exact within its validity windows."""
+    and 4^m at n = 2m+1; exact within its validity windows.  The even case
+    is ((2r+1) binom(2m, m) - 4^m)/2, whose terms are both even for m >= 1
+    and whose difference is 2r at m = 0."""
+    m = n // 2
     if n % 2 == 0:
-        m = n // 2
-        val = -(Fraction(2) ** (2 * m - 1)) + Fraction(2 * r + 1, 2) * binom(2 * m, m)
-        if val.denominator != 1:
-            raise ValueError("non-integer initial Lucas value")
-        return int(val)
-    return 4 ** (n // 2)
+        return ((2 * r + 1) * binom(2 * m, m) - 4 ** m) // 2
+    return 4 ** m
 
 
 def lucas_recurrence(r: int, n_max: int) -> HigherSequence:
@@ -115,13 +114,13 @@ def _sign_pow(e: int) -> int:
     return -1 if e % 2 else 1
 
 
-def _fib_halved_form(r: int, n: int) -> Fraction:
-    """F_n by the half-difference ballot sum, a Fraction not checked to be
-    an integer."""
+def _fib_halved_form(r: int, n: int) -> int:
+    """F_n by the half-difference ballot sum; each weight, half a
+    difference of two signs, is 0 or +-1."""
     p = 2 * r + 1
-    total = Fraction(0)
+    total = 0
     for k in range((n - 1) // 2 + 1):
-        w = Fraction(_sign_pow((n - 1 - 2 * k) // p) - _sign_pow((n - 2 * k - 3) // p), 2)
+        w = (_sign_pow((n - 1 - 2 * k) // p) - _sign_pow((n - 2 * k - 3) // p)) // 2
         if w:
             total += w * ballot(n + r - 2, k)
     return total
@@ -194,7 +193,7 @@ def char_coeffs_check(r: int) -> list:
     """char_coeffs(r) against the telescoping ballot sums (the first-kind e
     kernel summed) and against e_n of the shifted roots, at each n = 0..r."""
     C = char_coeffs(r)
-    cyc = elementary_prefix(r, shifted_roots_vector(r))
+    cyc = elementary_prefix(r, roots_vectors(r)[1])
     failures = ["ballot sum disagrees with the closed form at r=%d n=%d" % (r, n)
                 for n in range(r + 1)
                 if sum(c for _, c in expansion_kernel("first", "e", r, n)) != C[n]]
@@ -240,17 +239,13 @@ def _roots_top(family, r):
                               else {"r": r, "n_max": _roots_top(family, r)}))
 def roots_check(family: str, r: int) -> list:
     """f_n of the doubled roots against its closed value, reported as
-    roots_<family>: e_n for n <= 2r + 4, h_n and p_n up to n = 6(2r + 1)."""
+    roots_<family>: e_n for n <= 2r + 4, h_n and p_n up to n = 6(2r + 1),
+    with p_0 the arity 2r."""
     if family not in ("e", "h", "p") or r < 1:
         raise ValueError("need family e, h or p and r >= 1")
-    doubled, top = doubled_roots_vector(r), _roots_top(family, r)
-    if family == "p":
-        values = enumerate(power_prefix(top, doubled), 1)
-    else:
-        values = enumerate((elementary_prefix if family == "e" else complete_prefix)(top, doubled))
+    values = prefix(family, _roots_top(family, r), roots_vectors(r)[0])
     closed = {"e": _doubled_roots_e, "h": _doubled_roots_h, "p": _doubled_roots_p}[family]
-    failures = ["%s n=%d" % (family, n) for n, value in values if value != closed(r, n)]
-    return failures
+    return ["%s n=%d" % (family, n) for n, value in enumerate(values) if value != closed(r, n)]
 
 
 @_verifier(lambda r, n, F=None: ("inversion_F", {"r": r, "n": n}))
@@ -485,7 +480,7 @@ def determinant_formulas_check(r: int, n_max: int) -> list:
     # bialternant form over Z[x]/Phi: det(top row alpha^(n+r-1)) equals
     # F_(n+1) times the Vandermonde determinant of the shifted roots (vdm is
     # not taken from the cofactors, which would pass a zero cofactor vector)
-    alphas = shifted_roots_vector(r).entries
+    alphas = roots_vectors(r)[1].entries
     vdm_rows = [[a.field.one for a in alphas]]
     for _ in range(r - 1):
         vdm_rows = [[x * a for x, a in zip(vdm_rows[0], alphas)]] + vdm_rows
@@ -609,7 +604,7 @@ def cross_oracle_check(r: int, n_max: int, det_max: int = 10) -> list:
     L = lucas_recurrence(r, n_max)
     # h_(n-1) and p_n of the shifted roots are F_n and L_n; a ring value is
     # compared with the int, so one that is not a rational integer fails
-    roots = shifted_roots_vector(r)
+    roots = roots_vectors(r)[1]
     fib_cyc = complete_prefix(n_max - 1, roots)
     lucas_cyc = power_prefix(n_max, roots)
     for n in range(1, n_max + 1):

@@ -93,10 +93,6 @@ def _row(build, args, checks):
 
 
 # the inputs that the checks of one row share, built once
-def _expansion_row(direction, family, r, top):
-    return identities._symbolic_values(direction, family, r, top)
-
-
 def _inversion_row(r, n_max):
     return sequences.fib_recurrence(r, n_max + 1), sequences.lucas_recurrence(r, n_max)
 
@@ -125,7 +121,7 @@ def suite_expansion(direction, rs, top, families, mode):
                 return [_guarded(identities.expansion_check, direction, fam, r, n, mode, values)
                         for n in range(1 if fam == "p" else 0, hi + 1)]
             out += (checks(None) if mode.mode == "random"
-                    else _row(_expansion_row, (direction, fam, r, hi), checks))
+                    else _row(identities._symbolic_values, (direction, fam, r, hi), checks))
     return out
 
 

@@ -11,9 +11,9 @@ polynomials, or cyclotomic integers.
 
 Conventions fixed here once and used everywhere downstream:
 
-* power(0, ...) and a negative complete index are rejected; where an
-  identity needs a degree-0 power sum the caller passes the number of
-  variables explicitly.
+* prefix(family, top, v) reads p_0 as the arity of v, the degree-0 power
+  sum that the expansion identities need; power(0, ...) is still rejected,
+  and so is a negative top.
 """
 
 from __future__ import annotations
@@ -61,14 +61,17 @@ class PointVector:
         return "PointVector(%r)" % (self.entries,)
 
 
+def point_vectors(plus, minus):
+    """(doubled, shifted) for plus[j] = z_j and minus[j] = 1/z_j: the
+    doubled (z_1..z_r, 1/z_1..1/z_r) and the shifted z_j + 1/z_j."""
+    return (PointVector(list(plus) + list(minus)),
+            PointVector([z + w for z, w in zip(plus, minus)]))
+
+
 def symbolic_vectors(r: int):
     """Laurent-polynomial vectors in z_1..z_r: (plain, doubled, shifted)."""
     zs = [MultiLaurent.variable(i, r) for i in range(r)]
-    inv = [z ** -1 for z in zs]
-    plain = PointVector(zs)
-    doubled = PointVector(tuple(zs) + tuple(inv))
-    shifted = PointVector([z + w for z, w in zip(zs, inv)])
-    return plain, doubled, shifted
+    return (PointVector(zs),) + point_vectors(zs, [z ** -1 for z in zs])
 
 
 # ---------------------------------------------------------------------------
@@ -88,16 +91,6 @@ def elementary_prefix(nmax: int, v: PointVector) -> list:
     return e + [zero] * (nmax - top)
 
 
-def elementary(n: int, v: PointVector):
-    """Sum of all n-fold products of distinct entries; 1 at n = 0 and 0
-    outside 0..arity."""
-    if n < 0 or n > v.arity:
-        return v.zero
-    if n == 0:
-        return v.one
-    return elementary_prefix(n, v)[n]
-
-
 def complete_prefix(nmax: int, v: PointVector) -> list:
     """[h_0, ..., h_nmax] by coefficient extraction from prod 1/(1 - z_j y)."""
     one, zero, addmul = v.one, v.zero, getattr(type(v[0]), "addmul", None)
@@ -106,14 +99,6 @@ def complete_prefix(nmax: int, v: PointVector) -> list:
         for k in range(1, nmax + 1):
             h[k] = addmul(h[k], z, h[k - 1]) if addmul else h[k] + z * h[k - 1]
     return h
-
-
-def complete(n: int, v: PointVector):
-    """Sum of all degree-n monomials in the entries; defined for n >= 0
-    only."""
-    if n < 0:
-        raise ValueError("complete polynomials are defined for n >= 0")
-    return complete_prefix(n, v)[n] if n else v.one
 
 
 def power(n: int, v: PointVector):
@@ -139,6 +124,16 @@ def power_prefix(nmax: int, v: PointVector) -> list:
             powers.append(powers[-1] * z)
         acc = powers if acc is None else [s + t for s, t in zip(acc, powers)]
     return acc
+
+
+def prefix(family: str, top: int, v: PointVector) -> list:
+    """[f_0, ..., f_top] of the family f = "e", "h" or "p" at v, with p_0
+    the arity of v; defined for top >= 0 only."""
+    if top < 0:
+        raise ValueError("prefixes are defined for top >= 0")
+    if family == "p":
+        return [v.one * v.arity] + power_prefix(top, v)
+    return (elementary_prefix if family == "e" else complete_prefix)(top, v)
 
 
 def schur(lam, v: PointVector):

@@ -11,7 +11,7 @@ from fractions import Fraction
 from symident import identities, sequences
 from symident.suites import suite_expansion
 from symident.combinat import ballot, ballot_series
-from symident.cyclotomic import discriminant_square, doubled_roots_vector
+from symident.cyclotomic import discriminant_square, roots_vectors
 from symident.exactalg import Series, series_compose, series_sqrt
 from symident.identities import VerifyMode
 from symident.symfun import complete_prefix, elementary_prefix, power
@@ -110,7 +110,7 @@ def test_criterion_06_root_of_unity_evaluations():
     for r in range(1, 9):
         p = 2 * r + 1
         top = 6 * p
-        doubled = doubled_roots_vector(r)
+        doubled = roots_vectors(r)[0]
         es = elementary_prefix(2 * r + 4, doubled)
         for n in range(2 * r + 5):
             assert es[n] == (1 if n <= 2 * r else 0), (r, n)

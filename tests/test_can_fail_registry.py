@@ -2,7 +2,8 @@
 fail: one row per check name, with the attribute to patch, how to make it
 wrong, a small call of the check and the pattern its counterexample must
 match once patched.  A check that reaches the battery without a row fails
-the first test by name."""
+the first test by name.  The other can-fail tests take their perturbations
+from here."""
 
 import re
 
@@ -49,20 +50,24 @@ def _prefix_shift(index, arity):
     return wrong
 
 
-def _first_root(root):
-    """A roots-vector builder with its first entry root(field)."""
+def _first_root(which, root):
+    """roots_vectors with the first entry of its doubled (which = 0) or
+    shifted (which = 1) vector root(field)."""
     def wrong(build):
         def swapped(r):
-            v = build(r)
-            return PointVector((root(v[0].field),) + v.entries[1:])
+            vectors = list(build(r))
+            v = vectors[which]
+            vectors[which] = PointVector((root(v[0].field),) + v.entries[1:])
+            return tuple(vectors)
         return swapped
     return wrong
 
 
-def _ballot_plus_x(k, alpha):
-    """ballot_series with x^k added to C_alpha."""
+def _plus_x_to_the(k, first):
+    """A series builder fn(a, order), such as ballot_series, with x^k added
+    where a == first."""
     return lambda build: lambda a, order: (build(a, order) + Series([0] * k + [1], order)
-                                           if a == alpha else build(a, order))
+                                           if a == first else build(a, order))
 
 
 def _fib_off(order_r, index):
@@ -138,26 +143,30 @@ REGISTRY = {
                                 r"^m=4$"),
     "unit_binomial_sum_check": (identities, "expansion_kernel", _kernel_off("second", "e", 4),
                                 lambda: identities.unit_binomial_sum_check(R), r"^n=4 gives "),
-    "series_ballot_coefficients": (combinat, "ballot_series", _ballot_plus_x(4, 3),
+    "series_ballot_coefficients": (combinat, "ballot_series", _plus_x_to_the(4, 3),
                                    _series("series_ballot_coefficients"), r"^alpha=3 k=4$"),
-    "series_closed_form": (combinat, "ballot_series", _ballot_plus_x(4, 3),
+    "series_closed_form": (combinat, "ballot_series", _plus_x_to_the(4, 3),
                            _series("series_closed_form"), r"^alpha=3$"),
-    "series_index_law": (combinat, "ballot_series", _ballot_plus_x(4, 12),
+    "series_index_law": (combinat, "ballot_series", _plus_x_to_the(4, 12),
                          _series("series_index_law"), r"^a=6 b=6$"),
-    "series_quadratic": (combinat, "ballot_series", _ballot_plus_x(4, 1),
+    "series_quadratic": (combinat, "ballot_series", _plus_x_to_the(4, 1),
                          _series("series_quadratic"), r"^quadratic relation$"),
-    "series_substitution": (combinat, "ballot_series", _ballot_plus_x(4, 3),
+    "series_substitution": (combinat, "ballot_series", _plus_x_to_the(4, 3),
                             _series("series_substitution"), r"^power N=3$"),
-    **{"roots_" + f: (sequences, "doubled_roots_vector", _first_root(lambda field: -field.one),
+    # -zeta becomes -zeta^0 = -1: every pattern goes wrong from its index 1
+    # on, where the sum of the entries first enters
+    **{"roots_" + f: (sequences, "roots_vectors", _first_root(0, lambda field: -field.one),
                       lambda f=f: sequences.roots_check(f, R), r"^%s n=1(;|$)" % f)
        for f in "ehp"},
     "roots_char_coeffs": (sequences, "elementary_prefix", _prefix_shift(4, 6),
                           lambda: sequences.char_coeffs_check(6),
                           r"^root-of-unity value disagrees with the closed form at r=6 n=4$"),
-    "discriminant_square": (cyclotomic, "shifted_roots_vector",
-                            _first_root(lambda field: -field.zeta(1)),
+    # -(zeta + zeta^-1) becomes -zeta; lhs is the squared Vandermonde
+    # determinant, rhs (2r+1)^(r-1) = 7^2
+    "discriminant_square": (cyclotomic, "roots_vectors",
+                            _first_root(1, lambda field: -field.zeta(1)),
                             lambda: sequences.discriminant_check(R),
-                            r"^r=3: lhs=CycInt\(m=7, .+\) rhs=49$"),
+                            r"^r=3: lhs=CycInt\(m=7, \(35, 4, -9, 31, 26, -24\)\) rhs=49$"),
     "cross_oracle": (sequences, "complete_prefix", _prefix_shift(4, R),
                      lambda: sequences.cross_oracle_check(R, 12, det_max=6),
                      r"^F cyclotomic vs recurrence n=5$"),
@@ -172,7 +181,7 @@ REGISTRY = {
     "congruence": (sequences, "fib_recurrence", _fib_off(2, 5),
                    lambda: sequences.congruence_check(2, 11, 30), r"^F period at n=5$"),
     "initial_block": (sequences, "fib_recurrence", _fib_off(R, 4),
-                      lambda: sequences.initial_block_check(R), r"^F\[4\] r=3: "),
+                      lambda: sequences.initial_block_check(R), r"^F\[4\] r=3: 5 vs 4$"),
     "partition_relations": (sequences, "centralizer_order",
                             lambda order: lambda parts: order(parts) + (parts == (2, 1)),
                             lambda: sequences.partition_relations_check(2, 6),

@@ -285,7 +285,7 @@ class TestVerifyCommand:
             ("first_kind_h", {"r": 1, "m": m, "mode": "random", "seed": 3}, "error")
             for m in (0, 1)]
         monkeypatch.undo()
-        monkeypatch.setattr(sequences, "doubled_roots_vector", raising)
+        monkeypatch.setattr(sequences, "prefix", raising)
         code, out, err = run_cli(capsys, "verify", "roots", "--r", "2", "--format", "json")
         assert code == 1 and err == ""
         assert [(rec["check"], rec["params"]) for rec in json.loads(out)["reports"]
@@ -362,7 +362,7 @@ class TestSuiteTable:
         assert [(rec["check"], rec["params"]) for rec in recs] == names
 
     @pytest.mark.parametrize("module, name, suite, build", [
-        ("identities", "_symbolic_values", "first-kind", "_expansion_row"),
+        ("identities", "binom", "first-kind", "_symbolic_values"),
         ("sequences", "fib_recurrence", "inversion", "_inversion_row"),
         ("combinat", "ballot_series", "series", "_series_row"),
     ])

@@ -12,6 +12,8 @@ from symident import identities, sequences, suites
 from symident.exactalg import UniLaurent
 from symident.identities import _shown
 
+from test_can_fail_registry import _plus_at
+
 R = 3  # zeta of order 7
 T = 4  # the index whose closed value is made wrong below
 
@@ -21,23 +23,16 @@ def _one(check, reports):
     return rep
 
 
-def _off_at(fn, index):
-    """fn(r, n) with the value at n = index one more, for every r."""
-    return lambda r, n: fn(r, n) + (n == index)
-
-
-# family -> [(label, check, pattern the counterexample must match)]
+# family -> [(label, check, pattern the counterexample must match)]; the
+# registry rows of inversion_F, inversion_L, fibonacci_sums (3) and
+# lucas_sums (5) make the same value wrong
 READERS = {
     "h": [
         ("roots_h", lambda: _one("roots_h", suites.suite_roots([R])), r"^h n=%d(;|$)" % T),
-        ("inversion_F", lambda: sequences.inversion_check_F(R, T), r"^n=%d: " % T),
-        ("fibonacci (3)", lambda: sequences.fibonacci_sums_check(10), r"\(3\) n=%d: " % T),
         ("fibonacci (4)", lambda: sequences.fibonacci_sums_check(10), r"\(4\) n=%d: " % T),
     ],
     "p": [
         ("roots_p", lambda: _one("roots_p", suites.suite_roots([R])), r"^p n=%d(;|$)" % T),
-        ("inversion_L", lambda: sequences.inversion_check_L(R, T), r"^n=%d: " % T),
-        ("lucas (5)", lambda: sequences.lucas_sums_check(10), r"\(5\) n=%d: " % T),
         ("lucas (6)", lambda: sequences.lucas_sums_check(10), r"\(6\) n=%d: " % T),
     ],
 }
@@ -49,7 +44,7 @@ def test_every_reader_of_a_doubled_roots_value_can_fail(monkeypatch, family):
     for _, check, _ in cases:
         assert check().passed
     name = "_doubled_roots_%s" % family
-    monkeypatch.setattr(sequences, name, _off_at(getattr(sequences, name), T))
+    monkeypatch.setattr(sequences, name, _plus_at(T)(getattr(sequences, name)))
     for label, check, pattern in cases:
         rep = check()
         assert rep.status == "fail", label
@@ -68,8 +63,7 @@ def _failed_principal_specs():
 def test_principal_spec_fails_on_a_wrong_closed_coefficient(monkeypatch, family, name):
     assert _failed_principal_specs() == []
     closed = getattr(identities, name)
-    monkeypatch.setattr(identities, name,
-                        lambda r, n: closed(r, n) + q if n == T else closed(r, n))
+    monkeypatch.setattr(identities, name, _plus_at(T, q)(closed))
     (rep,) = _failed_principal_specs()
     assert (rep.check, rep.params) == ("principal_spec_" + family, {"r": R, "n": T})
     # lhs is f_T of the doubled q-vector, rhs the closed form with its q^1

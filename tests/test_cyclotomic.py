@@ -5,7 +5,7 @@ import pytest
 
 from symident.combinat import ballot, binom
 from symident.cyclotomic import (CycField, CycInt, cyclotomic_poly, discriminant_square,
-                                 doubled_roots_vector, shifted_roots_vector)
+                                 roots_vectors)
 from symident.exactalg import det_cofactor
 from symident.symfun import complete_prefix, elementary_prefix, power, power_prefix
 
@@ -349,7 +349,7 @@ def test_doubled_root_prefixes_make_no_packed_product(monkeypatch):
     def refuse(*args):
         raise AssertionError("a packed product")
 
-    vectors = [doubled_roots_vector(r) for r in range(1, 13)]
+    vectors = [roots_vectors(r)[0] for r in range(1, 13)]
     monkeypatch.setattr(CycField, "_dot", refuse)
     for r, v in enumerate(vectors, 1):
         n = 2 * r + 3
@@ -361,7 +361,7 @@ def test_root_prefixes_make_no_packed_product_and_no_reduction(monkeypatch):
     # a doubled root is one stored term and a shifted root two, so every
     # step of the h and p prefixes is cyclic shifts and sums, exact modulo
     # x^m - 1; only reading a value reduces it
-    cases = [(r, doubled_roots_vector(r), shifted_roots_vector(r)) for r in (9, 10, 12)]
+    cases = [(r, roots_vectors(r)[0], roots_vectors(r)[1]) for r in (9, 10, 12)]
     calls = []
     for name in ("_dot", "_reduce"):
         method = getattr(CycField, name)
@@ -615,51 +615,64 @@ class TestRingDeterminant:
                     assert det_cofactor(rows) == det_permutation_expansion(rows), (m, rows)
 
 
+def test_roots_vectors_are_built_once_from_single_root_terms():
+    for r in range(1, 9):
+        doubled, shifted = roots_vectors(r)
+        assert roots_vectors(r)[0] is doubled and roots_vectors(r)[1] is shifted
+        f = doubled[0].field
+        assert f.m == 2 * r + 1 and shifted[0].field is f
+        js = list(range(1, r + 1))
+        # the same stored coordinates as -zeta^j, -zeta^-j and -(zeta^j +
+        # zeta^(m-j)) built directly
+        assert [x.rep for x in doubled] == [(-f.zeta(j)).rep for j in js + [-j for j in js]]
+        assert [x.rep for x in shifted] == [(-(f.zeta(j) + f.zeta(f.m - j))).rep for j in js]
+
+
 class TestShiftedVector:
     def test_order_three_collapses_to_one(self):
-        v = shifted_roots_vector(1)
+        v = roots_vectors(1)[1]
         assert v[0] == CycField(3).one
 
     def test_first_power_sum(self):
         for r in range(1, 9):
-            assert power(1, shifted_roots_vector(r)) == 1
+            assert power(1, roots_vectors(r)[1]) == 1
 
     def test_first_elementary(self):
         for r in range(2, 9):
-            assert elementary_prefix(1, shifted_roots_vector(r))[1] == 1
+            assert elementary_prefix(1, roots_vectors(r)[1])[1] == 1
 
     def test_complete_six_gives_table_value(self):
-        assert complete_prefix(6, shifted_roots_vector(3))[6] == 28
+        assert complete_prefix(6, roots_vectors(3)[1])[6] == 28
 
 
 class TestDoubledVector:
     def test_elementary_window(self):
         for r in range(1, 9):
-            es = elementary_prefix(2 * r + 4, doubled_roots_vector(r))
+            es = elementary_prefix(2 * r + 4, roots_vectors(r)[0])
             for n in range(2 * r + 5):
                 assert es[n] == (1 if n <= 2 * r else 0), (r, n)
 
     def test_complete_pattern(self):
         for r in range(1, 5):
             p = 2 * r + 1
-            hs = complete_prefix(3 * p, doubled_roots_vector(r))
+            hs = complete_prefix(3 * p, roots_vectors(r)[0])
             for n in range(3 * p + 1):
                 m = n % (2 * p)
                 want = 1 if m in (0, 1) else (-1 if m in (p, p + 1) else 0)
                 assert hs[n] == want, (r, n)
 
     def test_power_pattern(self):
-        v = doubled_roots_vector(2)
+        v = roots_vectors(2)[0]
         assert power(5, v) == -4
         for r in (1, 3):
             p = 2 * r + 1
-            w = doubled_roots_vector(r)
+            w = roots_vectors(r)[0]
             for n in range(1, 3 * p + 1):
                 want = (-1 if n % 2 else 1) * (-1 + p * (n % p == 0))
                 assert power(n, w) == want, (r, n)
 
     def test_complete_three_at_order_five(self):
-        assert complete_prefix(3, doubled_roots_vector(2))[3] == 0
+        assert complete_prefix(3, roots_vectors(2)[0])[3] == 0
 
 
 class TestThirdResult:
@@ -667,7 +680,7 @@ class TestThirdResult:
         # e_m of the shifted roots equals the telescoped ballot sum and the
         # signed binomial, for every m up to r
         for r in range(1, 9):
-            es = elementary_prefix(r, shifted_roots_vector(r))
+            es = elementary_prefix(r, roots_vectors(r)[1])
             for m in range(r + 1):
                 val = binom(m - r - 1, m // 2)
                 assert es[m] == val

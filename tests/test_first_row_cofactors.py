@@ -9,7 +9,7 @@ import random
 import pytest
 
 from symident import exactalg, sequences
-from symident.cyclotomic import CycField, shifted_roots_vector
+from symident.cyclotomic import CycField, roots_vectors
 from symident.exactalg import det_cofactor, first_row_cofactors
 
 from oracles import bialternant_numerators, det_permutation_expansion
@@ -33,7 +33,7 @@ def test_bialternants_match_the_per_n_route(monkeypatch, r):
 
     monkeypatch.setattr(sequences, "det_cofactor", spy)
     assert sequences.determinant_formulas_check(r, r + 2).passed
-    assert seen == bialternant_numerators(shifted_roots_vector(r).entries, r + 2)
+    assert seen == bialternant_numerators(roots_vectors(r)[1].entries, r + 2)
 
 
 def _entry(rng, field):

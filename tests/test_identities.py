@@ -99,10 +99,10 @@ class TestPrincipal:
         rep = principal_spec("e", 1, 1)
         assert rep.passed
         # and the shape is really q + 1/q
-        from symident.symfun import elementary
+        from symident.symfun import prefix
         from symident.identities import _q_vectors
         doubled, _ = _q_vectors(1)
-        assert elementary(1, doubled) == q + q ** -1
+        assert prefix("e", 1, doubled)[1] == q + q ** -1
 
     def test_vanishing_beyond_window(self):
         for n in (3, 4, 5):
@@ -237,11 +237,11 @@ class TestCheckReport:
 
     def test_long_laurent_sides_are_cut(self, monkeypatch):
         from symident import identities
-        from symident.symfun import complete, symbolic_vectors
+        from symident.symfun import prefix, symbolic_vectors
         # a long MultiLaurent, h_8 of the doubled vector at r = 3, plus 1,
         # is cut to its first _SHOWN characters, written in E1..Er as every
         # MultiLaurent side is
-        lhs = complete(8, symbolic_vectors(3)[1]) + 1
+        lhs = prefix("h", 8, symbolic_vectors(3)[1])[8] + 1
         text = repr(lhs).replace("z", "E")
         assert len(text) > 8000
         assert identities._shown(lhs) == "%s… (%d terms)" % (text[:identities._SHOWN],

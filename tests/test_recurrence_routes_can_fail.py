@@ -9,25 +9,13 @@ import pytest
 
 from symident import sequences, suites
 
-
-def _fib_off_at(r, index):
-    """fib_recurrence with F_index one more for order r, where stored."""
-    fib = sequences.fib_recurrence
-
-    def wrong(order, n_max):
-        seq = fib(order, n_max)
-        if order == r and index <= n_max:
-            values = list(seq.values)
-            values[index - seq.start] += 1
-            seq = sequences.HigherSequence(seq.r, seq.start, values)
-        return seq
-    return wrong
+from test_can_fail_registry import _fib_off
 
 
 # r = 2, q = 11: the period is q - 1 = 10 and the residues are read at
-# i = 0, 10, 20, 30 (and i + 1, i + 2) for n_max = 30, k_max = 3
+# i = 0, 10, 20, 30 (and i + 1, i + 2) for n_max = 30, k_max = 3; the
+# registry row makes F_5 wrong, which only n = 5 reads
 CONGRUENCE_CASES = [
-    (5, "F period at n=5"),  # only n = 5 reads F_5
     (20, "F period at n=10; F period at n=20; F[20] != 0 mod 11"),
 ]
 
@@ -36,7 +24,7 @@ CONGRUENCE_CASES = [
 def test_congruence_fails_on_a_wrong_recurrence_value(monkeypatch, index, want):
     r, q = 2, 11
     assert sequences.congruence_check(r, q, 30).passed
-    monkeypatch.setattr(sequences, "fib_recurrence", _fib_off_at(r, index))
+    monkeypatch.setattr(sequences, "fib_recurrence", _fib_off(r, index)(sequences.fib_recurrence))
     rep = sequences.congruence_check(r, q, 30)
     assert rep.status == "fail"
     assert rep.counterexample == want
@@ -46,7 +34,7 @@ def test_initial_block_fails_on_a_wrong_recurrence_value(monkeypatch):
     r, index = 3, 4
     assert sequences.initial_block_check(r).passed
     right = sequences.fib_recurrence(r, index)[index]
-    monkeypatch.setattr(sequences, "fib_recurrence", _fib_off_at(r, index))
+    monkeypatch.setattr(sequences, "fib_recurrence", _fib_off(r, index)(sequences.fib_recurrence))
     rep = sequences.initial_block_check(r)
     assert rep.status == "fail"
     assert rep.counterexample == "F[%d] r=%d: %d vs %d" % (index, r, right + 1, right)
@@ -78,7 +66,7 @@ def test_cross_oracle_closed_form_fails_on_a_wrong_explicit_value(monkeypatch, c
 
 def test_cross_oracle_fails_on_a_wrong_recurrence_value(monkeypatch):
     r, index = 3, 7
-    monkeypatch.setattr(sequences, "fib_recurrence", _fib_off_at(r, index))
+    monkeypatch.setattr(sequences, "fib_recurrence", _fib_off(r, index)(sequences.fib_recurrence))
     rep = sequences.cross_oracle_check(r, 12, det_max=3)
     assert rep.status == "fail"
     # every route compared with F misses at the index (the first three shown)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from symident.combinat import centralizer_order
-from symident.cyclotomic import shifted_roots_vector
+from symident.cyclotomic import roots_vectors
 from symident.exactalg import det_fraction_free
 from symident.sequences import (_fib_alternating_form, _fib_halved_form,
                                 _lucas_case_sum, _lucas_delta_form,
@@ -70,19 +70,20 @@ class TestExplicitForms:
             L = lucas_recurrence(r, 30)
             for n in range(1, 31):
                 assert _fib_halved_form(r, n) == _fib_alternating_form(r, n) == F[n], (r, n)
+                assert type(_fib_halved_form(r, n)) is int, (r, n)
                 assert _lucas_delta_form(r, n) == _lucas_case_sum(r, n) == L[n], (r, n)
             assert _lucas_delta_form(r, 0) == _lucas_case_sum(r, 0) == L[0] == r
 
 
 def fib_cyclotomic_prefix(r, n_max):
     """[F_1, ..., F_(n_max+1)]: h_0..h_(n_max) of the shifted roots."""
-    return complete_prefix(n_max, shifted_roots_vector(r))
+    return complete_prefix(n_max, roots_vectors(r)[1])
 
 
 class TestCyclotomicRoute:
     def test_examples(self):
         assert fib_cyclotomic_prefix(3, 6)[6] == 28
-        assert power_prefix(3, shifted_roots_vector(2))[2] == 4
+        assert power_prefix(3, roots_vectors(2)[1])[2] == 4
         assert fib_cyclotomic_prefix(1, 5) == [1] * 6
 
     def test_prefix_matches_recurrence(self):

@@ -9,18 +9,11 @@ import re
 import pytest
 
 from symident import combinat, sequences, suites
-from symident.exactalg import Series
+
+from test_can_fail_registry import _plus_x_to_the
 
 ORDER, ALPHA_MAX = 12, 8
 K = 4  # the coefficient made wrong below
-
-
-def _plus_x_to_the(fn, k, pick):
-    """fn(a, order) + x^k where pick(a), fn(a, order) otherwise."""
-    def wrong(a, order):
-        s = fn(a, order)
-        return s + Series([0] * k + [1], order) if pick(a) else s
-    return wrong
 
 
 def _series_report(check):
@@ -43,8 +36,7 @@ BALLOT_READERS = {
 def test_series_checks_fail_on_one_wrong_ballot_coefficient(monkeypatch, check):
     alpha, want = BALLOT_READERS[check]
     assert _series_report(check).passed
-    monkeypatch.setattr(combinat, "ballot_series",
-                        _plus_x_to_the(combinat.ballot_series, K, lambda a: a == alpha))
+    monkeypatch.setattr(combinat, "ballot_series", _plus_x_to_the(K, alpha)(combinat.ballot_series))
     rep = _series_report(check)
     assert rep.status == "fail"
     assert rep.counterexample == want
@@ -55,8 +47,7 @@ def test_cross_oracle_generating_functions_fail_on_a_wrong_denominator(monkeypat
     assert sequences.cross_oracle_check(r, 12, det_max=3).passed
     # 1/(D + u^n) first differs from 1/D at u^n, since D(0) = 1
     monkeypatch.setattr(sequences, "sequence_genfun_denominator",
-                        _plus_x_to_the(sequences.sequence_genfun_denominator, n,
-                                       lambda a: a == r))
+                        _plus_x_to_the(n, r)(sequences.sequence_genfun_denominator))
     rep = sequences.cross_oracle_check(r, 12, det_max=3)
     assert rep.status == "fail"
     assert re.match(r"generating functions: F coefficient u\^%d: " % n, rep.counterexample), \

@@ -153,6 +153,6 @@ def test_a_per_index_check_peaks_below_the_laurent_values_of_its_index():
     own, own_peak = peak(lambda: identities.expansion_check(direction, family, r, n))
     _, laurent_peak = peak(lambda: laurent_values(direction, family, r, n))
     assert own_peak < 0.05 * laurent_peak, (own_peak, laurent_peak)
-    held = identities.expansion_check(direction, family, r, n, values=suites._expansion_row(
+    held = identities.expansion_check(direction, family, r, n, values=identities._symbolic_values(
         direction, family, r, n + 4))
     assert own == held == want and want.passed

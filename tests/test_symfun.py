@@ -4,12 +4,10 @@ from fractions import Fraction
 import pytest
 
 from symident.combinat import ballot
-from symident.cyclotomic import doubled_roots_vector, shifted_roots_vector
+from symident.cyclotomic import roots_vectors
 from symident.exactalg import MultiLaurent, UniLaurent
-from symident.identities import _power_sum
-from symident.symfun import (PointVector, complete, complete_prefix,
-                             elementary, elementary_prefix, power, power_prefix,
-                             schur, symbolic_vectors)
+from symident.symfun import (PointVector, complete_prefix, elementary_prefix, point_vectors,
+                             power, power_prefix, prefix, schur, symbolic_vectors)
 
 from oracles import (brute_complete, brute_elementary, brute_power,
                      count_standard_tableaux_two_rows)
@@ -25,56 +23,67 @@ def rand_vector(rng, r):
     return PointVector(tuple(vals))
 
 
+def e_at(n, v):
+    """e_n of v, read from its prefix."""
+    return prefix("e", n, v)[n]
+
+
+def h_at(n, v):
+    """h_n of v, read from its prefix."""
+    return prefix("h", n, v)[n]
+
+
 class TestElementary:
     def test_unit_and_bounds(self):
         v = PointVector([Fraction(3), Fraction(5)])
-        assert elementary(0, v) == 1
-        assert elementary(-1, v) == 0
-        assert elementary(3, v) == 0
+        assert e_at(0, v) == 1
+        assert e_at(3, v) == 0
+        with pytest.raises(ValueError, match="defined for top >= 0"):
+            prefix("e", -1, v)
 
     def test_full_product(self):
         v = PointVector([Fraction(1), Fraction(2), Fraction(3)])
-        assert elementary(3, v) == 6
+        assert e_at(3, v) == 6
 
     def test_doubled_pair_cancels(self):
         _, doubled, _ = symbolic_vectors(1)
-        assert elementary(2, doubled) == MultiLaurent.one(1)
+        assert e_at(2, doubled) == MultiLaurent.one(1)
 
     def test_against_enumeration(self):
         rng = random.Random(11)
         for r in (2, 3, 4):
             v = rand_vector(rng, r)
             for n in range(0, r + 2):
-                assert elementary(n, v) == brute_elementary(n, v.entries)
+                assert e_at(n, v) == brute_elementary(n, v.entries)
 
 
 class TestComplete:
     def test_two_variable(self):
         a, b = Fraction(2), Fraction(7)
-        assert complete(2, PointVector([a, b])) == a * a + a * b + b * b
+        assert h_at(2, PointVector([a, b])) == a * a + a * b + b * b
 
     def test_unit(self):
-        assert complete(0, PointVector([Fraction(9)])) == 1
+        assert h_at(0, PointVector([Fraction(9)])) == 1
 
     def test_negative_index_rejected(self):
         v = PointVector([Fraction(1), Fraction(2), Fraction(3)])
         for n in (-1, -2, -4):
-            with pytest.raises(ValueError, match="defined for n >= 0"):
-                complete(n, v)
+            with pytest.raises(ValueError, match="defined for top >= 0"):
+                prefix("h", n, v)
 
     def test_against_enumeration(self):
         rng = random.Random(12)
         for r in (2, 3):
             v = rand_vector(rng, r)
             for n in range(0, 6):
-                assert complete(n, v) == brute_complete(n, v.entries)
+                assert h_at(n, v) == brute_complete(n, v.entries)
 
 
 class TestPower:
     def test_examples(self):
         v = PointVector([Fraction(1), Fraction(2), Fraction(3)])
         assert power(2, v) == 14
-        assert power(1, v) == elementary(1, v)
+        assert power(1, v) == e_at(1, v)
 
     def test_symbolic_laurent(self):
         _, doubled, _ = symbolic_vectors(1)
@@ -97,11 +106,11 @@ class TestSchur:
         rng = random.Random(16)
         v = rand_vector(rng, 3)
         for n in range(0, 7):
-            assert schur((n,), v) == complete(n, v)
+            assert schur((n,), v) == h_at(n, v)
 
     def test_one_column_is_elementary(self):
         v = PointVector([Fraction(1), Fraction(2), Fraction(3)])
-        assert schur((1, 1), v) == elementary(2, v)
+        assert schur((1, 1), v) == e_at(2, v)
 
     def test_int_entries_divide_exactly(self):
         v = PointVector([1, 2, 3])
@@ -113,9 +122,9 @@ class TestSchur:
         for r in (2, 3, 4):
             plain, _, _ = symbolic_vectors(r)
             for n in range(0, 9):
-                assert schur((n,), plain) == complete(n, plain), (r, n)
+                assert schur((n,), plain) == h_at(n, plain), (r, n)
                 if 1 <= n <= r:
-                    assert schur((1,) * n, plain) == elementary(n, plain), (r, n)
+                    assert schur((1,) * n, plain) == e_at(n, plain), (r, n)
 
     def test_two_row_character_quotient(self):
         # against the sine-ratio form: s_(l1,l2)(z, 1/z) (z - 1/z) equals
@@ -138,6 +147,14 @@ class TestSchur:
                 schur(lam, v)
 
 
+class TestPointVectors:
+    def test_doubled_and_shifted(self):
+        plus, minus = [Fraction(2), Fraction(-1, 3)], [Fraction(1, 2), Fraction(-3)]
+        doubled, shifted = point_vectors(plus, minus)
+        assert doubled.entries == tuple(plus + minus)
+        assert shifted.entries == (Fraction(5, 2), Fraction(-10, 3))
+
+
 class TestGenfun:
     """The prefixes are the truncated generating functions prod (1 + z_j y),
     prod 1/(1 - z_j y) and sum_j 1/(1 - z_j y)."""
@@ -152,10 +169,11 @@ class TestGenfun:
         assert coeffs[3] == brute_complete(3, (1, 1)) == 4
 
     def test_p_kind_constant_is_arity(self):
-        # power_prefix starts at p_1; the checks read p_0 as the arity
+        # power_prefix starts at p_1; prefix reads p_0 as the arity
         v = PointVector([Fraction(5), Fraction(7), Fraction(11)])
         assert power_prefix(0, v) == []
-        assert _power_sum(0, v) == 3
+        assert prefix("p", 0, v) == [3]
+        assert prefix("p", 2, v) == [3] + power_prefix(2, v)
 
     def test_matches_direct_values(self):
         rng = random.Random(18)
@@ -165,8 +183,8 @@ class TestGenfun:
             h = complete_prefix(10, v)
             p = power_prefix(10, v)
             for n in range(11):
-                assert e[n] == elementary(n, v)
-                assert h[n] == complete(n, v)
+                assert e[n] == e_at(n, v)
+                assert h[n] == h_at(n, v)
                 if n >= 1:
                     assert p[n - 1] == power(n, v)
 
@@ -202,7 +220,7 @@ class TestFusedPrefixSteps:
         plain = [PointVector([2, -3, 5, 1]), rand_vector(rng, 4)]
         for v in plain:
             assert getattr(type(v[0]), "addmul", None) is None
-        for v in plain + [doubled_roots_vector(3), shifted_roots_vector(4)]:
+        for v in plain + [roots_vectors(3)[0], roots_vectors(4)[1]]:
             for nmax in (0, 3, 9):
                 got = elementary_prefix(nmax, v), complete_prefix(nmax, v)
                 want = two_step_prefixes(nmax, v)
@@ -258,14 +276,14 @@ class TestPrefixConsistency:
         es = elementary_prefix(5, v)
         hs = complete_prefix(5, v)
         for n in range(6):
-            assert es[n] == elementary(n, v)
-            assert hs[n] == complete(n, v)
+            assert es[n] == e_at(n, v)
+            assert hs[n] == h_at(n, v)
 
     def test_power_prefix_matches_pointwise(self):
         rng = random.Random(23)
         _, doubled, shifted = symbolic_vectors(2)
         vectors = [rand_vector(rng, 4), doubled, shifted,
-                   doubled_roots_vector(3), shifted_roots_vector(4)]
+                   roots_vectors(3)[0], roots_vectors(4)[1]]
         for v in vectors:
             for top in (1, 2, 9):
                 assert power_prefix(top, v) == [power(n, v) for n in range(1, top + 1)]
