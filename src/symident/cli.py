@@ -65,23 +65,29 @@ def default_seed(args) -> int:
 # rendering
 
 
-def render_table(tab, fmt: str) -> str:
-    header = ["%s/%s" % (tab.row_label, tab.col_label)] + [str(c) for c in tab.cols]
-    body = []
-    for r in tab.rows:
-        body.append([str(r)] + ["" if tab.get(r, c) is None else str(tab.get(r, c))
-                                for c in tab.cols])
+def _rows_text(header, body, fmt: str) -> str:
+    """A header row and body rows as a markdown table (fmt "md", whose
+    cells must be str) or as csv."""
     if fmt == "md":
         lines = ["| " + " | ".join(header) + " |",
                  "|" + "|".join("---" for _ in header) + "|"]
         lines += ["| " + " | ".join(row) + " |" for row in body]
         return "\n".join(lines) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(header)
-        w.writerows(body)
-        return buf.getvalue()
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(body)
+    return buf.getvalue()
+
+
+def render_table(tab, fmt: str) -> str:
+    if fmt in ("md", "csv"):
+        header = ["%s/%s" % (tab.row_label, tab.col_label)] + [str(c) for c in tab.cols]
+        body = []
+        for r in tab.rows:
+            body.append([str(r)] + ["" if tab.get(r, c) is None else str(tab.get(r, c))
+                                    for c in tab.cols])
+        return _rows_text(header, body, fmt)
     if fmt == "json":
         payload = {
             "kind": tab.kind,
@@ -112,26 +118,22 @@ def render_reports(reports, fmt: str, seed=None, timings=False) -> str:
             payload["seed"] = seed
         return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     if fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
         header = ["check", "params", "status", "counterexample"]
         if timings:
             header.append("elapsed_ms")
-        w.writerow(header)
+        body = []
         for r in reports:
             row = [r.check,
                    ";".join("%s=%s" % (k, r.params[k]) for k in sorted(r.params)),
                    r.status, r.counterexample or ""]
             if timings:
                 row.append(round(r.elapsed * 1000, 3))
-            w.writerow(row)
-        return buf.getvalue()
+            body.append(row)
+        return _rows_text(header, body, "csv")
     if fmt == "md":
-        lines = ["| check | status | counterexample |", "|---|---|---|"]
-        for r in reports:
-            lines.append("| %s | %s | %s |" % (r.check_id, r.status, r.counterexample or ""))
-        lines += ["", "%d passed, %d failed" % (passed, len(reports) - passed)]
-        return "\n".join(lines) + "\n"
+        body = [[r.check_id, r.status, r.counterexample or ""] for r in reports]
+        return (_rows_text(["check", "status", "counterexample"], body, "md")
+                + "\n%d passed, %d failed\n" % (passed, len(reports) - passed))
     raise UsageError("unknown format %r" % fmt)
 
 
@@ -234,18 +236,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run one verification suite")
     v.add_argument("suite", metavar="suite")
-    v.add_argument("--family", help="e, h, p or all")
-    v.add_argument("--r", help="r value or range a:b")
-    v.add_argument("--m-max", dest="m_max", type=int)
-    v.add_argument("--n-max", dest="n_max", type=int)
-    v.add_argument("--bound", type=int)
-    v.add_argument("--order", type=int)
-    v.add_argument("--alpha-max", dest="alpha_max", type=int)
-    v.add_argument("--q", type=int, help="modulus for congruence")
-    v.add_argument("--k-max", dest="k_max", type=int)
-    v.add_argument("--mode", choices=("symbolic", "random"))
-    v.add_argument("--trials", type=int)
-    v.add_argument("--seed", type=int)
+    # the window options, one per key of the suites' windows
+    takers = {}
+    for name, (_, window) in suites.SUITES.items():
+        for key in window:
+            takers.setdefault(key, []).append(name)
+    for key, names in takers.items():
+        v.add_argument(_flags([key]), type=str if key in ("r", "family", "mode") else int,
+                       help="taken by " + ", ".join(names))
     v.add_argument("--format", default="md", choices=("md", "csv", "json"))
     v.add_argument("--timings", action="store_true")
     v.add_argument("--output", "-o", default=None)

@@ -34,7 +34,8 @@ from functools import lru_cache
 from itertools import chain, compress, cycle, repeat
 from operator import add, mul, neg, sub
 
-from .exactalg import _int_poly_dot, _int_poly_krylov, _power, _unpack, det_cofactor
+from .exactalg import (_int_poly_dot, _int_poly_krylov, _int_poly_mul, _power, _unpack,
+                       det_cofactor)
 from .symfun import point_vectors
 
 
@@ -68,12 +69,7 @@ def cyclotomic_poly(m: int) -> tuple:
     for d in range(1, m):
         if m % d == 0:
             phi_d = cyclotomic_poly(d)
-            out = [0] * (len(den) + len(phi_d) - 1)
-            for i, a in enumerate(den):
-                if a:
-                    for j, b in enumerate(phi_d):
-                        out[i + j] += a * b
-            den = out
+            den = _int_poly_mul(den, phi_d, len(den) + len(phi_d) - 1)
     return tuple(_poly_divide_exact(num, den))
 
 
@@ -362,6 +358,16 @@ def roots_vectors(r: int) -> tuple:
                          [-field.zeta(-j) for j in range(1, r + 1)])
 
 
+def vandermonde_rows(points) -> list:
+    """The Vandermonde rows [a^(k-1)], ..., [a], [1] over k CycInt points
+    a (the shifted roots, say), one column per point; the ones row is each
+    point's field.one, and each row above is the one below times a."""
+    rows = [[a.field.one for a in points]]
+    for _ in range(len(points) - 1):
+        rows = [[x * a for x, a in zip(rows[0], points)]] + rows
+    return rows
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -384,10 +390,5 @@ def discriminant_square(r: int) -> CycInt:
     p = 2 * r + 1
     if not _is_prime(p):
         raise ValueError("2r+1 = %d is not prime" % p)
-    vals = roots_vectors(r)[1].entries
-    field = vals[0].field
-    rows = [[field.one] for _ in vals]
-    for _ in range(r - 1):
-        rows = [[row[0] * v] + row for row, v in zip(rows, vals)]
-    det = det_cofactor(rows)
+    det = det_cofactor(vandermonde_rows(roots_vectors(r)[1].entries))
     return det * det

@@ -29,7 +29,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .combinat import ballot, binom, centralizer_order, expansion_kernel, partitions_of
-from .cyclotomic import _is_prime, discriminant_square, roots_vectors
+from .cyclotomic import _is_prime, discriminant_square, roots_vectors, vandermonde_rows
 from .exactalg import Series, det_cofactor, det_fraction_free, first_row_cofactors
 from .identities import _verifier
 from .symfun import complete_prefix, elementary_prefix, power_prefix, prefix
@@ -290,7 +290,7 @@ def initial_block_check(r: int) -> list:
     F = fib_recurrence(r, 2 * r + 1)
     F1 = fib_recurrence(r + 1, 2 * r + 1)
     for m in range(1, r + 1):
-        want = binom(2 * m + r - 2, m - 1) - binom(2 * m + r - 2, m - 2)
+        want = ballot(2 * m + r - 2, m - 1)
         if F[2 * m] != want:
             failures.append("F[%d] r=%d: %d vs %d" % (2 * m, r, F[2 * m], want))
         if F1[2 * m - 1] != want:
@@ -326,28 +326,23 @@ def fibonacci_sums_check(bound: int) -> list:
     if bound < 1:
         raise ValueError("need bound >= 1")
     failures = []
-    F = fib_recurrence(2, bound + 2)
+    F = {r: fib_recurrence(r, bound + 2) for r in (1, 2)}  # F of order 1 is all ones
 
     for m in range(bound + 1):
-        if _fib_halved_form(1, m + 1) != 1:
-            failures.append("(1) half form m=%d" % m)
-        if _fib_halved_form(2, m + 1) != F[m + 1]:
-            failures.append("(2) half form m=%d" % m)
+        for r in (1, 2):
+            if _fib_halved_form(r, m + 1) != F[r][m + 1]:
+                failures.append("(%d) half form m=%d" % (r, m))
     for n in range(1, bound + 1):
-        if _fib_alternating_form(1, n) != 1:
-            failures.append("(1) alternating form n=%d" % n)
-        if _fib_alternating_form(2, n) != F[n]:
-            failures.append("(2) alternating form n=%d" % n)
+        for r in (1, 2):
+            if _fib_alternating_form(r, n) != F[r][n]:
+                failures.append("(%d) alternating form n=%d" % (r, n))
 
-    for n in range(bound + 1):
-        total = sum(c for _, c in expansion_kernel("second", "h", 1, n))
-        if total != _doubled_roots_h(1, n):
-            failures.append("(3) n=%d: %d vs %d" % (n, total, _doubled_roots_h(1, n)))
-
-    for n in range(bound + 1):
-        total = sum(c * F[i + 1] for i, c in expansion_kernel("second", "h", 2, n))
-        if total != _doubled_roots_h(2, n):
-            failures.append("(4) n=%d: %d vs %d" % (n, total, _doubled_roots_h(2, n)))
+    for r in (1, 2):
+        for n in range(bound + 1):
+            total = sum(c * F[r][i + 1] for i, c in expansion_kernel("second", "h", r, n))
+            want = _doubled_roots_h(r, n)
+            if total != want:
+                failures.append("(%d) n=%d: %d vs %d" % (r + 2, n, total, want))
 
     return failures
 
@@ -362,7 +357,7 @@ def lucas_sums_check(bound: int) -> list:
     if bound < 1:
         raise ValueError("need bound >= 1")
     failures = []
-    L = lucas_recurrence(2, 2 * bound + 1)
+    L = {r: lucas_recurrence(r, 2 * bound + 1) for r in (1, 2)}  # L of order 1 is all ones
 
     for m in range(bound + 1):
         if _lucas_case_sum(1, 2 * m) != 1:
@@ -370,18 +365,17 @@ def lucas_sums_check(bound: int) -> list:
         half = 3 * sum(binom(2 * m + 1, m - 3 * k - 1) for k in range((m - 1) // 3 + 1))
         if _lucas_case_sum(1, 2 * m + 1) != 1 or 4 ** m - half != 1:
             failures.append("(2) m=%d" % m)
-        if _lucas_case_sum(2, 2 * m) != L[2 * m]:
+        if _lucas_case_sum(2, 2 * m) != L[2][2 * m]:
             failures.append("(3) m=%d" % m)
-        if _lucas_case_sum(2, 2 * m + 1) != L[2 * m + 1]:
+        if _lucas_case_sum(2, 2 * m + 1) != L[2][2 * m + 1]:
             failures.append("(4) m=%d" % m)
 
     for n in range(1, bound + 1):
-        total = sum(c for _, c in expansion_kernel("second", "p", 1, n))
-        if total != _doubled_roots_p(1, n):
-            failures.append("(5) n=%d: %d vs %d" % (n, total, _doubled_roots_p(1, n)))
-        total = sum(c * L[i] for i, c in expansion_kernel("second", "p", 2, n))
-        if total != _doubled_roots_p(2, n):
-            failures.append("(6) n=%d: %d vs %d" % (n, total, _doubled_roots_p(2, n)))
+        for r in (1, 2):
+            total = sum(c * L[r][i] for i, c in expansion_kernel("second", "p", r, n))
+            want = _doubled_roots_p(r, n)
+            if total != want:
+                failures.append("(%d) n=%d: %d vs %d" % (r + 4, n, total, want))
 
     return failures
 
@@ -481,9 +475,7 @@ def determinant_formulas_check(r: int, n_max: int) -> list:
     # F_(n+1) times the Vandermonde determinant of the shifted roots (vdm is
     # not taken from the cofactors, which would pass a zero cofactor vector)
     alphas = roots_vectors(r)[1].entries
-    vdm_rows = [[a.field.one for a in alphas]]
-    for _ in range(r - 1):
-        vdm_rows = [[x * a for x, a in zip(vdm_rows[0], alphas)]] + vdm_rows
+    vdm_rows = vandermonde_rows(alphas)
     vdm = det_cofactor(vdm_rows)
     below = first_row_cofactors(vdm_rows[1:])
     top = vdm_rows[0]
@@ -500,27 +492,17 @@ def determinant_formulas_check(r: int, n_max: int) -> list:
 
 
 def sequence_genfun_denominator(r: int, order: int) -> Series:
-    """sum_m (-1)^m binom(r-m, m) u^(2m) - sum_m (-1)^m binom(r-1-m, m)
-    u^(2m+1), the reciprocal of the F generating function."""
-    coeffs = [0] * (order + 1)
-    for m in range(r // 2 + 1):
-        if 2 * m <= order:
-            coeffs[2 * m] += _sign_pow(m) * binom(r - m, m)
-    for m in range((r - 1) // 2 + 1):
-        if 2 * m + 1 <= order:
-            coeffs[2 * m + 1] -= _sign_pow(m) * binom(r - 1 - m, m)
-    return Series(coeffs, order)
+    """D(u) = sum_n C_n (-u)^n over the characteristic coefficients, the
+    reciprocal of the F generating function."""
+    C = char_coeffs(r)
+    return Series([_sign_pow(n) * C[n] for n in range(order + 1)], order)
 
 
 def sequence_genfun_numerator_L(r: int, order: int) -> Series:
-    coeffs = [0] * (order + 1)
-    for m in range((r - 1) // 2 + 1):
-        if 2 * m <= order:
-            coeffs[2 * m] += _sign_pow(m) * (2 * m + 1) * binom(r - 1 - m, m)
-    for m in range(r // 2 + 1):
-        if 1 <= 2 * m - 1 <= order:
-            coeffs[2 * m - 1] -= _sign_pow(m) * 2 * m * binom(r - m, m)
-    return Series(coeffs, order)
+    """sum_n (n+1) C_(n+1) (-u)^n = -D'(u), the numerator of the L
+    generating function over D."""
+    C = char_coeffs(r)
+    return Series([_sign_pow(n) * (n + 1) * C[n + 1] for n in range(order + 1)], order)
 
 
 @_verifier(lambda r, order: ("genfun_sequences", {"r": r, "order": order}))

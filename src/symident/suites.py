@@ -26,13 +26,11 @@ from . import combinat, cyclotomic, exactalg, identities, sequences
 
 def _families_and_mode(family, mode, trials, seed):
     """The families tuple and the VerifyMode that an expansion suite's
-    family, mode, trials and seed options name."""
-    if mode == "random":
-        if seed is None:
-            raise ValueError("random mode needs --seed or SYMIDENT_SEED")
-        verify_mode = identities.VerifyMode("random", trials=trials, seed=seed)
-    else:
-        verify_mode = identities.VerifyMode("symbolic")
+    family, mode, trials and seed options name; VerifyMode refuses a mode
+    other than symbolic or random."""
+    if mode == "random" and seed is None:
+        raise ValueError("random mode needs --seed or SYMIDENT_SEED")
+    verify_mode = identities.VerifyMode(mode, trials=trials, seed=seed)
     if family == "all":
         return ("e", "h", "p"), verify_mode
     if family in ("e", "h", "p"):

@@ -147,6 +147,33 @@ def bialternant_numerators(alphas, n_max):
             for n in range(1, n_max + 1)]
 
 
+def genfun_denominator_binomials(r, order):
+    """Coefficients u^0 .. u^order of sum_m (-1)^m binom(r-m, m) u^(2m) -
+    sum_m (-1)^m binom(r-1-m, m) u^(2m+1), the reciprocal of the F
+    generating function, written as two binomial sums."""
+    coeffs = [0] * (order + 1)
+    for m in range(r // 2 + 1):
+        if 2 * m <= order:
+            coeffs[2 * m] += (-1) ** m * math.comb(r - m, m)
+    for m in range((r - 1) // 2 + 1):
+        if 2 * m + 1 <= order:
+            coeffs[2 * m + 1] -= (-1) ** m * math.comb(r - 1 - m, m)
+    return coeffs
+
+
+def genfun_numerator_L_binomials(r, order):
+    """Coefficients u^0 .. u^order of the numerator of the L generating
+    function over the denominator above, written as two binomial sums."""
+    coeffs = [0] * (order + 1)
+    for m in range((r - 1) // 2 + 1):
+        if 2 * m <= order:
+            coeffs[2 * m] += (-1) ** m * (2 * m + 1) * math.comb(r - 1 - m, m)
+    for m in range(r // 2 + 1):
+        if 1 <= 2 * m - 1 <= order:
+            coeffs[2 * m - 1] -= (-1) ** m * 2 * m * math.comb(r - m, m)
+    return coeffs
+
+
 def _poly_mul(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 
 import pytest
 
@@ -131,6 +132,23 @@ class TestVerifyCommand:
                                "--m-max", "2", "--mode", "random")
         assert code == 2
         assert "seed" in err.lower()
+
+    def test_an_unknown_mode_is_refused(self, capsys):
+        # VerifyMode refuses it in the suite call, and verify exits 2
+        suite, window = suites.SUITES["first-kind"]
+        with pytest.raises(ValueError, match="^mode must be 'symbolic' or 'random'$"):
+            suite(**{**window, "r": (1,), "m_max": 2, "mode": "bogus"})
+        code, out, err = run_cli(capsys, "verify", "first-kind", "--mode", "bogus")
+        assert (code, out) == (2, "")
+        assert err == "error: mode must be 'symbolic' or 'random'\n"
+
+    def test_each_window_option_names_the_suites_that_take_it(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "1000")  # no wrapped help text
+        assert main(["verify", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^  --q Q +taken by congruence$", out, re.M)
+        assert re.search(r"^  --alpha-max ALPHA_MAX\s+taken by series$", out, re.M)
+        assert re.search(r"^  --mode MODE +taken by first-kind, second-kind$", out, re.M)
 
     def test_seed_from_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("SYMIDENT_SEED", "31")

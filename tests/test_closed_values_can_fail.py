@@ -1,7 +1,8 @@
 """The checks that compare against a closed value written once, shown able
 to fail: the values of h_n and p_n at the doubled roots, the closed q-forms
-of the principal specialisations, the centralizer order behind the
-partition sums and the published tables.  One value made wrong turns each
+of the principal specialisations and the published tables (the
+centralizer order behind the partition sums has its row in the can-fail
+registry).  One value made wrong turns each
 check that reads it to `fail` with the index named."""
 
 import re
@@ -83,17 +84,6 @@ def test_principal_spec_p_fails_on_a_wrong_power_sum(monkeypatch):
     # into lhs = (p_T + 1)(1 - q^T); rhs is q^(-rT) (1 - q^((2r+1)T))
     rhs = q ** (-R * T) * (1 - q ** ((2 * R + 1) * T))
     assert rep.counterexample == "lhs=%s rhs=%s" % (_shown(rhs + 1 - q ** T), _shown(rhs))
-
-
-def test_partition_relations_fail_on_a_wrong_centralizer_order(monkeypatch):
-    r, lam = 2, (2, 1)
-    assert sequences.partition_relations_check(r, 6).passed
-    order = sequences.centralizer_order
-    monkeypatch.setattr(sequences, "centralizer_order",
-                        lambda parts: order(parts) + (parts == lam))
-    rep = sequences.partition_relations_check(r, 6)
-    assert rep.status == "fail"
-    assert rep.counterexample == "partition F n=%d; partition C n=%d" % (sum(lam), sum(lam))
 
 
 def test_tables_fail_on_a_wrong_published_cell(monkeypatch):

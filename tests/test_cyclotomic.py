@@ -5,7 +5,7 @@ import pytest
 
 from symident.combinat import ballot, binom
 from symident.cyclotomic import (CycField, CycInt, cyclotomic_poly, discriminant_square,
-                                 roots_vectors)
+                                 roots_vectors, vandermonde_rows)
 from symident.exactalg import det_cofactor
 from symident.symfun import complete_prefix, elementary_prefix, power, power_prefix
 
@@ -690,6 +690,19 @@ class TestThirdResult:
 
 
 class TestDiscriminant:
+    def test_vandermonde_rows_match_both_constructions(self):
+        for r in range(1, 9):
+            alphas = roots_vectors(r)[1].entries
+            rows = vandermonde_rows(alphas)
+            # one row per power, highest first, as the bialternant reads them
+            assert rows == [[a ** k for a in alphas] for k in range(r - 1, -1, -1)], r
+            # one row per root, each built up from field.one as the
+            # discriminant once built them: the transpose
+            per_root = [[a.field.one] for a in alphas]
+            for _ in range(r - 1):
+                per_root = [[row[0] * a] + row for row, a in zip(per_root, alphas)]
+            assert rows == [list(col) for col in zip(*per_root)], r
+
     def test_small_values(self):
         assert discriminant_square(1) == 1   # 3^0
         assert discriminant_square(2) == 5

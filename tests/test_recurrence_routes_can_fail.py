@@ -30,16 +30,6 @@ def test_congruence_fails_on_a_wrong_recurrence_value(monkeypatch, index, want):
     assert rep.counterexample == want
 
 
-def test_initial_block_fails_on_a_wrong_recurrence_value(monkeypatch):
-    r, index = 3, 4
-    assert sequences.initial_block_check(r).passed
-    right = sequences.fib_recurrence(r, index)[index]
-    monkeypatch.setattr(sequences, "fib_recurrence", _fib_off(r, index)(sequences.fib_recurrence))
-    rep = sequences.initial_block_check(r)
-    assert rep.status == "fail"
-    assert rep.counterexample == "F[%d] r=%d: %d vs %d" % (index, r, right + 1, right)
-
-
 # closed form -> (its route in a counterexample, how much it is made wrong
 # by at one n); a value that is not an integer is a miss, not an error
 FORM_CASES = {

@@ -19,6 +19,8 @@ from symident.sequences import (_fib_alternating_form, _fib_halved_form,
                                 recurrence_coefficients, table)
 from symident.symfun import complete_prefix, power_prefix
 
+from oracles import genfun_denominator_binomials, genfun_numerator_L_binomials
+
 
 class TestRecurrences:
     def test_classical_slices(self):
@@ -231,6 +233,18 @@ class TestGenfun:
         assert list(N.coeffs) == [1, 2, 0, 0, 0, 0, 0]
         lh = N * D.inverse()
         assert [int(c) for c in lh.coeffs[:4]] == [1, 3, 4, 7]
+
+    def test_builders_match_the_binomial_sums(self):
+        # D and N_L are built from char_coeffs; the two binomial sums of each
+        # are the independent reference
+        from symident.sequences import (sequence_genfun_denominator,
+                                        sequence_genfun_numerator_L)
+        for r in range(1, 13):
+            for order in range(31):
+                assert list(sequence_genfun_denominator(r, order).coeffs) == \
+                    genfun_denominator_binomials(r, order), (r, order)
+                assert list(sequence_genfun_numerator_L(r, order).coeffs) == \
+                    genfun_numerator_L_binomials(r, order), (r, order)
 
     def test_offset_convention(self):
         # u^0 coefficient is F_1 = 1, not the zero at F_0

@@ -1,45 +1,13 @@
-"""The series checks and the generating-function route of cross_oracle,
-shown able to fail: one coefficient of one series made wrong turns each
-check that reads it to `fail` with the index named.  A series that differs
-in one coefficient must compare unequal, so these also show that series
-equality tells such series apart."""
+"""The generating-function route of cross_oracle, shown able to fail: one
+coefficient of its denominator made wrong turns the check to `fail` with
+the index named.  The series checks' own rows, one wrong ballot
+coefficient each, are in the can-fail registry."""
 
 import re
 
-import pytest
-
-from symident import combinat, sequences, suites
+from symident import sequences
 
 from test_can_fail_registry import _plus_x_to_the
-
-ORDER, ALPHA_MAX = 12, 8
-K = 4  # the coefficient made wrong below
-
-
-def _series_report(check):
-    (rep,) = [x for x in suites.suite_series(order=ORDER, alpha_max=ALPHA_MAX)
-              if x.check == check]
-    return rep
-
-
-# check -> (alpha whose ballot series is made wrong, the whole counterexample)
-BALLOT_READERS = {
-    "series_ballot_coefficients": (3, "alpha=3 k=%d" % K),
-    "series_closed_form": (3, "alpha=3"),
-    "series_index_law": (12, "a=6 b=6"),  # the only pair with a + b = 12
-    "series_quadratic": (1, "quadratic relation"),
-    "series_substitution": (3, "power N=3"),
-}
-
-
-@pytest.mark.parametrize("check", sorted(BALLOT_READERS))
-def test_series_checks_fail_on_one_wrong_ballot_coefficient(monkeypatch, check):
-    alpha, want = BALLOT_READERS[check]
-    assert _series_report(check).passed
-    monkeypatch.setattr(combinat, "ballot_series", _plus_x_to_the(K, alpha)(combinat.ballot_series))
-    rep = _series_report(check)
-    assert rep.status == "fail"
-    assert rep.counterexample == want
 
 
 def test_cross_oracle_generating_functions_fail_on_a_wrong_denominator(monkeypatch):
