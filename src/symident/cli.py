@@ -182,7 +182,8 @@ def _flags(options) -> str:
 
 def cmd_verify(args) -> int:
     """Run one suite at its default window with the given options laid over
-    it; an option the suite does not take is a usage error."""
+    it; an option the suite does not take is a usage error, and so are
+    --seed and --trials without --mode random, where they would do nothing."""
     if args.suite not in suites.SUITES:
         raise UsageError("unknown suite %r (choose from %s)"
                          % (args.suite, ", ".join(suites.SUITES)))
@@ -197,6 +198,10 @@ def cmd_verify(args) -> int:
         if given["r"][0] < 1:
             raise UsageError("--r must be >= 1, got %s" % args.r)
     window = {**window, **given}
+    random_only = [k for k in ("seed", "trials") if k in given]
+    if random_only and window.get("mode") != "random":
+        raise UsageError("suite %s takes %s only with --mode random"
+                         % (args.suite, _flags(random_only)))
     seed = None
     if window.get("mode") == "random":
         seed = window["seed"] = default_seed(args)

@@ -3,8 +3,9 @@
 Plain Python ints act as arbitrary-precision integers and
 ``fractions.Fraction`` as exact rationals.  On top of those this module
 provides truncated formal power series (``Series``), sparse Laurent
-polynomials in one variable (``UniLaurent``) and in several variables
-(``MultiLaurent``), and exact determinant routines.
+polynomials in several variables (``MultiLaurent``), of which those in the
+one variable q (``UniLaurent``) are a subclass, and exact determinant
+routines.
 
 All values are immutable after construction and every operation is pure,
 so everything here can be shared freely between threads.
@@ -368,12 +369,15 @@ def series_sqrt(s):
 # ---------------------------------------------------------------------------
 # Laurent polynomials
 #
-# Both Laurent classes store their terms as a dict from an int key to a
-# nonzero int coefficient, with keys that add when monomials multiply: a
-# UniLaurent key is its exponent, a MultiLaurent key packs the exponent vector
-# as sum_i e_i 2^(32 i).  One fused kernel gives their sums and products.
+# A Laurent value stores its terms as a dict from an int key to a nonzero
+# int coefficient, with keys that add when monomials multiply: the key packs
+# the exponent vector as sum_i e_i 2^(32 i), so in one variable (a
+# UniLaurent in q) it is the exponent itself.  One fused kernel gives the
+# sums and products.
 
 _ONE = {0: 1}  # the terms of 1; never mutated
+_EXP_BITS = 32  # slot width of one exponent in a packed key
+_EXP_LIMIT = 1 << (_EXP_BITS - 1)  # every |exponent| stays below it
 
 
 def _sparse_addmul(acc, a, b):
@@ -407,116 +411,23 @@ def _sparse_addmul(acc, a, b):
     return d
 
 
-class UniLaurent:
-    """Sparse Laurent polynomial in the one variable q with integer
-    coefficients.
-
-    Stored as a map exponent -> coefficient with no zero entries, so
-    structural equality of the maps is exact polynomial equality.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        self.coeffs = {e: c for e, c in (coeffs or {}).items() if c}
-
-    def _of(self, coeffs):
-        # a value from a dict with no zero coefficient
-        out = object.__new__(UniLaurent)
-        out.coeffs = coeffs
-        return out
-
-    @classmethod
-    def monomial(cls, coeff=1, power=1):
-        return cls({power: coeff})
-
-    @classmethod
-    def one(cls):
-        return cls({0: 1})
-
-    @classmethod
-    def zero(cls):
-        return cls({})
-
-    def _coerce(self, other):
-        if isinstance(other, UniLaurent):
-            return other
-        if isinstance(other, int):
-            return UniLaurent({0: other})
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._of(_sparse_addmul(self.coeffs, _ONE, other.coeffs))
-
-    __radd__ = __add__
-
-    def addmul(self, a, b):
-        """self + a * b in one pass; a may be an int."""
-        a, b = self._coerce(a), self._coerce(b)
-        return self._of(_sparse_addmul(self.coeffs, a.coeffs, b.coeffs))
-
-    def __neg__(self):
-        return self._of({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._of(_sparse_addmul(self.coeffs, {0: -1}, other.coeffs))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return UniLaurent({e: c * other for e, c in self.coeffs.items()})
-        if not isinstance(other, UniLaurent):
-            return NotImplemented
-        return self._of(_sparse_addmul({}, self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            raise ValueError("polynomial powers take integer exponents")
-        if n < 0 and len(self.coeffs) != 1:
-            raise ValueError("only monomials have Laurent inverses")
-        if not n or len(self.coeffs) != 1:
-            return _power(self, n) if n else UniLaurent.one()
-        (e, c), = self.coeffs.items()  # a monomial's power is one term
-        if n < 0 and c * c != 1:
-            raise ValueError("coefficient %d is not invertible" % c)
-        return self._of({e * n: c ** abs(n)})
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):  # a constant hashes like the int it equals
-        c = self.coeffs
-        return hash(c.get(0, 0)) if c.keys() <= {0} else hash(frozenset(c.items()))
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
-            if e == 0:
-                parts.append(str(c))
-            elif e == 1:
-                parts.append("%d*q" % c)
-            else:
-                parts.append("%d*q^%d" % (c, e))
-        return " + ".join(parts)
-
-
-_EXP_BITS = 32  # slot width of one exponent in a packed MultiLaurent key
+def _laurent_mul(a, b):
+    """a * b for a Laurent value a and an int or a value of a's class."""
+    if isinstance(b, int):
+        terms = {k: c * b for k, c in a._terms.items()} if b else {}
+        return a._of(terms, a.bound)
+    if type(b) is not type(a):
+        return NotImplemented
+    if b.nvars != a.nvars:
+        raise ValueError("mixed variable counts")
+    bound = a.bound + b.bound
+    if bound >= _EXP_LIMIT and len(a._terms) == len(b._terms) == 1:
+        # monomials: the exact largest |exponent|, from the operands' keys
+        # (the product's key may have wrapped a slot)
+        (x,), (y,), v = a._terms, b._terms, a.nvars
+        bound = max(abs(s + t) for s, t in
+                    zip(_unpack(x, _EXP_BITS, v), _unpack(y, _EXP_BITS, v)))
+    return a._of(_sparse_addmul({}, a._terms, b._terms), bound)
 
 
 class MultiLaurent:
@@ -531,7 +442,8 @@ class MultiLaurent:
     or of a monomial's power reaches 2^31, it is taken exactly from the
     keys.  A value whose bound reaches 2^31 raises ValueError, so distinct
     exponent vectors always have distinct keys.  ``coeffs`` gives the terms
-    keyed by exponent tuples of length nvars.
+    keyed by exponent tuples of length nvars.  A value of another class
+    (``UniLaurent``) never adds to or equals one of this class.
     """
 
     __slots__ = ("nvars", "bound", "_terms")
@@ -548,15 +460,15 @@ class MultiLaurent:
         self._set(nvars, terms, bound)
 
     def _set(self, nvars, terms, bound):
-        if bound >= 1 << (_EXP_BITS - 1):
+        if bound >= _EXP_LIMIT:
             raise ValueError("Laurent exponent bound %d reaches 2^%d"
                              % (bound, _EXP_BITS - 1))
         self.nvars, self._terms, self.bound = nvars, terms, bound
         return self
 
     def _of(self, terms, bound):
-        # a value with this one's variable count
-        return object.__new__(MultiLaurent)._set(self.nvars, terms, bound)
+        # a value of this one's class and variable count
+        return object.__new__(type(self))._set(self.nvars, terms, bound)
 
     @property
     def coeffs(self):
@@ -583,7 +495,7 @@ class MultiLaurent:
         return cls(nvars, {})
 
     def _coerce(self, other):
-        if isinstance(other, MultiLaurent):
+        if type(other) is type(self):
             if other.nvars != self.nvars:
                 raise ValueError("mixed variable counts")
             return other
@@ -623,21 +535,7 @@ class MultiLaurent:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            terms = {k: c * other for k, c in self._terms.items()} if other else {}
-            return self._of(terms, self.bound)
-        if not isinstance(other, MultiLaurent):
-            return NotImplemented
-        if other.nvars != self.nvars:
-            raise ValueError("mixed variable counts")
-        bound = self.bound + other.bound
-        if bound >= 1 << (_EXP_BITS - 1) and len(self._terms) == len(other._terms) == 1:
-            # monomials: the exact largest |exponent|, from the operands'
-            # keys (the product's key may have wrapped a slot)
-            (a,), (b,), v = self._terms, other._terms, self.nvars
-            bound = max(abs(x + y) for x, y in
-                        zip(_unpack(a, _EXP_BITS, v), _unpack(b, _EXP_BITS, v)))
-        return self._of(_sparse_addmul({}, self._terms, other._terms), bound)
+        return _laurent_mul(self, other)
 
     __rmul__ = __mul__
 
@@ -647,12 +545,12 @@ class MultiLaurent:
         if n < 0 and len(self._terms) != 1:
             raise ValueError("only monomials have Laurent inverses")
         if not n or len(self._terms) != 1:
-            return _power(self, n) if n else MultiLaurent.one(self.nvars)
+            return _power(self, n) if n else self._of({0: 1}, 0)
         (k, c), = self._terms.items()  # a monomial's power is one term
         if n < 0 and c * c != 1:
             raise ValueError("coefficient %d is not invertible" % c)
         bound = self.bound * abs(n)
-        if bound >= 1 << (_EXP_BITS - 1):  # n times the exact largest |exponent|
+        if bound >= _EXP_LIMIT:  # n times the exact largest |exponent|
             bound = abs(n) * max(map(abs, _unpack(k, _EXP_BITS, self.nvars)))
         return self._of({k * n: c ** abs(n)}, bound)
 
@@ -684,6 +582,55 @@ class MultiLaurent:
         return " + ".join(parts)
 
 
+class UniLaurent(MultiLaurent):
+    """Sparse Laurent polynomial in the one variable q with integer
+    coefficients: the one-variable MultiLaurent, whose key is the exponent,
+    so ``coeffs`` maps exponent -> coefficient.  It never mixes with a
+    MultiLaurent in one variable."""
+
+    __slots__ = ()
+
+    def __init__(self, coeffs=None):
+        terms = {e: c for e, c in (coeffs or {}).items() if c}
+        self._set(1, terms, max(map(abs, terms), default=0))
+
+    @classmethod
+    def monomial(cls, coeff=1, power=1):
+        return cls({power: coeff})
+
+    @classmethod
+    def one(cls):
+        return cls({0: 1})
+
+    @classmethod
+    def zero(cls):
+        return cls({})
+
+    @property
+    def coeffs(self):
+        return dict(self._terms)
+
+    # never through MultiLaurent.__mul__, so a traced run counts q products apart
+    def __mul__(self, other):
+        return _laurent_mul(self, other)
+
+    __rmul__ = __mul__
+
+    def __repr__(self):
+        if not self._terms:
+            return "0"
+        parts = []
+        for e in sorted(self._terms):
+            c = self._terms[e]
+            if e == 0:
+                parts.append(str(c))
+            elif e == 1:
+                parts.append("%d*q" % c)
+            else:
+                parts.append("%d*q^%d" % (c, e))
+        return " + ".join(parts)
+
+
 def _laurent_divide_exact(num, den):
     """Exact quotient num/den of MultiLaurent values; raises if inexact.
 
@@ -698,7 +645,7 @@ def _laurent_divide_exact(num, den):
     if den.is_zero():
         raise ZeroDivisionError("Laurent division by zero")
     if num.is_zero():
-        return MultiLaurent.zero(num.nvars)
+        return num._of({}, 0)
     v = num.nvars
 
     def box(p):

@@ -83,9 +83,10 @@ def _shown(value) -> str:
     """repr of one side of a check; a long Laurent polynomial is cut to its
     first _SHOWN characters and its number of terms.  A MultiLaurent side
     is a polynomial in E_1..E_r (see _symbolic_values), so it is written in
-    E1..Er, not in the z1..zr of its repr."""
+    E1..Er, not in the z1..zr of its repr; a side of its subclass
+    UniLaurent is in q."""
     text = repr(value)
-    if isinstance(value, MultiLaurent):
+    if type(value) is MultiLaurent:
         text = text.replace("z", "E")
     terms = getattr(value, "coeffs", None)
     if terms is None or len(text) <= _SHOWN:

@@ -141,52 +141,52 @@ def suite_series(order=30, alpha_max=8):
     return _row(_series_row, (order, alpha_max), checks)
 
 
-def suite_principal(rs, n_max):
+def suite_principal(r, n_max):
     """The principal q-specialisations for n up to n_max, and their
-    combination check."""
+    combination check, at each x of r."""
     if n_max < 1:
         raise ValueError("principal needs --n-max >= 1")
     out = []
-    for r in rs:
+    for x in r:
         for n in range(0, n_max + 1):
             for family in ("e", "h", "p") if n else ("e", "h"):
-                out.append(_guarded(identities.principal_spec, family, r, n))
-        out.append(_guarded(identities.principal_combination_check, r, n_max))
+                out.append(_guarded(identities.principal_spec, family, x, n))
+        out.append(_guarded(identities.principal_combination_check, x, n_max))
     return out
 
 
-def suite_roots(rs):
-    """Exact evaluations at the doubled and shifted roots of unity: the
-    three closed patterns (h and p up to n = 6(2r + 1)), the
+def suite_roots(r):
+    """Exact evaluations at the doubled and shifted roots of unity, at each
+    x of r: the three closed patterns (h and p up to n = 6(2x + 1)), the
     characteristic coefficients, and the companion binomial identity."""
     out = []
-    for r in rs:
-        out += [_guarded(sequences.roots_check, family, r) for family in ("e", "h", "p")]
-        out += [_guarded(sequences.char_coeffs_check, r),
-                _guarded(identities.unit_binomial_sum_check, r)]
+    for x in r:
+        out += [_guarded(sequences.roots_check, family, x) for family in ("e", "h", "p")]
+        out += [_guarded(sequences.char_coeffs_check, x),
+                _guarded(identities.unit_binomial_sum_check, x)]
     return out
 
 
-def suite_discriminant(rs):
-    """The discriminant check for each r with 2r + 1 prime; the other r are
-    skipped."""
-    return [_guarded(sequences.discriminant_check, r)
-            for r in rs if cyclotomic._is_prime(2 * r + 1)]
+def suite_discriminant(r):
+    """The discriminant check for each x of r with 2x + 1 prime; the other
+    x are skipped."""
+    return [_guarded(sequences.discriminant_check, x)
+            for x in r if cyclotomic._is_prime(2 * x + 1)]
 
 
-def suite_inversion(rs, n_max):
+def suite_inversion(r, n_max):
     """The inversion checks over F (n >= 0) and L (n >= 1) up to n_max,
-    each row of one r over one F and one L."""
-    def checks(r, F, L):
+    each row of one x of r over one F and one L."""
+    def checks(x, F, L):
         row = []
         for n in range(0, n_max + 1):
-            row.append(_guarded(sequences.inversion_check_F, r, n, F))
+            row.append(_guarded(sequences.inversion_check_F, x, n, F))
             if n >= 1:
-                row.append(_guarded(sequences.inversion_check_L, r, n, L))
+                row.append(_guarded(sequences.inversion_check_L, x, n, L))
         return row
     out = []
-    for r in rs:
-        out += _row(_inversion_row, (r, n_max), lambda FL: checks(r, *FL))
+    for x in r:
+        out += _row(_inversion_row, (x, n_max), lambda FL: checks(x, *FL))
     return out
 
 
@@ -224,19 +224,17 @@ SUITES = {
                                   2 * x + 4 if order is None else order) for x in r],
                         {"r": (1, 2, 3), "order": None}),
     "series": (suite_series, {"order": 30, "alpha_max": 8}),
-    "principal": (lambda r, n_max: suite_principal(r, n_max),
-                  {"r": (1, 2, 3, 4), "n_max": 10}),
+    "principal": (suite_principal, {"r": (1, 2, 3, 4), "n_max": 10}),
     "principal-combined": (lambda r, bound:
                            _each(identities.principal_combination_check, r, bound),
                            {"r": (1, 2, 3, 4), "bound": 10}),
     "binomial-unit": (lambda r: _each(identities.unit_binomial_sum_check, r),
                       {"r": range(1, 9)}),
-    "roots": (lambda r: suite_roots(r), {"r": range(1, 9)}),
-    "discriminant": (lambda r: suite_discriminant(r), {"r": (1, 2, 3, 5, 6)}),
+    "roots": (suite_roots, {"r": range(1, 9)}),
+    "discriminant": (suite_discriminant, {"r": (1, 2, 3, 5, 6)}),
     "cross-oracle": (lambda r, n_max: _each(sequences.cross_oracle_check, r, n_max),
                      {"r": range(1, 9), "n_max": 60}),
-    "inversion": (lambda r, n_max: suite_inversion(r, n_max),
-                  {"r": range(1, 9), "n_max": 60}),
+    "inversion": (suite_inversion, {"r": range(1, 9), "n_max": 60}),
     "fibonacci-sums": (lambda bound: _each(sequences.fibonacci_sums_check, [bound]),
                        {"bound": 60}),
     "lucas-sums": (lambda bound: _each(sequences.lucas_sums_check, [bound]), {"bound": 60}),

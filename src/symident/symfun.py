@@ -131,6 +131,8 @@ def prefix(family: str, top: int, v: PointVector) -> list:
     the arity of v; defined for top >= 0 only."""
     if top < 0:
         raise ValueError("prefixes are defined for top >= 0")
+    if family not in ("e", "h", "p"):
+        raise ValueError("family must be e, h or p")
     if family == "p":
         return [v.one * v.arity] + power_prefix(top, v)
     return (elementary_prefix if family == "e" else complete_prefix)(top, v)

@@ -150,6 +150,21 @@ class TestVerifyCommand:
         assert re.search(r"^  --alpha-max ALPHA_MAX\s+taken by series$", out, re.M)
         assert re.search(r"^  --mode MODE +taken by first-kind, second-kind$", out, re.M)
 
+    @pytest.mark.parametrize("argv, refused", [
+        (("first-kind", "--r", "1", "--m-max", "2", "--seed", "5", "--trials", "0"),
+         "--seed, --trials"),
+        (("second-kind", "--r", "1", "--n-max", "2", "--mode", "symbolic", "--trials", "3"),
+         "--trials"),
+    ])
+    def test_seed_and_trials_need_random_mode(self, capsys, argv, refused):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: suite %s takes %s only with --mode random\n" % (argv[0], refused)
+        code, out, _ = run_cli(capsys, "verify", *argv[:5], "--mode", "random",
+                               "--seed", "5", "--trials", "2", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["seed"] == 5
+
     def test_seed_from_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("SYMIDENT_SEED", "31")
         code, out, _ = run_cli(capsys, "verify", "first-kind", "--family", "e",

@@ -258,6 +258,11 @@ class TestUniLaurent:
     def test_basic_algebra(self):
         q = UniLaurent.monomial(1, 1)
         assert (q + q ** -1) * (q - q ** -1) == q ** 2 - q ** -2
+        # q is not the one-variable MultiLaurent z: they never mix
+        z = MultiLaurent.variable(0, 1)
+        assert (q == z) is False
+        with pytest.raises(TypeError):
+            q + z
 
     def test_ring_laws(self):
         rng = random.Random(4)
@@ -428,6 +433,8 @@ class TestPackedLaurent:
         # a bound of 2^31 could let two exponent vectors share a key
         with pytest.raises(ValueError):
             edge * MultiLaurent.variable(0, 3)
+        with pytest.raises(ValueError):
+            UniLaurent.monomial(1, 2 ** 30) ** 2
         with pytest.raises(ValueError):
             edge * MultiLaurent.variable(0, 3, -1)
         with pytest.raises(ValueError):

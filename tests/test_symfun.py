@@ -70,6 +70,9 @@ class TestComplete:
         for n in (-1, -2, -4):
             with pytest.raises(ValueError, match="defined for top >= 0"):
                 prefix("h", n, v)
+        # nor is a family other than e, h and p read as h
+        with pytest.raises(ValueError, match="^family must be e, h or p$"):
+            prefix("x", 3, PointVector([1, 2]))
 
     def test_against_enumeration(self):
         rng = random.Random(12)
