@@ -13,7 +13,7 @@ check failed or raised, a ValueError from inside a check included (the
 counterexamples or exceptions are in the report); 2 usage error, as is a
 ValueError from a suite's options or a check's own argument checks.  The
 rendered output is byte-identical across runs with the same arguments and
-seed; timings only appear when asked for with --timings.
+seed; timings only appear when asked for with --timings, in json or csv.
 """
 
 from __future__ import annotations
@@ -271,6 +271,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if getattr(args, "timings", False) and args.format == "md":
+            raise UsageError("--timings needs --format json or csv (md has no elapsed_ms)")
         return args.fn(args)
     except (UsageError, ValueError) as exc:
         sys.stderr.write("error: %s\n" % exc)

@@ -480,7 +480,7 @@ class MultiLaurent:
     def variable(cls, i, nvars, power=1):
         exps = [0] * nvars
         exps[i] = power
-        return cls(nvars, {tuple(exps): 1})
+        return cls.constant(1, nvars)._of({_pack(exps, _EXP_BITS): 1}, abs(power))
 
     @classmethod
     def constant(cls, c, nvars):
@@ -605,6 +605,13 @@ class UniLaurent(MultiLaurent):
     @classmethod
     def zero(cls):
         return cls({})
+
+    @classmethod
+    def constant(cls, c, nvars):
+        # MultiLaurent's constant, which variable builds through, at q
+        if nvars != 1:
+            raise ValueError("q is the one variable of a UniLaurent: need nvars = 1")
+        return cls({0: c})
 
     @property
     def coeffs(self):

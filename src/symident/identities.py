@@ -190,6 +190,17 @@ def _expansion_sides(direction, family, n, kernel, values):
     return single, acc
 
 
+def _doubled_e(e, top):
+    """d_0..d_top of sum_k e_k t^k (1+t^2)^(r-k), r = len(e) - 1, by Horner steps (no binom)."""
+    d = [e[0] * 0] * (top + 1)
+    for k, ek in enumerate(e):
+        for n in range(top, 1, -1):
+            d[n] = d[n] + d[n - 2]
+        if k <= top:
+            d[k] = d[k] + ek
+    return d
+
+
 def _symbolic_values(direction, family, r, top):
     """(singles, manys) as _expansion_values gives them at the Laurent
     vectors symbolic_vectors(r), written as polynomials in E_k =
@@ -200,15 +211,14 @@ def _symbolic_values(direction, family, r, top):
 
     The shifted vector's e are E_0..E_r.  The doubled vector's come from
     prod_j (1 + z_j t)(1 + t/z_j) = prod_j (1 + x_j t + t^2) =
-    sum_k E_k t^k (1 + t^2)^(r-k), so e_i = sum_k binom(r-k, (i-k)/2) E_k.
-    h is the reciprocal of e(-t): h_n = sum_i (-1)^(i-1) e_i h_(n-i); p is
-    Newton's identities, the same sum with n e_n for e_n p_0, and p_0 the
-    arity.  The doubled p is not taken from z^i + z^-i = L_i(x), which is
-    the second-kind p kernel itself."""
+    sum_k E_k t^k (1 + t^2)^(r-k), by _doubled_e.  h is the reciprocal of
+    e(-t): h_n = sum_i (-1)^(i-1) e_i h_(n-i); p is Newton's identities,
+    the same sum with n e_n for e_n p_0, and p_0 the arity.  The doubled p
+    is not taken from z^i + z^-i = L_i(x), which is the second-kind p
+    kernel itself."""
     E = [MultiLaurent.one(r)] + [MultiLaurent.variable(k, r) for k in range(r)]
     zero = E[0] * 0
-    doubled = [sum((E[k] * binom(r - k, (i - k) // 2) for k in range(i % 2, min(i, r) + 1, 2)),
-                   zero) for i in range(2 * r + 1)]
+    doubled = _doubled_e(E, 2 * r)
 
     def from_e(e):
         # f_0..f_top of the vector whose e_0..e_arity are e
@@ -312,9 +322,9 @@ def genfun_transfer_check(r: int, order: int) -> list:
     sum h_n^(2r)(z, z^-1) y^n  against  (1+y^2)^-r sum h_m^(r)(z+z^-1) x^m
 
     with x = y/(1+y^2) substituted as a series: the right sides are
-    sum_m e_m y^m (1+y^2)^(r-m) and sum_m h_m y^m (1+y^2)^(-r-m), built as
-    coefficient lists in y truncated at the order by Horner steps that
-    multiply or divide by 1+y^2.  No expansion kernel is involved.
+    sum_m e_m y^m (1+y^2)^(r-m) (_doubled_e) and sum_m h_m y^m
+    (1+y^2)^(-r-m), coefficient lists in y truncated at the order, built
+    by Horner steps with 1+y^2.  No expansion kernel is involved.
     """
     if r < 1 or order < 0:
         raise ValueError("need r >= 1 and order >= 0")
@@ -326,13 +336,7 @@ def genfun_transfer_check(r: int, order: int) -> list:
         for n in range(2, order + 1):
             c[n] = c[n] - c[n - 2]
 
-    # e side: A <- A (1+y^2) + e_m y^m for m = 0..r
-    e_sub = [zero] * (order + 1)
-    for m, e in enumerate(elementary_prefix(r, shifted)):
-        for n in range(order, 1, -1):
-            e_sub[n] = e_sub[n] + e_sub[n - 2]
-        if m <= order:
-            e_sub[m] = e_sub[m] + e
+    e_sub = _doubled_e(elementary_prefix(r, shifted), order)
     # h side: B <- h_m + y B / (1+y^2) for m = order..0, then B / (1+y^2)^r;
     # h_m x^m starts at y^m, so h_0..h_order are all that reach the order
     hs = complete_prefix(order, shifted)
@@ -432,6 +436,16 @@ def _complete_q_closed(r: int, n: int) -> UniLaurent:
     return _q_power(-n * r) * (q_binom(2 * r + n, n) - q_binom(2 * r + n - 1, n - 1) * _q_power(r))
 
 
+def _power_q_closed(r: int, n: int) -> UniLaurent:
+    # the geometric sum for p_n of the doubled q-vector; 2r at n = 0
+    return sum((_q_power((j - r) * n) for j in range(2 * r + 1)), UniLaurent.zero()) - 1
+
+
+def _q_closed(family):
+    # the closed q-form of f_n, read from the module when a check runs
+    return {"e": _elem_q_closed, "h": _complete_q_closed, "p": _power_q_closed}[family]
+
+
 @_verifier(lambda family, r, n: ("principal_spec_" + family, {"r": r, "n": n}))
 def principal_spec(family: str, r: int, n: int) -> list:
     """f_n at the doubled q-vector against its closed q-form, for f = e, h
@@ -439,8 +453,7 @@ def principal_spec(family: str, r: int, n: int) -> list:
 
     e: the alternating q-binomial sum, which vanishes for n > 2r;
     h: q^(-nr) ([2r+n, n]_q - [2r+n-1, n-1]_q q^r);
-    p: -1 + q^(-rn)(1-q^((2r+1)n))/(1-q^n), compared after clearing the
-       denominator 1 - q^n; n starts at 1.
+    p: -1 + sum_j q^((j-r)n) for j = 0..2r; n starts at 1.
     """
     if family not in ("e", "h", "p"):
         raise ValueError("family must be e, h or p")
@@ -448,32 +461,22 @@ def principal_spec(family: str, r: int, n: int) -> list:
     if r < 1 or n < low:
         raise ValueError("need r >= 1 and n >= %d" % low)
     doubled, _ = _q_vectors(r)
-    if family == "p":
-        one = UniLaurent.one()
-        lhs = (power(n, doubled) + one) * (one - _q_power(n))
-        rhs = _q_power(-r * n) * (one - _q_power((2 * r + 1) * n))
-    else:
-        lhs = prefix(family, n, doubled)[n]
-        rhs = (_elem_q_closed if family == "e" else _complete_q_closed)(r, n)
+    lhs = power(n, doubled) if family == "p" else prefix(family, n, doubled)[n]
+    rhs = _q_closed(family)(r, n)
     return [] if lhs == rhs else ["lhs=%s rhs=%s" % (_shown(lhs), _shown(rhs))]
 
 
 @_verifier(lambda r, bound: ("principal_combination", {"r": r, "bound": bound}))
 def principal_combination_check(r: int, bound: int) -> list:
-    """The six q-identities obtained by feeding the closed q-forms through
-    both expansion directions: each kernel applied, by expansion_check's
-    sum, between f_0..f_bound of the shifted q-vector and the closed forms
-    at the doubled one (p_t is q^(-tr) geom(t) - 1, with geom(t) the sum of
-    q^(jt) for j = 0..2r), compared exactly; (1)..(3) are e, h, p, and (a),
-    (b) the first and second kind."""
+    """The six q-identities obtained by feeding the closed q-forms of
+    principal_spec through both expansion directions: each kernel applied,
+    by expansion_check's sum, between f_0..f_bound of the shifted q-vector
+    and the closed forms at the doubled one, compared exactly; (1)..(3) are
+    e, h, p, and (a), (b) the first and second kind."""
     if r < 1 or bound < 1:
         raise ValueError("need r >= 1 and bound >= 1")
     _, shifted = _q_vectors(r)
-    one, zero, top = UniLaurent.one(), UniLaurent.zero(), range(bound + 1)
-    geom = [sum((_q_power(j * t) for j in range(2 * r + 1)), zero) for t in top]
-    closed = {"e": [_elem_q_closed(r, t) for t in top],
-              "h": [_complete_q_closed(r, t) for t in top],
-              "p": [_q_power(-t * r) * g - one for t, g in zip(top, geom)]}
+    closed = {f: [_q_closed(f)(r, t) for t in range(bound + 1)] for f in "ehp"}
     ours = {f: prefix(f, bound, shifted) for f in "ehp"}
     failures = []
     for label, family in enumerate("ehp", 1):

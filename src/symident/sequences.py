@@ -320,8 +320,8 @@ def fibonacci_sums_check(bound: int) -> list:
     3. sum_k (-1)^k binom(n-k, k) follows the residue pattern mod 6;
     4. sum_k (-1)^k binom(n-k+1, k) F_(n-2k+1) follows the pattern mod 10;
 
-    (3) and (4) are the second-kind h kernel at r = 1 and r = 2 over F,
-    against h_n of the doubled roots.
+    (3) and (4) are inversion_check_F at r = 1 and r = 2, each failure
+    under its display's label.
     """
     if bound < 1:
         raise ValueError("need bound >= 1")
@@ -339,10 +339,9 @@ def fibonacci_sums_check(bound: int) -> list:
 
     for r in (1, 2):
         for n in range(bound + 1):
-            total = sum(c * F[r][i + 1] for i, c in expansion_kernel("second", "h", r, n))
-            want = _doubled_roots_h(r, n)
-            if total != want:
-                failures.append("(%d) n=%d: %d vs %d" % (r + 2, n, total, want))
+            rep = inversion_check_F(r, n, F[r])
+            if not rep.passed:
+                failures.append("(%d) %s" % (r + 2, rep.counterexample))
 
     return failures
 
@@ -352,8 +351,8 @@ def lucas_sums_check(bound: int) -> list:
     """The six Lucas-flavoured binomial displays: the even/odd case sum of
     L_n at r = 1, where L is constantly 1 (the odd one also folded to its
     k >= 0 half), and at r = 2 against the classical Lucas numbers; and
-    the two inversion patterns mod 3 and mod 5 (the second-kind p kernel
-    at r = 1 and r = 2 over L, against p_n of the doubled roots)."""
+    the two inversion patterns mod 3 and mod 5: inversion_check_L at r = 1
+    and r = 2, each failure under its display's label."""
     if bound < 1:
         raise ValueError("need bound >= 1")
     failures = []
@@ -370,12 +369,11 @@ def lucas_sums_check(bound: int) -> list:
         if _lucas_case_sum(2, 2 * m + 1) != L[2][2 * m + 1]:
             failures.append("(4) m=%d" % m)
 
-    for n in range(1, bound + 1):
-        for r in (1, 2):
-            total = sum(c * L[r][i] for i, c in expansion_kernel("second", "p", r, n))
-            want = _doubled_roots_p(r, n)
-            if total != want:
-                failures.append("(%d) n=%d: %d vs %d" % (r + 4, n, total, want))
+    for r in (1, 2):
+        for n in range(1, bound + 1):
+            rep = inversion_check_L(r, n, L[r])
+            if not rep.passed:
+                failures.append("(%d) %s" % (r + 4, rep.counterexample))
 
     return failures
 
@@ -556,10 +554,7 @@ def partition_relations_check(r: int, n_max: int) -> list:
         total = Fraction(0)
         signed = Fraction(0)
         for lam in partitions_of(n):
-            prod = 1
-            for part in lam:
-                prod *= L[part]
-            term = Fraction(prod, centralizer_order(lam))
+            term = Fraction(math.prod(L[part] for part in lam), centralizer_order(lam))
             total += term
             signed += term if (n - len(lam)) % 2 == 0 else -term
         if total != F[n + 1]:
@@ -687,26 +682,18 @@ def golden_table(kind: str) -> SeqTable:
         parts = ln.split("\t")
         row = int(parts[0])
         rows.append(row)
-        for col, cell in zip(cols, parts[1:]):
-            if cell.strip():
-                values[(row, col)] = int(cell)
-            else:
-                values[(row, col)] = None
-        for col in cols[len(parts) - 1:]:
-            values[(row, col)] = None
+        cells = parts[1:] + [""] * (len(cols) + 1 - len(parts))
+        for col, cell in zip(cols, cells):
+            values[(row, col)] = int(cell) if cell.strip() else None
     return SeqTable(kind, row_label, col_label, rows, cols, values)
 
 
 def known_typos() -> list:
     """(kind, row, col, printed, corrected, note) entries of the sidecar."""
     text = resources.files("symident.data").joinpath("known_typos.tsv").read_text()
-    out = []
-    for ln in text.splitlines():
-        if not ln.strip() or ln.startswith("#"):
-            continue
-        kind, row, col, printed, corrected, note = ln.split("\t")
-        out.append((kind, int(row), int(col), int(printed), int(corrected), note))
-    return out
+    entries = [ln.split("\t") for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    return [(kind, int(row), int(col), int(printed), int(corrected), note)
+            for kind, row, col, printed, corrected, note in entries]
 
 
 @_verifier(lambda kind: ("golden_table", {"kind": kind}))

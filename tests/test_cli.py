@@ -243,6 +243,17 @@ class TestVerifyCommand:
         assert code == 0
         assert any(float(row[-1]) > 0 for row in list(csv.reader(io.StringIO(out)))[1:])
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "roots", "--r", "1"),  # md is verify's default format
+        ("verify", "roots", "--r", "1", "--format", "md"),
+        ("report", "--all", "--format", "md"),
+    ])
+    def test_timings_with_md_is_refused(self, capsys, argv):
+        # md has no elapsed_ms column, so --timings would do nothing there
+        code, out, err = run_cli(capsys, *argv, "--timings")
+        assert (code, out) == (2, "")
+        assert err == "error: --timings needs --format json or csv (md has no elapsed_ms)\n"
+
     def test_closed_form_disagreement_is_a_failing_report(self, capsys, monkeypatch):
         from symident import sequences
         halved = sequences._fib_halved_form
@@ -395,7 +406,7 @@ class TestSuiteTable:
         assert [(rec["check"], rec["params"]) for rec in recs] == names
 
     @pytest.mark.parametrize("module, name, suite, build", [
-        ("identities", "binom", "first-kind", "_symbolic_values"),
+        ("identities", "_doubled_e", "first-kind", "_symbolic_values"),
         ("sequences", "fib_recurrence", "inversion", "_inversion_row"),
         ("combinat", "ballot_series", "series", "_series_row"),
     ])

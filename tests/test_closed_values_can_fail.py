@@ -80,10 +80,9 @@ def test_principal_spec_p_fails_on_a_wrong_power_sum(monkeypatch):
                         lambda n, v: power(n, v) + 1 if n == T else power(n, v))
     (rep,) = _failed_principal_specs()
     assert (rep.check, rep.params) == ("principal_spec_p", {"r": R, "n": T})
-    # both sides are cleared of 1 - q^T, so p_T one more puts 1 - q^T more
-    # into lhs = (p_T + 1)(1 - q^T); rhs is q^(-rT) (1 - q^((2r+1)T))
-    rhs = q ** (-R * T) * (1 - q ** ((2 * R + 1) * T))
-    assert rep.counterexample == "lhs=%s rhs=%s" % (_shown(rhs + 1 - q ** T), _shown(rhs))
+    # lhs is p_T one more; rhs is the closed p_T, sum_j q^((j-r)T) - 1
+    rhs = sum(q ** ((j - R) * T) for j in range(2 * R + 1)) - 1
+    assert rep.counterexample == "lhs=%s rhs=%s" % (_shown(rhs + 1), _shown(rhs))
 
 
 def test_tables_fail_on_a_wrong_published_cell(monkeypatch):

@@ -263,6 +263,12 @@ class TestUniLaurent:
         assert (q == z) is False
         with pytest.raises(TypeError):
             q + z
+        # the inherited constructors, at the one variable q
+        assert UniLaurent.constant(3, 1) == 3 and type(UniLaurent.constant(3, 1)) is UniLaurent
+        assert UniLaurent.variable(0, 1) == q and UniLaurent.variable(0, 1, -2) == q ** -2
+        for bad in (lambda: UniLaurent.constant(3, 2), lambda: UniLaurent.variable(0, 2)):
+            with pytest.raises(ValueError, match="need nvars = 1"):
+                bad()
 
     def test_ring_laws(self):
         rng = random.Random(4)

@@ -194,6 +194,39 @@ class TestSymbolicSides:
                     assert " symbolic: lhs=" in rep.counterexample and "z" not in \
                         rep.counterexample
 
+    def test_a_binomial_fault_shared_by_the_kernel_fails_second_kind_e(self, monkeypatch):
+        # binom(3, 1) = 4 in every module that reads binom: the second-kind
+        # e kernel reads binom(3, 1) at n = r - 1 only, and the doubled e is
+        # built by Horner steps, not from binomials, so the sides disagree
+        from symident import combinat, identities
+        binom = combinat.binom
+        wrong = lambda n, k: 4 if (n, k) == (3, 1) else binom(n, k)  # noqa: E731
+        for module in (combinat, identities):
+            monkeypatch.setattr(module, "binom", wrong)
+        for r in (4, 12):
+            failed = [n for n in range(2 * r + 1)
+                      if not identities.expansion_check("second", "e", r, n).passed]
+            assert failed == [r - 1], r
+
+    def test_a_wrong_doubled_e_fails_both_of_its_readers(self, monkeypatch):
+        # the one builder of the doubled e, one more at y^4: genfun_transfer
+        # reads it in z, symbolic second-kind e in Z[E]
+        from symident import identities
+        build = identities._doubled_e
+
+        def wrong(e, top):
+            d = build(e, top)
+            d[4] = d[4] + 1
+            return d
+
+        assert identities.genfun_transfer_check(3, 8).passed
+        assert identities.expansion_check("second", "e", 3, 4).passed
+        monkeypatch.setattr(identities, "_doubled_e", wrong)
+        rep = identities.genfun_transfer_check(3, 8)
+        assert (rep.status, rep.counterexample) == ("fail", "e coefficient y^4")
+        rep = identities.expansion_check("second", "e", 3, 4)
+        assert rep.status == "fail" and rep.counterexample.startswith("n=4 r=3 symbolic: lhs=")
+
 
 class TestRandomMode:
     def test_points_are_distinct_nonzero_bounded(self):
