@@ -478,6 +478,8 @@ class MultiLaurent:
 
     @classmethod
     def variable(cls, i, nvars, power=1):
+        if not 0 <= i < nvars:
+            raise ValueError("variable index %d outside 0..%d" % (i, nvars - 1))
         exps = [0] * nvars
         exps[i] = power
         return cls.constant(1, nvars)._of({_pack(exps, _EXP_BITS): 1}, abs(power))

@@ -446,10 +446,22 @@ def _q_closed(family):
     return {"e": _elem_q_closed, "h": _complete_q_closed, "p": _power_q_closed}[family]
 
 
-@_verifier(lambda family, r, n: ("principal_spec_" + family, {"r": r, "n": n}))
-def principal_spec(family: str, r: int, n: int) -> list:
+def _principal_values(r: int, top: int):
+    """(shifted q-vector, sides, closed): f_n of the doubled q-vector (p_n by
+    power, p_0 the arity) and its closed q-form, for f = e, h, p, n <= top."""
+    if r < 1:
+        raise ValueError("need r >= 1")
+    doubled, shifted = _q_vectors(r)
+    sides = {f: prefix(f, top, doubled) for f in "eh"}
+    sides["p"] = [doubled.one * doubled.arity] + [power(n, doubled) for n in range(1, top + 1)]
+    return shifted, sides, {f: [_q_closed(f)(r, n) for n in range(top + 1)] for f in "ehp"}
+
+
+@_verifier(lambda family, r, n, values=None: ("principal_spec_" + family, {"r": r, "n": n}))
+def principal_spec(family: str, r: int, n: int, values=None) -> list:
     """f_n at the doubled q-vector against its closed q-form, for f = e, h
-    or p, reported as principal_spec_<family>:
+    or p, read from values (_principal_values to any top >= n, built to n
+    for a check alone), reported as principal_spec_<family>:
 
     e: the alternating q-binomial sum, which vanishes for n > 2r;
     h: q^(-nr) ([2r+n, n]_q - [2r+n-1, n-1]_q q^r);
@@ -460,23 +472,22 @@ def principal_spec(family: str, r: int, n: int) -> list:
     low = 1 if family == "p" else 0
     if r < 1 or n < low:
         raise ValueError("need r >= 1 and n >= %d" % low)
-    doubled, _ = _q_vectors(r)
-    lhs = power(n, doubled) if family == "p" else prefix(family, n, doubled)[n]
-    rhs = _q_closed(family)(r, n)
+    _, sides, closed = _principal_values(r, n) if values is None else values
+    lhs, rhs = sides[family][n], closed[family][n]
     return [] if lhs == rhs else ["lhs=%s rhs=%s" % (_shown(lhs), _shown(rhs))]
 
 
-@_verifier(lambda r, bound: ("principal_combination", {"r": r, "bound": bound}))
-def principal_combination_check(r: int, bound: int) -> list:
+@_verifier(lambda r, bound, values=None: ("principal_combination", {"r": r, "bound": bound}))
+def principal_combination_check(r: int, bound: int, values=None) -> list:
     """The six q-identities obtained by feeding the closed q-forms of
     principal_spec through both expansion directions: each kernel applied,
     by expansion_check's sum, between f_0..f_bound of the shifted q-vector
-    and the closed forms at the doubled one, compared exactly; (1)..(3) are
-    e, h, p, and (a), (b) the first and second kind."""
+    and the closed forms at the doubled one (both from values, as in
+    principal_spec), compared exactly; (1)..(3) are e, h, p, and (a), (b)
+    the first and second kind."""
     if r < 1 or bound < 1:
         raise ValueError("need r >= 1 and bound >= 1")
-    _, shifted = _q_vectors(r)
-    closed = {f: [_q_closed(f)(r, t) for t in range(bound + 1)] for f in "ehp"}
+    shifted, _, closed = _principal_values(r, bound) if values is None else values
     ours = {f: prefix(f, bound, shifted) for f in "ehp"}
     failures = []
     for label, family in enumerate("ehp", 1):

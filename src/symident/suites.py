@@ -143,15 +143,17 @@ def suite_series(order=30, alpha_max=8):
 
 def suite_principal(r, n_max):
     """The principal q-specialisations for n up to n_max, and their
-    combination check, at each x of r."""
+    combination check, at each x of r.  A row of one x builds its sides and
+    closed q-forms once (identities._principal_values), up to n_max."""
     if n_max < 1:
         raise ValueError("principal needs --n-max >= 1")
     out = []
     for x in r:
-        for n in range(0, n_max + 1):
-            for family in ("e", "h", "p") if n else ("e", "h"):
-                out.append(_guarded(identities.principal_spec, family, x, n))
-        out.append(_guarded(identities.principal_combination_check, x, n_max))
+        def checks(values):
+            return [*(_guarded(identities.principal_spec, family, x, n, values)
+                      for n in range(n_max + 1) for family in ("ehp" if n else "eh")),
+                    _guarded(identities.principal_combination_check, x, n_max, values)]
+        out += _row(identities._principal_values, (x, n_max), checks)
     return out
 
 

@@ -409,6 +409,7 @@ class TestSuiteTable:
         ("identities", "_doubled_e", "first-kind", "_symbolic_values"),
         ("sequences", "fib_recurrence", "inversion", "_inversion_row"),
         ("combinat", "ballot_series", "series", "_series_row"),
+        ("identities", "_q_vectors", "principal", "_principal_values"),
     ])
     def test_a_raising_row_build_is_one_error_report(self, capsys, monkeypatch,
                                                      module, name, suite, build):

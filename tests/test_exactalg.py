@@ -332,6 +332,14 @@ class TestMultiLaurent:
         p = z1 ** 3 - z1 + 2
         assert MultiLaurent(2, p.coeffs) == p
 
+    @pytest.mark.parametrize("cls, i, nvars", [(MultiLaurent, 2, 2), (UniLaurent, 1, 1),
+                                               (MultiLaurent, -1, 2), (UniLaurent, -1, 1)])
+    def test_variable_index_outside_the_variables_is_refused(self, cls, i, nvars):
+        # past the end no longer raises IndexError, and a negative index no
+        # longer counts from the end
+        with pytest.raises(ValueError, match="variable index %d outside 0..%d" % (i, nvars - 1)):
+            cls.variable(i, nvars)
+
 
 def laurent_operands(rng, nvars):
     """Seeded MultiLaurent operands: zero, one-term values with coefficients

@@ -1,8 +1,9 @@
 """A suite row builds its index-independent inputs once: a symbolic
 expansion row the values of its vectors up to its top index, an inversion
-row one F and one L per r.  The rows must give exactly the reports of the
-per-index checks, still fail at the one index made wrong, and charge the
-shared build to their first report."""
+row one F and one L per r, a principal row its q-vector sides and closed
+q-forms per r.  The rows must give exactly the reports of the per-index
+checks, still fail at the one index made wrong, and charge the shared build
+to their first report."""
 
 import time
 import tracemalloc
@@ -49,6 +50,23 @@ def test_inversion_rows_equal_per_index_checks():
             want.append(sequences.inversion_check_F(r, n))
             if n >= 1:
                 want.append(sequences.inversion_check_L(r, n))
+    assert [rep.check_id for rep in rows] == [rep.check_id for rep in want]
+    assert rows == want
+
+
+def _principal_checks(rs, n_max):
+    """The reports of the standalone principal checks over a row's window."""
+    out = []
+    for r in rs:
+        out += [identities.principal_spec(family, r, n)
+                for n in range(n_max + 1) for family in ("ehp" if n else "eh")]
+        out.append(identities.principal_combination_check(r, n_max))
+    return out
+
+
+def test_principal_rows_equal_standalone_checks():
+    rows = suites.suite_principal(range(1, 5), 10)
+    want = _principal_checks(range(1, 5), 10)
     assert [rep.check_id for rep in rows] == [rep.check_id for rep in want]
     assert rows == want
 
@@ -120,6 +138,11 @@ def test_a_row_charges_its_shared_build_to_its_first_report(monkeypatch):
     monkeypatch.setattr(sequences, "fib_recurrence", _slowed(sequences.fib_recurrence, pause))
     rows = suites.suite_inversion([1, 2], 3)
     firsts = [rep for rep in rows if rep.check == "inversion_F" and rep.params["n"] == 0]
+    assert [rep.elapsed >= pause for rep in firsts] == [True, True]
+    monkeypatch.setattr(identities, "_principal_values",
+                        _slowed(identities._principal_values, pause))
+    rows = suites.suite_principal([1, 2], 3)
+    firsts = [rep for rep in rows if rep.check == "principal_spec_e" and rep.params["n"] == 0]
     assert [rep.elapsed >= pause for rep in firsts] == [True, True]
 
 
