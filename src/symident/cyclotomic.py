@@ -16,26 +16,25 @@ shifted cyclically by e; none of these is reduced.  ``field.zeta(j)`` is
 the one term x^j, so a doubled root has one stored term, a shifted root
 two, and the fused ``addmul`` step of the prefix recurrences is one pass.
 
-Other products run on the Kronecker-substitution kernel of ``exactalg``,
-over canonical coordinates: a dot product ``CycInt.dot(xs, ys)`` adds the
-big-int products of all its pairs before one unpack and one reduction (a
-single product is a one-pair dot), and ``CycInt.krylov`` runs the Krylov
-pass of a Berkowitz step on it (``exactalg._int_poly_krylov``).  A packed
-sum is folded modulo x^m - 1 before it is unpacked; the results are
-canonical, so slot widths do not grow.  A reduction cancels the degrees
-m-1 .. deg Phi_m: in one pass for m a power of a prime p, where Phi_m = 1 +
-x^w + ... + x^(m-w) with w = m/p, and else each in turn against the
-nonzero terms of Phi_m.
+Other products run on the Kronecker-substitution kernels of ``exactalg``,
+over canonical coordinates: a product is one big-int multiply, and
+``CycInt.matvec(M)``, the matrix map of every Berkowitz step, packs the
+rows of M once and adds each row's products before one unpack and one
+reduction.  A packed sum is folded modulo x^m - 1 before it is unpacked;
+the results are canonical, so slot widths do not grow.  A reduction
+cancels the degrees m-1 .. deg Phi_m: in one pass for m a power of a prime
+p, where Phi_m = 1 + x^w + ... + x^(m-w) with w = m/p, and else each in
+turn against the nonzero terms of Phi_m.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, compress, cycle, repeat
+from itertools import compress, cycle, repeat
 from operator import add, mul, neg, sub
 
-from .exactalg import (_int_poly_dot, _int_poly_krylov, _int_poly_mul, _power, _unpack,
-                       det_cofactor)
+from .exactalg import (_dot_rows, _int_poly_dot, _int_poly_mul, _int_poly_rows, _power,
+                       _unpack, det_cofactor)
 from .symfun import point_vectors
 
 
@@ -260,27 +259,17 @@ class CycInt:
         return self + a * b
 
     @staticmethod
-    def dot(xs, ys):
-        """sum_i xs[i] * ys[i] for two equally long, nonempty sequences of
-        CycInt values of one field and ints, reduced modulo Phi_m once;
-        an int when no entry is a CycInt."""
-        field = _field_of(chain(xs, ys))
+    def matvec(M):
+        """The map v -> [row . v for each row of M] for CycInt values of one
+        field and ints, as each step of ``exactalg._char_poly`` asks for:
+        ``exactalg._int_poly_rows`` on canonical coordinates, each sum reduced
+        once (slot widths as in ``CycField._dot``).  Rows with no CycInt
+        take the ring-generic map, so ints alone give ints."""
+        field = next((x.field for row in M for x in row if isinstance(x, CycInt)), None)
         if field is None:
-            return sum(x * y for x, y in zip(xs, ys))
-        return _canonical(field, field._dot(_coords_in(field, xs), _coords_in(field, ys)))
-
-    @staticmethod
-    def krylov(R, A, v):
-        """[R v, R A v, ..., R A^(s-1) v] for a row R, an s x s matrix A
-        and a column v of CycInt values of one field and ints, as each
-        Berkowitz step of ``exactalg._char_poly`` asks for, by
-        ``exactalg._int_poly_krylov`` with each value reduced modulo Phi_m
-        once (the slot widths cover the folded sums as in
-        ``CycField._dot``).  At least one entry must be a CycInt."""
-        field = _field_of(chain(R, v, chain.from_iterable(A)))
-        return [_canonical(field, x) for x in _int_poly_krylov(
-            _coords_in(field, R), [_coords_in(field, row) for row in A], _coords_in(field, v),
-            field._unpack)]
+            return _dot_rows(M)
+        sums = _int_poly_rows([_coords_in(field, row) for row in M], field._unpack)
+        return lambda v: [_canonical(field, x) for x in sums(_coords_in(field, v))]
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -317,11 +306,6 @@ def _cyc(field: CycField, rep: tuple, coords=None) -> CycInt:
 def _canonical(field: CycField, coords: tuple) -> CycInt:
     # a CycInt from canonical coordinates
     return _cyc(field, coords + field._pad, coords)
-
-
-def _field_of(values):
-    # the field of the first CycInt among values, or None
-    return next((v.field for v in values if isinstance(v, CycInt)), None)
 
 
 def _coords_in(field: CycField, xs) -> list:

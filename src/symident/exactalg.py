@@ -15,8 +15,9 @@ run on one Kronecker-substitution kernel: each integer coefficient vector is
 packed into one signed Python int with slots wide enough that no
 coefficient of the product can overflow its slot, so the whole convolution
 is a single big-int multiply, and a sum of such products (a dot product) is
-added up as big ints before one unpack; the matrix-vector products of a
-Krylov pass pack each vector once for all the rows.  A ``Series`` keeps
+added up as big ints before one unpack.  A matrix map (``_int_poly_rows``)
+packs its rows once and each vector once for all the rows; every step of
+the determinants below is one such map.  A ``Series`` keeps
 integer numerators over one denominator, so it feeds the kernel directly.
 """
 
@@ -94,8 +95,8 @@ def _packed_dots(rows, v, k: int, unpack) -> list:
 def _int_poly_dot(xs, ys, unpack):
     """unpack(P, k) for P the sum of xs[i] * ys[i] packed at slot width k,
     for two equally long, nonempty sequences of nonempty integer coefficient
-    lists (index = exponent): the one-row, one-step case of
-    ``_int_poly_krylov``.
+    lists (index = exponent): ``_int_poly_rows`` of one row, at the slot
+    width of this one pair.
 
     A coefficient of the sum is a sum of at most sum_i min(len xs[i],
     len ys[i]) products of one coefficient of each side, and k keeps it
@@ -104,34 +105,28 @@ def _int_poly_dot(xs, ys, unpack):
     return _packed_dots([[_pack(a, k) for a in xs]], ys, k, unpack)[0]
 
 
-def _int_poly_krylov(R, A, v, unpack) -> list:
-    """unpack(R . v_t, k) for t = 0 .. s-1, where A is s x s, v_0 = v and
-    v_(t+1) is A v_t, each entry unpacked the same way.
-
-    R, v and the rows of A are sequences of s nonempty integer coefficient
-    lists (index = exponent).  unpack(P, k) maps a sum P packed at slot
-    width k, whose coefficients obey the bound of ``_int_poly_dot``, to the
-    coefficient list of an equivalent polynomial (a remainder, say), which
-    is also what the next step multiplies.  Step t is one
-    ``_packed_dots`` pass over R and the rows of A, which packs v_t once.
-    The rows are packed once, at the slot width the first step needs, and
-    again only when a later v_t needs wider slots than they have, then at
-    least twice as wide, so that a v_t that grows step by step does not
-    re-pack them at every step.
-    """
-    rows = [R, *A]
+def _int_poly_rows(rows, unpack):
+    """The map v -> [unpack(row . v, k) for each row], for rows and vectors
+    of nonempty integer coefficient lists (index = exponent); a row shorter
+    than v stops at its own length.  unpack(P, k) maps a sum packed at slot
+    width k (bounded as in ``_int_poly_dot``) to the coefficients of an
+    equivalent polynomial, a remainder say.  Each v is packed once for all
+    the rows.  The rows are packed at the width the first v needs, and again,
+    at least twice as wide, only when a later v needs wider slots, so that a
+    v that grows step by step (a Krylov pass) does not re-pack them each
+    time."""
     row_bits = _max_bits(chain.from_iterable(rows))
     row_len = max(map(len, chain.from_iterable(rows)))
-    k, out = 0, []
-    for t in range(len(A)):
+    k, packed = 0, None
+
+    def apply(v):
+        nonlocal k, packed
         need = _slot_width(row_bits, _max_bits(v), sum(min(row_len, len(c)) for c in v))
         if need > k:
             k = max(need, 2 * k)
             packed = [[_pack(c, k) for c in row] for row in rows]
-        sums = _packed_dots(packed if t + 1 < len(A) else packed[:1], v, k, unpack)
-        out.append(sums[0])
-        v = sums[1:]
-    return out
+        return _packed_dots(packed, v, k, unpack)
+    return apply
 
 
 def _int_poly_mul(a, b, slots: int) -> list:
@@ -697,27 +692,17 @@ def _laurent_divide_exact(num, den):
 # exact determinants
 
 
-def _dot(xs, ys):
-    # the ring-generic dot product, for entries whose type has no dot
-    acc = xs[0] * ys[0]
-    for x, y in zip(xs[1:], ys[1:]):
-        acc = acc + x * y
-    return acc
+def _dot_rows(M):
+    # the ring-generic matrix map v -> [row . v for each row of M], a sum of
+    # ring products per row; a row shorter than v stops at its own length
+    return lambda v: [sum(map(mul, row[1:], v[1:]), row[0] * v[0]) for row in M]
 
 
-def _krylov(R, A, v, dot):
-    """[R v, R A v, ..., R A^(s-1) v] for the s x s matrix A, one dot
-    product per row of A per step."""
-    d = [dot(R, v)]
-    for _ in range(len(A) - 1):
-        v = [dot(row, v) for row in A]
-        d.append(dot(R, v))
-    return d
-
-
-def _ring_dot(rows):
-    ring = next((type(x) for row in rows for x in row if hasattr(type(x), "dot")), None)
-    return ring, (_dot if ring is None else ring.dot)
+def _matvec(rows):
+    # the matrix-map maker of the entries' ring: the static matvec of the
+    # first entry type in rows that has one, else the ring-generic one
+    return next((type(x).matvec for row in rows for x in row if hasattr(type(x), "matvec")),
+                _dot_rows)
 
 
 def _char_poly(rows):
@@ -727,19 +712,15 @@ def _char_poly(rows):
     principal submatrices, the one of [[a, R], [C, A]] is the Toeplitz
     product of the one of A with (1, -a, -RC, -RAC, ..., -RA^(s-2)C).
 
-    The Toeplitz sums and, in a step's Krylov pass, the products R A^t C
-    and A^t C are dot products.  When an entry's type supplies a static
-    ``dot(xs, ys)``, it computes them; when it also supplies a static
-    ``krylov(R, A, C)``, returning [R C, R A C, ..., R A^(s-1) C] for the
-    s x s matrix A, that computes the Krylov pass of each step with an
-    entry of that type in R, A or C, so that it can prepare the rows of R
-    and A once per step.  Both must also take the int entries of a mixed
-    matrix (``CycInt`` supplies both); without them a dot is a sum of ring
-    products, and the Krylov pass one dot per row per step.
+    A step applies fixed matrices to vectors: [R; A] (R alone at the last)
+    to A^t C in the Krylov pass, and the reversed prefixes of c to [a, RC,
+    RAC, ...] in the Toeplitz product.  An entry type's static
+    ``matvec(M)`` makes each map v -> [row . v for each row of M], taking
+    the int entries of a mixed matrix too (``CycInt`` packs the rows once
+    per map); without one, each row is a sum of ring products.
     """
     n = len(rows)
-    ring, dot = _ring_dot(rows)
-    krylov = getattr(ring, "krylov", None)
+    matvec = _matvec(rows)
     # c[i - 1] is the coefficient c_i of x^(s-i) in det(x I - B) for the
     # trailing s x s submatrix B; c_0 = 1 stays implicit, so no ring one is
     # needed
@@ -747,18 +728,15 @@ def _char_poly(rows):
     for k in range(n - 2, -1, -1):
         a, R = rows[k][k], rows[k][k + 1:]
         A = [row[k + 1:] for row in rows[k + 1:]]
-        C = [row[k] for row in rows[k + 1:]]
-        if krylov and any(isinstance(x, ring) for x in chain(R, C, *A)):
-            d = krylov(R, A, C)  # d[t] = R A^t C
-        else:
-            d = _krylov(R, A, C, dot)
-        # Toeplitz step: c'_i = c_i - a c_(i-1) - sum_(t <= i-2) d[t] c_(i-2-t)
-        new = [c[0] - a]
-        for i in range(2, len(c) + 2):
-            # a c_(i-2) + sum_(t <= i-3) d[t] c_(i-3-t), then d[i-2] c_0
-            acc = dot([a] + d[:i - 2], c[i - 2::-1]) + d[i - 2]
-            new.append(c[i - 1] - acc if i <= len(c) else -acc)
-        c = new
+        step, v, d = matvec([R, *A]), [row[k] for row in rows[k + 1:]], []
+        for _ in A[1:]:  # d[t] = R A^t C, and v becomes A^(t+1) C
+            Rv, *v = step(v)
+            d.append(Rv)
+        d += matvec([R])(v)  # the last R A^t C needs no A^(t+1) C
+        # Toeplitz step: c'_i = c_i - a c_(i-1) - sum_(t <= i-2) d[t] c_(i-2-t),
+        # the row (c_(i-1), ..., c_1) times [a] + d, plus d[i-2] c_0
+        sums = [x + dt for x, dt in zip(matvec([c[j::-1] for j in range(len(c))])([a] + d), d)]
+        c = [c[0] - a] + [ci - x for ci, x in zip(c[1:], sums)] + [-sums[-1]]
     return c
 
 
@@ -767,31 +745,32 @@ def first_row_cofactors(rest):
     row-0 cofactors from one characteristic polynomial: with B = rest less
     its column C, s = n - 1 and c_i the coefficients of B, K_0 = det B =
     (-1)^s c_s and K_(j+1) = -(adj(B) C)_j = (-1)^s [(B^(s-1) + c_1 B^(s-2)
-    + ... + c_(s-1)) C]_j (Cayley-Hamilton), by Horner; K = [1] if n = 1."""
+    + ... + c_(s-1)) C]_j (Cayley-Hamilton), by Horner: each step applies
+    the one map of [B | C] to v + [c_i]; K = [1] if n = 1."""
     rows = [list(row) for row in rest]
     if any(len(row) != len(rows) + 1 for row in rows):
         raise ValueError("need the n - 1 rows below row 0 of an n x n matrix")
     if not rows:
         return rows, [1]
-    B, v = [row[1:] for row in rows], [row[0] for row in rows]
-    c, dot = _char_poly(B), _ring_dot(rows)[1]
+    c, v = _char_poly([row[1:] for row in rows]), [row[0] for row in rows]
+    step = _matvec(rows)([row[1:] + row[:1] for row in rows])
     for ci in c[:-1]:  # v = B v + c_i C
-        v = [dot(b + [ci], v + [row[0]]) for b, row in zip(B, rows)]
-    return rows, [-x if len(B) % 2 else x for x in [c[-1]] + v]
+        v = step(v + [ci])
+    return rows, [-x if len(rows) % 2 else x for x in [c[-1]] + v]
 
 
 def det_cofactor(rows, below=None):
     """Determinant over any commutative ring, division free: (-1)^n times
     the constant term of ``_char_poly``, or, given below =
-    ``first_row_cofactors(rows[1:])``, one ring dot of row 0 with its K
-    (ValueError if rows[1:] are not the rows below was built from)."""
+    ``first_row_cofactors(rows[1:])``, the one-row map of row 0 applied to
+    its K (ValueError if rows[1:] are not the rows below was built from)."""
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("need a nonempty square matrix")
     if below is not None:
         if [list(row) for row in rows[1:]] != below[0]:
             raise ValueError("rows[1:] are not the rows the cofactors were built from")
-        return _ring_dot([rows[0], below[1]])[1](rows[0], below[1])
+        return _matvec([rows[0], below[1]])([rows[0]])(below[1])[0]
     c = _char_poly(rows)
     return -c[-1] if n % 2 else c[-1]
 

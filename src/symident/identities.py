@@ -446,15 +446,27 @@ def _q_closed(family):
     return {"e": _elem_q_closed, "h": _complete_q_closed, "p": _power_q_closed}[family]
 
 
+class _OnRead(dict):
+    # a dict whose missing value at key is build(key), built when first read
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
 def _principal_values(r: int, top: int):
     """(shifted q-vector, sides, closed): f_n of the doubled q-vector (p_n by
-    power, p_0 the arity) and its closed q-form, for f = e, h, p, n <= top."""
+    power, n >= 1) and its closed q-form, for f = e, h, p, n <= top.  The e
+    and h prefixes, each p_n and each closed form are built when a check
+    first reads them, so a check alone builds only what it reads."""
     if r < 1:
         raise ValueError("need r >= 1")
     doubled, shifted = _q_vectors(r)
-    sides = {f: prefix(f, top, doubled) for f in "eh"}
-    sides["p"] = [doubled.one * doubled.arity] + [power(n, doubled) for n in range(1, top + 1)]
-    return shifted, sides, {f: [_q_closed(f)(r, n) for n in range(top + 1)] for f in "ehp"}
+    powers = _OnRead(lambda n: power(n, doubled))
+    sides = _OnRead(lambda f: powers if f == "p" else prefix(f, top, doubled))
+    return shifted, sides, _OnRead(lambda f: _OnRead(functools.partial(_q_closed(f), r)))
 
 
 @_verifier(lambda family, r, n, values=None: ("principal_spec_" + family, {"r": r, "n": n}))

@@ -178,8 +178,8 @@ def coords_of(x):
 
 
 class TestDotOracle:
-    """CycInt.dot, one packed sum and one reduction, against the sum of
-    schoolbook products."""
+    """A one-row CycInt.matvec, one packed sum and one reduction, against
+    the sum of schoolbook products."""
 
     ORDERS = range(1, 31)
     rand_coords = staticmethod(TestProductOracle.rand_coords)
@@ -187,7 +187,7 @@ class TestDotOracle:
     def check(self, f, xs, ys):
         want = brute_cyclotomic_dot(f.m, [coords_of(x) for x in xs],
                                     [coords_of(y) for y in ys])
-        got = CycInt.dot(xs, ys)
+        (got,) = CycInt.matvec([xs])(ys)
         assert isinstance(got, CycInt) and got.field == f
         assert list(got.coords) == want, (f.m, xs, ys)
 
@@ -238,13 +238,15 @@ class TestDotOracle:
                 ys = [f.element(self.rand_coords(rng, f.degree, 40)) for _ in range(length)]
                 self.check(f, xs, ys)
                 self.check(f, ys, xs)
-        assert CycInt.dot([2, 3], [5, -7]) == -11
+        (got,) = CycInt.matvec([[2, 3]])([5, -7])
+        assert type(got) is int and got == -11
 
     def test_mixed_fields_rejected(self):
         a, b = CycField(5).zeta(1), CycField(7).zeta(1)
-        for xs, ys in (([a], [b]), ([a, b], [a, a]), ([a, a], [a, b]), ([3, b], [a, 1])):
+        for xs, ys in (([a], [b]), ([a, b], [a, a]), ([a, a], [a, b]), ([3, b], [a, 1]),
+                       ([3, 4], [a, b])):
             with pytest.raises(ValueError):
-                CycInt.dot(xs, ys)
+                CycInt.matvec([xs])(ys)
 
 
 def assert_canonical(x, f):
@@ -531,10 +533,10 @@ def brute_krylov(m, R, A, v):
 
 
 class TestKrylovPass:
-    """CycInt.krylov, the packed Krylov pass of one Berkowitz step, and
-    det_cofactor on top of it, on prime and composite orders.  Coordinates
-    up to 2^100 make A^t v grow by about 100 bits a step, so the rows are
-    packed again within a step."""
+    """The Krylov pass of one Berkowitz step on one CycInt.matvec map of
+    [R; A], applied to v, A v, ..., and det_cofactor on top of it, on prime
+    and composite orders.  Coordinates up to 2^100 make A^t v grow by about
+    100 bits a step, so the map packs its rows again within a pass."""
 
     ORDERS = (7, 9, 15, 21, 25)
 
@@ -543,12 +545,23 @@ class TestKrylovPass:
         return rng.choice((0, 1, -3, 2 ** 90, f.from_int(0), f.element(
             TestProductOracle.rand_coords(rng, f.degree, bits, 0.8))))
 
+    @staticmethod
+    def krylov(R, A, v):
+        step, out = CycInt.matvec([R, *A]), []
+        for _ in A:
+            Rv, *v = step(v)
+            out.append(Rv)
+        return out
+
     def check(self, f, R, A, v):
-        if all(isinstance(x, int) for x in R + v + sum(A, [])):
-            v = [f.element(coords_of(x)) for x in v]  # krylov needs a CycInt entry
-        got = CycInt.krylov(R, A, v)
         want = brute_krylov(f.m, [coords_of(x) for x in R],
                             [[coords_of(x) for x in row] for row in A], [coords_of(x) for x in v])
+        if all(isinstance(x, int) for x in R + v + sum(A, [])):
+            got = self.krylov(R, A, v)  # ints only: ints out
+            assert all(type(g) is int for g in got)
+            assert [list(f.from_int(g).coords) for g in got] == want
+            v = [f.element(coords_of(x)) for x in v]  # an all-int block, a CycInt v
+        got = self.krylov(R, A, v)
         assert len(got) == len(A)
         for t, (g, w) in enumerate(zip(got, want)):
             assert_canonical(g, f)
@@ -582,7 +595,7 @@ class TestKrylovPass:
         z = f.zeta(1)
         self.check(f, [z, 2], [[1, z], [0, -3]], [0, 0])
         self.check(f, [0, 0], [[z, z], [z, z]], [z, 1])
-        # the steps whose R, A and C are all ints take the generic Krylov pass
+        # the steps whose R, A and C are all ints take the ring-generic map
         rows = [[z, 1, 0, 2], [1, 2, 3, 4], [0, 4, 5, 6], [z, 7, -1, 2]]
         assert det_cofactor(rows) == det_permutation_expansion(rows)
 

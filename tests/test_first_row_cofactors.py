@@ -9,7 +9,7 @@ import random
 import pytest
 
 from symident import exactalg, sequences
-from symident.cyclotomic import CycField, roots_vectors
+from symident.cyclotomic import CycField, roots_vectors, vandermonde_rows
 from symident.exactalg import det_cofactor, first_row_cofactors
 
 from oracles import bialternant_numerators, det_permutation_expansion
@@ -103,3 +103,24 @@ def test_one_vandermonde_and_one_cofactor_char_poly_per_r(monkeypatch, r):
         char_polys[0] = dets[0] = 0
         assert sequences.determinant_formulas_check(r, n_max).passed
         assert (char_polys[0], dets[0]) == (2, n_max + 1), (r, n_max)
+
+
+@pytest.mark.parametrize("r", (8, 12))
+def test_the_horner_steps_pack_each_vector_once(monkeypatch, r):
+    # counts, not times: the Horner steps apply one map of [B | C], which
+    # packs its s x (s + 1) entries once per slot width (at most three
+    # widths here) and each of the s - 1 vectors v + [c_i] once; a ring dot
+    # per row packs v again for every row
+    rows = vandermonde_rows(roots_vectors(r)[1].entries)[1:]
+    packs, pack = [0], exactalg._pack
+
+    def counted(coords, k):
+        packs[0] += 1
+        return pack(coords, k)
+
+    monkeypatch.setattr(exactalg, "_pack", counted)
+    first_row_cofactors(rows)
+    total, packs[0] = packs[0], 0
+    exactalg._char_poly([row[1:] for row in rows])
+    s = r - 1
+    assert total - packs[0] <= 3 * s * (s + 1) + (s - 1) * (s + 1), (r, total - packs[0])
