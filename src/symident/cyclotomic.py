@@ -16,25 +16,25 @@ shifted cyclically by e; none of these is reduced.  ``field.zeta(j)`` is
 the one term x^j, so a doubled root has one stored term, a shifted root
 two, and the fused ``addmul`` step of the prefix recurrences is one pass.
 
-Other products run on the Kronecker-substitution kernels of ``exactalg``,
-over canonical coordinates: a product is one big-int multiply, and
-``CycInt.matvec(M)``, the matrix map of every Berkowitz step, packs the
-rows of M once and adds each row's products before one unpack and one
-reduction.  A packed sum is folded modulo x^m - 1 before it is unpacked;
-the results are canonical, so slot widths do not grow.  A reduction
-cancels the degrees m-1 .. deg Phi_m: in one pass for m a power of a prime
-p, where Phi_m = 1 + x^w + ... + x^(m-w) with w = m/p, and else each in
-turn against the nonzero terms of Phi_m.
+Other products run on the two Kronecker-substitution kernels of
+``exactalg``, over canonical coordinates: a product is one big-int multiply
+(``_int_poly_mul``), and ``CycInt.matvec(M)``, the matrix map of every
+Berkowitz step (``_int_poly_rows``), packs the rows of M once and adds each
+row's products before one unpack and one reduction.  A packed product or
+sum is folded modulo x^m - 1 before it is unpacked; the results are
+canonical, so slot widths do not grow.  A reduction cancels the degrees
+m-1 .. deg Phi_m: in one pass for m a power of a prime p, where Phi_m =
+1 + x^w + ... + x^(m-w) with w = m/p, and else each in turn against the
+nonzero terms of Phi_m.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import compress, cycle, repeat
 from operator import add, mul, neg, sub
 
-from .exactalg import (_dot_rows, _int_poly_dot, _int_poly_mul, _int_poly_rows, _power,
-                       _unpack, det_cofactor)
+from .exactalg import _dot_rows, _int_poly_mul, _int_poly_rows, _power, _unpack, det_cofactor
 from .symfun import point_vectors
 
 
@@ -68,7 +68,7 @@ def cyclotomic_poly(m: int) -> tuple:
     for d in range(1, m):
         if m % d == 0:
             phi_d = cyclotomic_poly(d)
-            den = _int_poly_mul(den, phi_d, len(den) + len(phi_d) - 1)
+            den = _int_poly_mul(den, phi_d, partial(_unpack, slots=len(den) + len(phi_d) - 1))
     return tuple(_poly_divide_exact(num, den))
 
 
@@ -111,7 +111,11 @@ class CycField:
     def _unpack(self, packed: int, k: int) -> tuple:
         """Canonical coordinates of a polynomial packed at slot width k, of
         degree below 2m - 1, whose coefficients and whose sums of two
-        coefficients m apart are all below 2^(k-1) in absolute value.
+        coefficients m apart are all below 2^(k-1) in absolute value, as
+        the slot widths of ``exactalg`` give for coordinate vectors of length
+        at most the degree: a folded coefficient of degree i collects at most
+        the shorter vector's length of products, as each coordinate of the
+        other fixes one of the degrees i and i + m.
 
         It is folded modulo x^m - 1 while packed: with B = 2^k, the low m
         slots, taken as a signed residue modulo B^m, are exactly the
@@ -124,15 +128,6 @@ class CycField:
             low -= 1 << shift
             high += 1
         return self._reduce(_unpack(low + high, k, self.m))
-
-    def _dot(self, xs, ys) -> tuple:
-        """Canonical coordinates of sum_i xs[i] * ys[i] for coordinate
-        vectors of length at most the degree: one packed sum, one reduction.
-        The slot width covers the folded sums too: a coefficient of degree
-        i of the folded product of two such vectors collects at most the
-        shorter one's length of products, as one of the two degrees i and
-        i + m is fixed by each coordinate of the other."""
-        return _int_poly_dot(xs, ys, self._unpack)
 
     def _shifted(self, acc, a, b):
         """acc + a * b modulo x^m - 1 on stored coordinates (acc None for
@@ -191,12 +186,6 @@ class CycInt:
 
     __slots__ = ("field", "rep", "_coords")
 
-    def __init__(self, field: CycField, coords):
-        coords = tuple(coords)
-        if len(coords) != field.degree:
-            raise ValueError("coordinate vector of wrong length")
-        self.field, self.rep, self._coords = field, coords + field._pad, coords
-
     @property
     def coords(self) -> tuple:
         c = self._coords
@@ -242,7 +231,7 @@ class CycInt:
         field = self._same_field(other)
         out = field._shifted(None, self.rep, other.rep)
         if out is None:
-            return _canonical(field, field._dot((self.coords,), (other.coords,)))
+            return _canonical(field, _int_poly_mul(self.coords, other.coords, field._unpack))
         return _cyc(field, out)
 
     __rmul__ = __mul__
@@ -263,7 +252,7 @@ class CycInt:
         """The map v -> [row . v for each row of M] for CycInt values of one
         field and ints, as each step of ``exactalg._char_poly`` asks for:
         ``exactalg._int_poly_rows`` on canonical coordinates, each sum reduced
-        once (slot widths as in ``CycField._dot``).  Rows with no CycInt
+        once (slot widths as in ``CycField._unpack``).  Rows with no CycInt
         take the ring-generic map, so ints alone give ints."""
         field = next((x.field for row in M for x in row if isinstance(x, CycInt)), None)
         if field is None:
@@ -296,8 +285,8 @@ class CycInt:
 
 
 def _cyc(field: CycField, rep: tuple, coords=None) -> CycInt:
-    # a CycInt from m stored coordinates and, if known, its canonical ones,
-    # without CycInt.__init__'s check
+    # a CycInt from m stored coordinates and, if known, its canonical ones;
+    # every value is made here
     x = object.__new__(CycInt)
     x.field, x.rep, x._coords = field, rep, coords
     return x

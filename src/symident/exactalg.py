@@ -14,10 +14,10 @@ Dense polynomial products (``Series`` here, ``CycInt`` in ``cyclotomic``)
 run on one Kronecker-substitution kernel: each integer coefficient vector is
 packed into one signed Python int with slots wide enough that no
 coefficient of the product can overflow its slot, so the whole convolution
-is a single big-int multiply, and a sum of such products (a dot product) is
-added up as big ints before one unpack.  A matrix map (``_int_poly_rows``)
-packs its rows once and each vector once for all the rows; every step of
-the determinants below is one such map.  A ``Series`` keeps
+is a single big-int multiply (``_int_poly_mul``).  A matrix map
+(``_int_poly_rows``) packs its rows once and each vector once for all the
+rows, and adds each row's products as big ints before one unpack; every
+step of the determinants below is one such map.  A ``Series`` keeps
 integer numerators over one denominator, so it feeds the kernel directly.
 """
 
@@ -77,44 +77,27 @@ def _slot_width(x_bits: int, y_bits: int, terms: int) -> int:
     return x_bits + y_bits + terms.bit_length() + 1
 
 
-def _packed_dots(rows, v, k: int, unpack) -> list:
-    """unpack(row . v, k) for each row of big ints already packed at slot
-    width k: v is packed once for all the rows, and each row's products are
-    added before its one unpack."""
-    pv = [_pack(c, k) for c in v]
-    out = []
-    for row in rows:
-        products = map(mul, row, pv)
-        total = next(products)  # starting from 0 would copy it
-        for p in products:
-            total += p
-        out.append(unpack(total, k))
-    return out
-
-
-def _int_poly_dot(xs, ys, unpack):
-    """unpack(P, k) for P the sum of xs[i] * ys[i] packed at slot width k,
-    for two equally long, nonempty sequences of nonempty integer coefficient
-    lists (index = exponent): ``_int_poly_rows`` of one row, at the slot
-    width of this one pair.
-
-    A coefficient of the sum is a sum of at most sum_i min(len xs[i],
-    len ys[i]) products of one coefficient of each side, and k keeps it
-    below 2^(k-1) in absolute value."""
-    k = _slot_width(_max_bits(xs), _max_bits(ys), sum(map(min, map(len, xs), map(len, ys))))
-    return _packed_dots([[_pack(a, k) for a in xs]], ys, k, unpack)[0]
+def _int_poly_mul(a, b, unpack):
+    """unpack(P, k) for P the product of two nonempty integer coefficient
+    lists (index = exponent) packed at slot width k.  A coefficient of the
+    product is a sum of at most min(len a, len b) products of one
+    coefficient of each side, and k keeps it below 2^(k-1) in absolute
+    value."""
+    k = _slot_width(_max_bits((a,)), _max_bits((b,)), min(len(a), len(b)))
+    return unpack(_pack(a, k) * _pack(b, k), k)
 
 
 def _int_poly_rows(rows, unpack):
     """The map v -> [unpack(row . v, k) for each row], for rows and vectors
     of nonempty integer coefficient lists (index = exponent); a row shorter
     than v stops at its own length.  unpack(P, k) maps a sum packed at slot
-    width k (bounded as in ``_int_poly_dot``) to the coefficients of an
-    equivalent polynomial, a remainder say.  Each v is packed once for all
-    the rows.  The rows are packed at the width the first v needs, and again,
-    at least twice as wide, only when a later v needs wider slots, so that a
-    v that grows step by step (a Krylov pass) does not re-pack them each
-    time."""
+    width k (bounded as in ``_int_poly_mul``, summed over the pairs) to the
+    coefficients of an equivalent polynomial, a remainder say.  Each v is
+    packed once for all the rows, and each row's products are added before
+    its one unpack.  The rows are packed at the width the first v needs, and
+    again, at least twice as wide, only when a later v needs wider slots, so
+    that a v that grows step by step (a Krylov pass) does not re-pack them
+    each time."""
     row_bits = _max_bits(chain.from_iterable(rows))
     row_len = max(map(len, chain.from_iterable(rows)))
     k, packed = 0, None
@@ -125,14 +108,16 @@ def _int_poly_rows(rows, unpack):
         if need > k:
             k = max(need, 2 * k)
             packed = [[_pack(c, k) for c in row] for row in rows]
-        return _packed_dots(packed, v, k, unpack)
+        pv = [_pack(c, k) for c in v]
+        out = []
+        for row in packed:
+            products = map(mul, row, pv)
+            total = next(products)  # starting from 0 would copy it
+            for p in products:
+                total += p
+            out.append(unpack(total, k))
+        return out
     return apply
-
-
-def _int_poly_mul(a, b, slots: int) -> list:
-    """Coefficients 0 .. slots-1 of the product of two nonempty integer
-    coefficient lists: the one-pair dot product."""
-    return _int_poly_dot((a,), (b,), partial(_unpack, slots=slots))
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +261,8 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         k = min(self.order, other.order)
-        return _series(_int_poly_mul(self.num[: k + 1], other.num[: k + 1], k + 1),
+        return _series(_int_poly_mul(self.num[: k + 1], other.num[: k + 1],
+                                     partial(_unpack, slots=k + 1)),
                        self.den * other.den, k)
 
     __rmul__ = __mul__
@@ -339,7 +325,7 @@ def series_compose(outer, inner):
     acc = [out[j] * scale] + [0] * (k - v * j)
     for j in range(j - 1, -1, -1):
         scale *= d
-        acc = [0] * v + _int_poly_mul(acc, inn[v:], len(acc))
+        acc = [0] * v + _int_poly_mul(acc, inn[v:], partial(_unpack, slots=len(acc)))
         acc[0] += out[j] * scale
     return _series(acc, outer.den * d ** k, k)
 

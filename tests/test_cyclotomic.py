@@ -3,6 +3,7 @@ from functools import partial
 
 import pytest
 
+from symident import cyclotomic
 from symident.combinat import ballot, binom
 from symident.cyclotomic import (CycField, CycInt, cyclotomic_poly, discriminant_square,
                                  roots_vectors, vandermonde_rows)
@@ -129,6 +130,22 @@ class TestProductOracle:
                 self.check(f, extreme, extreme)
                 self.check(f, extreme, [-c for c in extreme])
 
+    def test_all_coordinates_at_the_slot_edge(self):
+        # dense products of full-length vectors, every coordinate
+        # +-(2^t - 1): a folded coefficient collects d products of
+        # (2^t - 1)^2, as large as the slot width allows; prime, prime-power
+        # and composite orders
+        for m in (9, 17, 25, 33):
+            f = CycField(m)
+            for t in (1, 7, 64, 200):
+                top = 2 ** t - 1
+                plus, minus = [top] * f.degree, [-top] * f.degree
+                alternating = [(-1) ** i * top for i in range(f.degree)]
+                for a, b in ((plus, plus), (plus, minus), (minus, minus),
+                             (alternating, alternating), (alternating, plus)):
+                    assert f._shifted(None, f.element(a).rep, f.element(b).rep) is None
+                    self.check(f, a, b)
+
     def test_unequal_operand_sizes(self):
         # one operand's slot share is tiny, the other's huge: the slot
         # width must still cover every product coefficient
@@ -250,7 +267,7 @@ class TestDotOracle:
 
 
 def assert_canonical(x, f):
-    # a result built without CycInt.__init__ still has its invariants
+    # a result built by cyclotomic._cyc has the invariants of a value
     assert type(x) is CycInt and x.field == f
     assert type(x.coords) is tuple and len(x.coords) == f.degree
 
@@ -330,8 +347,9 @@ class TestRotation:
         # with it is a rotation, not a packed product
         rng = random.Random(30)
         packed = []
-        dot = CycField._dot
-        monkeypatch.setattr(CycField, "_dot", lambda f, xs, ys: packed.append(f) or dot(f, xs, ys))
+        mul = cyclotomic._int_poly_mul
+        monkeypatch.setattr(cyclotomic, "_int_poly_mul",
+                            lambda a, b, unpack: packed.append(unpack) or mul(a, b, unpack))
         for m in range(1, 31):
             f = CycField(m)
             for e in range(f.degree, m):
@@ -352,7 +370,7 @@ def test_doubled_root_prefixes_make_no_packed_product(monkeypatch):
         raise AssertionError("a packed product")
 
     vectors = [roots_vectors(r)[0] for r in range(1, 13)]
-    monkeypatch.setattr(CycField, "_dot", refuse)
+    monkeypatch.setattr(cyclotomic, "_int_poly_mul", refuse)
     for r, v in enumerate(vectors, 1):
         n = 2 * r + 3
         assert elementary_prefix(n, v)[n] == 0
@@ -365,9 +383,9 @@ def test_root_prefixes_make_no_packed_product_and_no_reduction(monkeypatch):
     # x^m - 1; only reading a value reduces it
     cases = [(r, roots_vectors(r)[0], roots_vectors(r)[1]) for r in (9, 10, 12)]
     calls = []
-    for name in ("_dot", "_reduce"):
-        method = getattr(CycField, name)
-        monkeypatch.setattr(CycField, name, lambda *args, name=name, method=method:
+    for owner, name in ((cyclotomic, "_int_poly_mul"), (CycField, "_reduce")):
+        method = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, name=name, method=method:
                             calls.append(name) or method(*args))
     # the suite_roots and cross_oracle windows
     prefixes = [(r, top, complete_prefix(top, doubled), power_prefix(top, doubled),
@@ -481,15 +499,6 @@ class TestStoredRepresentative:
                 assert hash(other) == hash(y) and len({other, y}) == 1 and repr(other) == repr(y)
                 c = rng.randint(-99, 99)
                 assert other - y + c == c and hash(other - y + c) == hash(c), m
-
-    def test_constructor_rejects_a_wrong_length(self):
-        for m in self.ORDERS:
-            f = CycField(m)
-            for length in (0, f.degree - 1, f.degree + 1, m):
-                with pytest.raises(ValueError, match="wrong length"):
-                    CycInt(f, [1] * length)
-            x = CycInt(f, range(f.degree))
-            assert x.coords == tuple(range(f.degree)) and x == f.element(range(f.degree))
 
 
 class TestAddSubNeg:
