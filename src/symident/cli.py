@@ -3,17 +3,18 @@
     symident table {fib,lucas} [--r a:b] [--n a:b] [--format md|csv|json]
     symident table cnk [--n a:b] [--k a:b] [--format ...]
     symident verify SUITE [suite options]
-    symident report --all [--seed N] [--format ...]
+    symident report (--all [--seed N] | --wide) [--format ...]
 
 verify runs one suite of the table ``suites.SUITES`` at its default window
 with the given options laid over it; table and verify refuse an option the
 table kind or the suite does not take; report --all runs
-``suites.battery``.  Exit codes: 0 all checks passed; 1 at least one
-check failed or raised, a ValueError from inside a check included (the
-counterexamples or exceptions are in the report); 2 usage error, as is a
-ValueError from a suite's options or a check's own argument checks.  The
-rendered output is byte-identical across runs with the same arguments and
-seed; timings only appear when asked for with --timings, in json or csv.
+``suites.battery`` and report --wide ``suites.wide``.  Exit codes: 0 all
+checks passed; 1 at least one check failed or raised, a ValueError from
+inside a check included (the counterexamples or exceptions are in the
+report); 2 usage error, as is a ValueError from a suite's options or a
+check's own argument checks.  The rendered output is byte-identical
+across runs with the same arguments and seed; timings only appear when
+asked for with --timings, in json or csv.
 """
 
 from __future__ import annotations
@@ -214,12 +215,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
-    if not args.all:
-        raise UsageError("report currently only supports --all")
-    seed = default_seed(args)
-    if seed is None:
-        seed = 0
-    reports = suites.battery(seed)
+    """The battery (--all) or the wide profile (--wide), which has no random
+    row, so that --seed there would do nothing and is refused."""
+    if args.wide and args.seed is not None:
+        raise UsageError("report --wide takes no --seed (it has no random row)")
+    seed = None if args.wide else default_seed(args) or 0
+    reports = suites.wide() if args.wide else suites.battery(seed)
     write_output(render_reports(reports, args.format, seed=seed, timings=args.timings),
                  args.output)
     return 0 if all(r.passed for r in reports) else 1
@@ -254,8 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--output", "-o", default=None)
     v.set_defaults(fn=cmd_verify)
 
-    rp = sub.add_parser("report", help="run the full battery and emit a report")
-    rp.add_argument("--all", action="store_true")
+    rp = sub.add_parser("report", help="run the battery or the wide profile")
+    which = rp.add_mutually_exclusive_group(required=True)
+    which.add_argument("--all", action="store_true", help="every suite, random rows too")
+    which.add_argument("--wide", action="store_true", help="windows past the battery's")
     rp.add_argument("--seed", type=int, default=None)
     rp.add_argument("--format", default="json", choices=("md", "csv", "json"))
     rp.add_argument("--timings", action="store_true")

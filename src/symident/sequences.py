@@ -568,12 +568,12 @@ def partition_relations_check(r: int, n_max: int) -> list:
 # cross-oracle aggregation
 
 
-@_verifier(lambda r, n_max, det_max=10: ("cross_oracle", {"r": r, "n_max": n_max}))
-def cross_oracle_check(r: int, n_max: int, det_max: int = 10) -> list:
+@_verifier(lambda r, n_max, det_max=None: ("cross_oracle", {"r": r, "n_max": n_max}))
+def cross_oracle_check(r: int, n_max: int, det_max: int = None) -> list:
     """Route agreement for one r: each of the four closed forms and the
     cyclotomic evaluation against the recurrence for n <= n_max, each miss
-    named by its route and n; determinants for n <= det_max, generating
-    functions to order 30."""
+    named by its route and n; determinants for n <= det_max (by default
+    max(10, r)), generating functions to order 30."""
     if r < 1 or n_max < 1:
         raise ValueError("need r >= 1 and n_max >= 1")
     failures = []
@@ -597,7 +597,7 @@ def cross_oracle_check(r: int, n_max: int, det_max: int = 10) -> list:
                                       ("L case sum", _lucas_case_sum, L, 0)):
         failures += ["%s vs recurrence n=%d" % (name, n)
                      for n in range(start, n_max + 1) if form(r, n) != values[n]]
-    det = determinant_formulas_check(r, det_max)
+    det = determinant_formulas_check(r, max(10, r) if det_max is None else det_max)
     if not det.passed:
         failures.append("determinants: %s" % det.counterexample)
     gf = sequence_genfun_check(r, 30)

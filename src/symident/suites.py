@@ -4,7 +4,7 @@
 suite's default window: its keys are the options the suite takes (``r`` is
 a sequence of r values), and ``suite(**window)`` runs the suite and returns
 its CheckReports.  ``verify`` lays the options it is given over the default
-window; ``report --all`` is ``battery(seed)``.
+window; ``report --all`` is ``battery(seed)``, ``report --wide`` ``wide()``.
 
 A suite only orchestrates: every report comes from a public verifier in
 ``identities`` or ``sequences`` called through ``_guarded``, the one place
@@ -267,14 +267,26 @@ BATTERY = [(name, {}) for name in SUITES
 BATTERY += [("first-kind", {"r": (4, 5, 6), "m_max": 16, "mode": "random", "trials": 5}),
             ("second-kind", {"r": (4, 5, 6), "n_max": 16, "mode": "random", "trials": 5})]
 
+# report --wide: windows past the battery's, and no random row
+WIDE = [("cross-oracle", {"r": (16,)}), ("first-kind", {"r": (12,), "m_max": 24}),
+        ("second-kind", {"r": (12,), "n_max": 24}), ("genfun-transfer", {"r": (4,), "order": 16}),
+        ("principal", {"r": range(1, 9), "n_max": 16})]
 
-def battery(seed: int) -> list:
-    """Every battery row's reports; the seed drives the random rows."""
+
+def battery(seed, rows=BATTERY) -> list:
+    """The reports of every row (by default BATTERY's, report --all), each
+    row's options laid over its suite's default window; the seed drives
+    the random rows."""
     reports = []
-    for name, options in BATTERY:
+    for name, options in rows:
         suite, window = SUITES[name]
         window = {**window, **options}
         if "seed" in window:
             window["seed"] = seed
         reports += suite(**window)
     return reports
+
+
+def wide() -> list:
+    """report --wide: every WIDE row's reports."""
+    return battery(None, WIDE)

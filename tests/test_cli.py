@@ -427,7 +427,7 @@ class TestSuiteTable:
         assert rec["counterexample"].startswith("RuntimeError: injected (test_cli.py:")
 
     def test_battery_rows_name_table_suites(self):
-        for name, options in suites.BATTERY:
+        for name, options in suites.BATTERY + suites.WIDE:
             assert name in suites.SUITES
             assert set(options) <= set(suites.SUITES[name][1]), name
 
@@ -492,6 +492,17 @@ class TestRenderTable:
 class TestBadArgv:
     def test_missing_command(self, capsys):
         assert main([]) == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        # the wide profile has no random row, so a seed would do nothing
+        (("--wide", "--seed", "1"), "error: report --wide takes no --seed"),
+        (("--all", "--wide"), "error: argument --wide: not allowed with argument --all"),
+        ((), "error: one of the arguments --all --wide is required"),
+    ], ids=["wide-with-seed", "all-and-wide", "neither"])
+    def test_report_takes_one_of_all_and_wide(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "report", *argv)
+        assert (code, out) == (2, "")
+        assert message in err
 
     def test_unknown_flag(self, capsys):
         assert main(["table", "fib", "--bogus"]) == 2

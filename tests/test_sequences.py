@@ -1,7 +1,12 @@
+import subprocess
+import sys
+import zipfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import symident
 from symident.combinat import centralizer_order
 from symident.cyclotomic import roots_vectors
 from symident.exactalg import det_fraction_free
@@ -301,6 +306,23 @@ class TestTables:
         for kind in ("cnk", "fib", "lucas"):
             rep = compare_with_golden(kind)
             assert rep.passed, (kind, rep.counterexample)
+
+    def test_golden_tables_read_from_a_zipped_package(self, tmp_path):
+        # the tables are package resources, so symident imported from a zip
+        # (as from a zipped egg) reads them as it does from a directory
+        package = Path(symident.__file__).parent
+        archive = tmp_path / "symident.zip"
+        with zipfile.ZipFile(archive, "w") as zf:
+            for path in sorted(package.rglob("*")):
+                if path.is_file() and "__pycache__" not in path.parts:
+                    zf.write(path, path.relative_to(package.parent))
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import symident; "
+                "from symident import sequences; "
+                "assert symident.__file__.startswith(sys.argv[1]), symident.__file__; "
+                "print([sequences.compare_with_golden(k).status for k in ('cnk', 'fib', 'lucas')])")
+        run = subprocess.run([sys.executable, "-I", "-c", code, str(archive)],
+                             capture_output=True, text=True)
+        assert (run.returncode, run.stdout) == (0, "['pass', 'pass', 'pass']\n"), run.stderr
 
     def test_documented_exception(self):
         gold = golden_table("lucas")

@@ -64,9 +64,12 @@ def _principal_checks(rs, n_max):
     return out
 
 
-def test_principal_rows_equal_standalone_checks():
-    rows = suites.suite_principal(range(1, 5), 10)
-    want = _principal_checks(range(1, 5), 10)
+# the principal windows of report --all and report --wide
+@pytest.mark.parametrize("rs, n_max", [(range(1, 5), 10), (range(1, 9), 16)],
+                         ids=["battery", "wide"])
+def test_principal_rows_equal_standalone_checks(rs, n_max):
+    rows = suites.suite_principal(rs, n_max)
+    want = _principal_checks(rs, n_max)
     assert [rep.check_id for rep in rows] == [rep.check_id for rep in want]
     assert rows == want
 
