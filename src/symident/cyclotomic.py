@@ -8,13 +8,14 @@ decidable by looking at the coordinates.
 A value is stored as any polynomial of degree below m in its class modulo
 x^m - 1, which Phi_m divides.  It is reduced modulo Phi_m only when it is
 observed (==, hash, ``coords``, repr, ``is_rational_integer``, or as an
-input of the packed kernels), and the canonical coordinates are kept.
-Sums, differences, negations and int multiples map over the stored
-tuples, and a product with a factor of at most two nonzero stored
+input of a packed product or matrix map), and the canonical coordinates
+are kept.  Sums, differences, negations and int multiples map over the
+stored tuples, and a product with a factor of at most two nonzero stored
 coordinates is the sum over its terms c x^e of c times the other operand
 shifted cyclically by e; none of these is reduced.  ``field.zeta(j)`` is
 the one term x^j, so a doubled root has one stored term, a shifted root
-two, and the fused ``addmul`` step of the prefix recurrences is one pass.
+two, and the e, h and p prefixes of ``symfun`` rotate the slots of one int
+per stored term of an entry (``CycInt.packed``), unpacked once, unreduced.
 
 Other products run on the two Kronecker-substitution kernels of
 ``exactalg``, over canonical coordinates: a product is one big-int multiply
@@ -34,7 +35,8 @@ from functools import lru_cache, partial
 from itertools import compress, cycle, repeat
 from operator import add, mul, neg, sub
 
-from .exactalg import _dot_rows, _int_poly_mul, _int_poly_rows, _power, _unpack, det_cofactor
+from .exactalg import (_dot_rows, _int_poly_mul, _int_poly_rows, _pack, _power, _slot_bias,
+                       _unpack, det_cofactor)
 from .symfun import point_vectors
 
 
@@ -129,16 +131,16 @@ class CycField:
             high += 1
         return self._reduce(_unpack(low + high, k, self.m))
 
-    def _shifted(self, acc, a, b):
-        """acc + a * b modulo x^m - 1 on stored coordinates (acc None for
-        0), in one pass over cyclic shifts of b when a has at most two
-        nonzero coordinates, else of a when b has; None when neither has."""
+    def _shifted(self, a, b):
+        """a * b modulo x^m - 1 on stored coordinates, in one pass over
+        cyclic shifts of b when a has at most two nonzero coordinates, else
+        of a when b has; None when neither has."""
         m = self.m
         if a.count(0) < m - 2:
             a, b = b, a
             if a.count(0) < m - 2:
                 return None
-        out = acc
+        out = None
         for e in compress(range(m), a):
             c, t = a[e], b[-e:] + b[:-e]  # t = b x^e
             if out is None:
@@ -229,23 +231,28 @@ class CycInt:
         if not isinstance(other, CycInt):
             return NotImplemented
         field = self._same_field(other)
-        out = field._shifted(None, self.rep, other.rep)
+        out = field._shifted(self.rep, other.rep)
         if out is None:
             return _canonical(field, _int_poly_mul(self.coords, other.coords, field._unpack))
         return _cyc(field, out)
 
     __rmul__ = __mul__
 
-    def addmul(self, a, b):
-        """self + a * b, in one pass when a or b has at most two nonzero
-        stored coordinates (as the doubled and the shifted roots have)."""
-        if isinstance(a, CycInt) and isinstance(b, CycInt):
-            field = self._same_field(a)
-            self._same_field(b)
-            out = field._shifted(self.rep, a.rep, b.rep)
-            if out is not None:
-                return _cyc(field, out)
-        return self + a * b
+    @staticmethod
+    def packed(entries, bound):
+        """The prefix recurrences' view of CycInt values of one field and ints
+        (the class of c): (``_Packed`` ints, a map of packed results to CycInt
+        values, unreduced).  A slot holds bound(the entries' 1-norms): a
+        product folded modulo x^m - 1 has at most the product of 1-norms."""
+        field = next(x.field for x in entries if isinstance(x, CycInt))
+        m, reps = field.m, _coords_in(field, entries, stored=True)
+        k = bound([sum(map(abs, c)) for c in reps]).bit_length() + 1
+        bias, mask = _slot_bias(k, m), (1 << k * m) - 1
+        out = [_Packed(_pack(c, k)) for c in reps]
+        for x, c in zip(out, reps):
+            x.kernel = ([(k * e, k * (m - e), ce) for e, ce in enumerate(c) if ce],
+                        bias, mask, -sum(c) * bias)
+        return out, lambda xs: [_cyc(field, tuple(_unpack(x, k, m))) for x in xs]
 
     @staticmethod
     def matvec(M):
@@ -297,20 +304,36 @@ def _canonical(field: CycField, coords: tuple) -> CycInt:
     return _cyc(field, coords + field._pad, coords)
 
 
-def _coords_in(field: CycField, xs) -> list:
+def _coords_in(field: CycField, xs, stored=False) -> list:
     # coordinates of each of xs, a CycInt of `field` or an int, for the
-    # packed kernels
+    # packed kernels: canonical, or stored if asked
     out = []
     for x in xs:
         if isinstance(x, CycInt):
             if x.field is not field and x.field != field:
                 raise ValueError("mixed cyclotomic orders")
-            out.append(x.coords)
+            out.append(x.rep if stored else x.coords)
         elif isinstance(x, int):
             out.append((x,))
         else:
-            raise TypeError("cannot take a cyclotomic dot product with %r" % (x,))
+            raise TypeError("not a cyclotomic value or an int: %r" % (x,))
     return out
+
+
+class _Packed(int):
+    """A ``CycInt.packed`` entry.  Its product with a packed x is the sum
+    over its terms c x^e of c times x's slots rotated by e: with bias in
+    every slot no borrow crosses one, so a rotation is two shifts and a mask."""
+
+    def __mul__(self, x):
+        terms, bias, mask, offset = self.kernel
+        x += bias
+        for left, right, c in terms:
+            rot = ((x << left) & mask) | (x >> right)
+            offset = offset - rot if c == -1 else offset + c * rot  # the roots' c is -1
+        return offset
+
+    __rmul__ = __mul__
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ y^n.
 All routines take a PointVector and work by duck typing: the entries only
 have to support +, -, * (with int) and ** on nonnegative exponents, and may
 give a fused acc.addmul(a, b) = acc + a * b for the prefix recurrences to
-step with.  This lets one code path evaluate over rationals, Laurent
-polynomials, or cyclotomic integers.
+step with, or run them on ints (``_packable``).  This lets one code path
+evaluate over rationals, Laurent polynomials, or cyclotomic integers.
 
 Conventions fixed here once and used everywhere downstream:
 
@@ -19,6 +19,7 @@ Conventions fixed here once and used everywhere downstream:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import wraps
 
 from .exactalg import MultiLaurent, det_cofactor
 
@@ -78,6 +79,20 @@ def symbolic_vectors(r: int):
 # the three classical families
 
 
+def _packable(prefix):
+    """prefix, or prefix run on ints by an entry type's ``packed(entries,
+    bound)``; bound(norms) is its largest value at the entries' 1-norms."""
+    @wraps(prefix)
+    def run(nmax, v):
+        packed = next((type(z).packed for z in v if hasattr(type(z), "packed")), None)
+        if packed is None:
+            return prefix(nmax, v)
+        entries, unpack = packed(v.entries, lambda s: max(prefix(nmax, PointVector(s)), default=0))
+        return unpack(prefix(nmax, PointVector(entries)))
+    return run
+
+
+@_packable
 def elementary_prefix(nmax: int, v: PointVector) -> list:
     """[e_0, ..., e_nmax] by coefficient extraction from prod (1 + z_j y)."""
     one, zero, addmul = v.one, v.zero, getattr(type(v[0]), "addmul", None)
@@ -91,6 +106,7 @@ def elementary_prefix(nmax: int, v: PointVector) -> list:
     return e + [zero] * (nmax - top)
 
 
+@_packable
 def complete_prefix(nmax: int, v: PointVector) -> list:
     """[h_0, ..., h_nmax] by coefficient extraction from prod 1/(1 - z_j y)."""
     one, zero, addmul = v.one, v.zero, getattr(type(v[0]), "addmul", None)
@@ -112,6 +128,7 @@ def power(n: int, v: PointVector):
     return acc
 
 
+@_packable
 def power_prefix(nmax: int, v: PointVector) -> list:
     """[p_1, ..., p_nmax] from running powers of each entry; empty for
     nmax < 1."""

@@ -2,10 +2,12 @@
 
 Everything here enumerates definitions directly (combinations, tableaux,
 permutations) and never calls the library code paths it is used to check.
-Two exceptions: ``bialternant_numerators`` runs the library's full
+Three exceptions: ``bialternant_numerators`` runs the library's full
 Berkowitz determinant once per n, the reference for the cofactor route;
 ``laurent_values`` runs the library's symfun prefixes over the literal
-Laurent vectors, the reference for the symbolic sides in Z[E_1..E_r].
+Laurent vectors, the reference for the symbolic sides in Z[E_1..E_r];
+``two_step_prefixes`` runs the prefix recurrences on the ring operators,
+the reference for the fused addmul and the packed prefix steps.
 """
 
 import math
@@ -232,6 +234,44 @@ def brute_cyclotomic_dot(m, xs, ys):
         for i, c in enumerate(prod):
             total[i] += c
     return brute_cyclotomic_reduce(m, total)
+
+
+def brute_cyclotomic_prefixes(m, entries, nmax):
+    """([e_0..e_nmax], [h_0..h_nmax], [p_1..p_nmax]) in Z[x]/Phi_m of the
+    entries given as coefficient lists, as coordinate lists: the
+    recurrences of the three families with every product a
+    ``brute_cyclotomic_mul`` and every sum coordinate-wise."""
+    one = brute_cyclotomic_reduce(m, [1])
+    zero = [0] * len(one)
+    zs = [brute_cyclotomic_reduce(m, z) for z in entries]
+
+    def addmul(acc, a, b):
+        return [p + q for p, q in zip(acc, brute_cyclotomic_mul(m, a, b))]
+
+    e, h, p = [one] + [zero] * nmax, [one] + [zero] * nmax, [zero] * nmax
+    for count, z in enumerate(zs, 1):
+        for k in range(min(count, nmax), 0, -1):
+            e[k] = addmul(e[k], z, e[k - 1])
+        for k in range(1, nmax + 1):
+            h[k] = addmul(h[k], z, h[k - 1])
+        power = one
+        for n in range(nmax):
+            power = brute_cyclotomic_mul(m, power, z)
+            p[n] = [a + b for a, b in zip(p[n], power)]
+    return e, h, p
+
+
+def two_step_prefixes(nmax, v):
+    """[e_0..e_nmax] and [h_0..h_nmax] by the recurrences written with
+    acc + z * x, the step every ring without a fused addmul takes."""
+    one, zero = v.one, v.zero
+    e, h = [one] + [zero] * nmax, [one] + [zero] * nmax
+    for count, z in enumerate(v, 1):
+        for k in range(min(count, nmax), 0, -1):
+            e[k] = e[k] + z * e[k - 1]
+        for k in range(1, nmax + 1):
+            h[k] = h[k] + z * h[k - 1]
+    return e, h
 
 
 def brute_series_mul(a, b, order):

@@ -8,13 +8,13 @@ from symident.combinat import ballot, binom
 from symident.cyclotomic import (CycField, CycInt, cyclotomic_poly, discriminant_square,
                                  roots_vectors, vandermonde_rows)
 from symident.exactalg import det_cofactor
-from symident.symfun import complete_prefix, elementary_prefix, power, power_prefix
+from symident.symfun import PointVector, complete_prefix, elementary_prefix, power, power_prefix
 
 from symident.sequences import (_doubled_roots_h, _doubled_roots_p, fib_recurrence,
                                 lucas_recurrence)
 
-from oracles import (brute_cyclotomic_dot, brute_cyclotomic_mul, brute_cyclotomic_reduce,
-                     det_permutation_expansion)
+from oracles import (brute_cyclotomic_dot, brute_cyclotomic_mul, brute_cyclotomic_prefixes,
+                     brute_cyclotomic_reduce, det_permutation_expansion, two_step_prefixes)
 
 
 def totient(m):
@@ -143,7 +143,7 @@ class TestProductOracle:
                 alternating = [(-1) ** i * top for i in range(f.degree)]
                 for a, b in ((plus, plus), (plus, minus), (minus, minus),
                              (alternating, alternating), (alternating, plus)):
-                    assert f._shifted(None, f.element(a).rep, f.element(b).rep) is None
+                    assert f._shifted(f.element(a).rep, f.element(b).rep) is None
                     self.check(f, a, b)
 
     def test_unequal_operand_sizes(self):
@@ -399,6 +399,86 @@ def test_root_prefixes_make_no_packed_product_and_no_reduction(monkeypatch):
         assert sh == [F[n] for n in range(1, 61)] and sp == [L[n] for n in range(1, 61)], r
 
 
+def packed_addmul(acc, a, b):
+    """acc + a * b on the packed view of CycInt.packed, at the width of the
+    bound on the 1-norms that the prefix recurrences would give."""
+    (pa, pb, pacc), unpack = CycInt.packed([a, b, acc], lambda s: max(s[1], s[2] + s[0] * s[1]))
+    (got,) = unpack([pacc + pa * pb])
+    assert_canonical(got, a.field)
+    return got
+
+
+class TestPackedPrefixes:
+    """The e, h and p prefixes of CycInt vectors on CycInt.packed, against
+    the acc + z * x recurrences and the powers of CycInt arithmetic, and
+    against the same recurrences on coordinate lists with schoolbook
+    products: entries of one, two and three or more stored terms and int
+    entries, at prime, prime-power and composite orders, m = 2 included."""
+
+    ORDERS = (2, 7, 9, 25, 33)
+    COEFFS = (1, -1, 2, -(2 ** 40))
+
+    @staticmethod
+    def entry(rng, f, terms, coeffs):
+        # c_1 x^(e_1) + ... stored as such, and its coefficient list
+        stored = [0] * f.m
+        for e in rng.sample(range(f.m), min(terms, f.m)):
+            stored[e] = rng.choice(coeffs)
+        return f.element(stored), stored
+
+    def check(self, f, entries, nmax):
+        v = PointVector([x for x, _ in entries])
+        got = elementary_prefix(nmax, v), complete_prefix(nmax, v), power_prefix(nmax, v)
+        for values in got:
+            for x in values:
+                assert_canonical(x, f)
+        e, h = two_step_prefixes(nmax, v)
+        assert got == (e, h, [power(n, v) for n in range(1, nmax + 1)]), (f.m, nmax)
+        want = brute_cyclotomic_prefixes(f.m, [c for _, c in entries], nmax)
+        assert [[list(x.coords) for x in values] for values in got] == list(want), (f.m, nmax)
+
+    def test_against_two_oracles(self):
+        rng = random.Random(61)
+        for m in self.ORDERS:
+            f = CycField(m)
+            r = (m - 1) // 2
+            # one and two stored terms of coefficients +-1, as the roots have
+            roots = [self.entry(rng, f, t, (1, -1)) for t in (1, 2, 2)]
+            # one, two and three or more terms of every coefficient, and ints
+            mixed = [self.entry(rng, f, t, self.COEFFS) for t in (1, 2, 3, 5)]
+            mixed += [(c, [c]) for c in (3, -(2 ** 40))]
+            for entries, tops in ((roots, (0, 1, 6 * (2 * r + 1))), (mixed, (0, 1, 7)),
+                                  (mixed[::-1][:3], (1, 7))):
+                for nmax in tops:
+                    self.check(f, entries, nmax)
+
+    def test_power_prefix_below_one_is_empty(self):
+        v = roots_vectors(3)[1]
+        assert power_prefix(0, v) == power_prefix(-2, v) == []
+
+    def test_mixed_fields_rejected(self):
+        a, b = CycField(5).zeta(1), CycField(7).zeta(2)
+        for entries in ([a, b], [a, 3, b], [2, a, b]):
+            for prefix in (elementary_prefix, complete_prefix, power_prefix):
+                with pytest.raises(ValueError):
+                    prefix(3, PointVector(entries))
+
+    def test_values_at_the_slot_edge(self):
+        # every family's largest stored coefficient equals its bound on the
+        # 1-norms: at nmax = 1 it is 2^40 - 1, the largest value the width
+        # holds; and (n + 1) 2^n for h_n at 2 x^3, 2 x^3.  A slot one bit
+        # narrower cannot hold either
+        f = CycField(7)
+        top = 2 ** 40 - 1
+        for sign in (1, -1):
+            for nmax, stored in ((1, ([0, 0, 0, sign], [0, 0, 0, sign * (top - 1)])),
+                                 (6 * 7, ([0, 0, 0, 2 * sign], [0, 0, 0, 2 * sign]))):
+                self.check(f, [(f.element(c), c) for c in stored], nmax)
+        v = PointVector([f.zeta(3) * 2] * 2)
+        assert complete_prefix(42, v)[42].rep == (43 * 2 ** 42,) + (0,) * 6  # x^126 = 1
+        assert power_prefix(1, PointVector([f.zeta(3), f.zeta(3) * (top - 1)]))[0].rep[3] == top
+
+
 class TestStoredRepresentative:
     """A value is stored as any polynomial of its class modulo x^m - 1 and
     reduced modulo Phi_m only when observed, so no observation may depend
@@ -451,19 +531,20 @@ class TestStoredRepresentative:
                     (y, b) = rng.choice(start[1::2])
                     z, want = x * y, mul(a, b)
                 elif op == 6:
-                    z, want = x.addmul(s, y), [p + q for p, q in zip(a, mul(sc, b))]
+                    z, want = packed_addmul(x, s, y), [p + q for p, q in zip(a, mul(sc, b))]
                 else:
-                    z, want = y.addmul(x, s), [p + q for p, q in zip(b, mul(a, sc))]
+                    z, want = packed_addmul(y, x, s), [p + q for p, q in zip(b, mul(a, sc))]
                 pool.append((z, reduced(want)))
             assert sum(any(x.rep[f.degree:]) for x, _ in pool) > 20, m  # not canonical
             for x, want in pool:
                 assert list(x.coords) == want, m
                 assert x == f.element(want) and hash(x) == hash(f.element(want)), m
 
-    def test_addmul_of_dense_operands(self):
+    def test_packed_step_of_dense_operands(self):
         # a and b with three or more nonzero stored coordinates each leave
-        # the one-pass shift (_shifted gives None), so addmul falls back to
-        # self + a * b; self is a nonzero, unreduced value
+        # the one-pass shift of CycInt.__mul__ (_shifted gives None); the
+        # packed step rotates b once per stored term of a; self is a
+        # nonzero, unreduced value
         rng = random.Random(53)
         for m in self.ORDERS:
             f = CycField(m)
@@ -473,10 +554,10 @@ class TestStoredRepresentative:
                 a, b = (f.element(TestProductOracle.rand_coords(rng, m, 20)) for _ in range(2))
                 assert x != 0
                 assert m - a.rep.count(0) >= 3 and m - b.rep.count(0) >= 3
-                assert f._shifted(x.rep, a.rep, b.rep) is None
+                assert f._shifted(a.rep, b.rep) is None
                 want = [p + q for p, q in zip(x.coords, brute_cyclotomic_mul(
                     m, a.coords, b.coords))]
-                got = x.addmul(a, b)
+                got = packed_addmul(x, a, b)
                 assert list(got.coords) == want == list((x + a * b).coords), m
                 assert got == f.element(want), m
 

@@ -10,7 +10,7 @@ from symident.symfun import (PointVector, complete_prefix, elementary_prefix, po
                              power, power_prefix, prefix, schur, symbolic_vectors)
 
 from oracles import (brute_complete, brute_elementary, brute_power,
-                     count_standard_tableaux_two_rows)
+                     count_standard_tableaux_two_rows, two_step_prefixes)
 
 
 def rand_vector(rng, r):
@@ -192,23 +192,10 @@ class TestGenfun:
                     assert p[n - 1] == power(n, v)
 
 
-def two_step_prefixes(nmax, v):
-    """[e_0..e_nmax] and [h_0..h_nmax] by the recurrences written with
-    acc + z * x, the step every ring without a fused addmul takes."""
-    one, zero = v.one, v.zero
-    e, h = [one] + [zero] * nmax, [one] + [zero] * nmax
-    for count, z in enumerate(v, 1):
-        for k in range(min(count, nmax), 0, -1):
-            e[k] = e[k] + z * e[k - 1]
-        for k in range(1, nmax + 1):
-            h[k] = h[k] + z * h[k - 1]
-    return e, h
-
-
 class TestFusedPrefixSteps:
-    """Laurent and cyclotomic prefixes step with the fused addmul; int and
-    Fraction prefixes keep the acc + z * x step, and every ring keeps the
-    values of that step."""
+    """Laurent prefixes step with the fused addmul and cyclotomic ones on
+    the packed ints of CycInt.packed; int and Fraction prefixes keep the acc
+    + z * x step, and every ring keeps the values of that step."""
 
     def test_symbolic_against_enumeration(self):
         for r in (2, 3):
