@@ -8,25 +8,24 @@ decidable by looking at the coordinates.
 A value is stored as any polynomial of degree below m in its class modulo
 x^m - 1, which Phi_m divides.  It is reduced modulo Phi_m only when it is
 observed (==, hash, ``coords``, repr, ``is_rational_integer``, or as an
-input of a packed product or matrix map), and the canonical coordinates
-are kept.  Sums, differences, negations and int multiples map over the
-stored tuples, and a product with a factor of at most two nonzero stored
-coordinates is the sum over its terms c x^e of c times the other operand
-shifted cyclically by e; none of these is reduced.  ``field.zeta(j)`` is
-the one term x^j, so a doubled root has one stored term, a shifted root
-two, and the e, h and p prefixes of ``symfun`` rotate the slots of one int
-per stored term of an entry (``CycInt.packed``), unpacked once, unreduced.
+input of a dense product), and the canonical coordinates are kept.  Sums,
+differences, negations and int multiples map over the stored tuples, and a
+product with a factor of at most two nonzero stored coordinates is the sum
+over its terms c x^e of c times the other operand shifted cyclically by e;
+none of these is reduced.  ``field.zeta(j)`` is the one term x^j, so a
+doubled root has one stored term, a shifted root two, and the e, h and p
+prefixes of ``symfun`` rotate the slots of one int per stored term of an
+entry (``CycInt.packed``), unpacked once, unreduced.
 
-Other products run on the two Kronecker-substitution kernels of
-``exactalg``, over canonical coordinates: a product is one big-int multiply
-(``_int_poly_mul``), and ``CycInt.matvec(M)``, the matrix map of every
-Berkowitz step (``_int_poly_rows``), packs the rows of M once and adds each
-row's products before one unpack and one reduction.  A packed product or
-sum is folded modulo x^m - 1 before it is unpacked; the results are
-canonical, so slot widths do not grow.  A reduction cancels the degrees
-m-1 .. deg Phi_m: in one pass for m a power of a prime p, where Phi_m =
-1 + x^w + ... + x^(m-w) with w = m/p, and else each in turn against the
-nonzero terms of Phi_m.
+A dense product is one big-int multiply of canonical coordinates
+(``exactalg._int_poly_mul``), folded modulo x^m - 1 before it is unpacked
+and reduced.  The determinants of ``exactalg`` run on ``CycInt.residues``:
+x -> 2^k maps Z[x]/(x^m - 1) onto the ints modulo 2^(km) - 1, kept modulo
+a divisor, so an entry is one int, a product one multiply and a sum one
+fold, and a value is unpacked only where it is read.  A reduction cancels
+the degrees m-1 .. deg Phi_m: in one pass for m a power of a prime p, where
+Phi_m = 1 + x^w + ... + x^(m-w) with w = m/p, and else each in turn
+against the nonzero terms of Phi_m.
 """
 
 from __future__ import annotations
@@ -35,8 +34,7 @@ from functools import lru_cache, partial
 from itertools import compress, cycle, repeat
 from operator import add, mul, neg, sub
 
-from .exactalg import (_dot_rows, _int_poly_mul, _int_poly_rows, _pack, _power, _slot_bias,
-                       _unpack, det_cofactor)
+from .exactalg import _int_poly_mul, _pack, _power, _slot_bias, _unpack, det_cofactor
 from .symfun import point_vectors
 
 
@@ -233,7 +231,8 @@ class CycInt:
         field = self._same_field(other)
         out = field._shifted(self.rep, other.rep)
         if out is None:
-            return _canonical(field, _int_poly_mul(self.coords, other.coords, field._unpack))
+            c = _int_poly_mul(self.coords, other.coords, field._unpack)  # canonical
+            return _cyc(field, c + field._pad, c)
         return _cyc(field, out)
 
     __rmul__ = __mul__
@@ -245,7 +244,7 @@ class CycInt:
         values, unreduced).  A slot holds bound(the entries' 1-norms): a
         product folded modulo x^m - 1 has at most the product of 1-norms."""
         field = next(x.field for x in entries if isinstance(x, CycInt))
-        m, reps = field.m, _coords_in(field, entries, stored=True)
+        m, reps = field.m, _stored(field, entries)
         k = bound([sum(map(abs, c)) for c in reps]).bit_length() + 1
         bias, mask = _slot_bias(k, m), (1 << k * m) - 1
         out = [_Packed(_pack(c, k)) for c in reps]
@@ -255,17 +254,38 @@ class CycInt:
         return out, lambda xs: [_cyc(field, tuple(_unpack(x, k, m))) for x in xs]
 
     @staticmethod
-    def matvec(M):
-        """The map v -> [row . v for each row of M] for CycInt values of one
-        field and ints, as each step of ``exactalg._char_poly`` asks for:
-        ``exactalg._int_poly_rows`` on canonical coordinates, each sum reduced
-        once (slot widths as in ``CycField._unpack``).  Rows with no CycInt
-        take the ring-generic map, so ints alone give ints."""
-        field = next((x.field for row in M for x in row if isinstance(x, CycInt)), None)
-        if field is None:
-            return _dot_rows(M)
-        sums = _int_poly_rows([_coords_in(field, row) for row in M], field._unpack)
-        return lambda v: [_canonical(field, x) for x in sums(_coords_in(field, v))]
+    def residues(rows):
+        """``exactalg._residues`` of a matrix of CycInt values of one field
+        and ints (the class of c).  A norm is the 1-norm of the stored
+        coordinates, at least |f(x)| for each ring map f: x -> u, u^m = 1, of
+        Z[x]/(x^m - 1), and a stored coefficient is a mean of such images.
+        at(bound) works in the image of Z[x]/M(x) under x -> 2^k, where Phi_m
+        divides M = (x^m - 1)/(x^w - 1) = 1 + x^w + ... + x^(m-w), w = m/p for
+        p the least prime factor of m (M = x - 1 for m = 1): lift packs the
+        stored coordinates, fold takes a sum modulo 2^(km) - 1, then M(2^k),
+        and read unpacks the balanced residue into the remainder modulo M,
+        whose coefficients are differences of two stored ones, so k is
+        bit_length(bound) + 2."""
+        field = next(x.field for row in rows for x in row if isinstance(x, CycInt))
+        m, views = field.m, {}
+        w = m // next((p for p in range(2, m + 1) if m % p == 0), m + 1)
+
+        def at(bound):
+            k = bound.bit_length() + 2
+            if k not in views:
+                km, kd = k * m, k * (m - w)
+                N, D = (1 << km) - 1, (1 << kd) - 1
+                G = D // ((1 << k * w) - 1) if w else -1  # 2^(kd) is -G modulo M(2^k)
+                M = D + 1 + G
+                half = M >> 1
+
+                def fold(t):
+                    t = (t & N) + (t >> km)
+                    return (t & D) - (t >> kd) * G
+                views[k] = (lambda x: x % M if isinstance(x, int) else fold(_pack(x.rep, k)), fold,
+                            lambda x: _cyc(field, tuple(_unpack((x + half) % M - half, k, m))))
+            return views[k]
+        return [[sum(map(abs, c)) for c in _stored(field, row)] for row in rows], at
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -299,20 +319,14 @@ def _cyc(field: CycField, rep: tuple, coords=None) -> CycInt:
     return x
 
 
-def _canonical(field: CycField, coords: tuple) -> CycInt:
-    # a CycInt from canonical coordinates
-    return _cyc(field, coords + field._pad, coords)
-
-
-def _coords_in(field: CycField, xs, stored=False) -> list:
-    # coordinates of each of xs, a CycInt of `field` or an int, for the
-    # packed kernels: canonical, or stored if asked
+def _stored(field: CycField, xs) -> list:
+    # the stored coordinates of each of xs, a CycInt of `field` or an int
     out = []
     for x in xs:
         if isinstance(x, CycInt):
             if x.field is not field and x.field != field:
                 raise ValueError("mixed cyclotomic orders")
-            out.append(x.rep if stored else x.coords)
+            out.append(x.rep)
         elif isinstance(x, int):
             out.append((x,))
         else:

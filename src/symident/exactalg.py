@@ -11,14 +11,13 @@ All values are immutable after construction and every operation is pure,
 so everything here can be shared freely between threads.
 
 Dense polynomial products (``Series`` here, ``CycInt`` in ``cyclotomic``)
-run on one Kronecker-substitution kernel: each integer coefficient vector is
-packed into one signed Python int with slots wide enough that no
-coefficient of the product can overflow its slot, so the whole convolution
-is a single big-int multiply (``_int_poly_mul``).  A matrix map
-(``_int_poly_rows``) packs its rows once and each vector once for all the
-rows, and adds each row's products as big ints before one unpack; every
-step of the determinants below is one such map.  A ``Series`` keeps
-integer numerators over one denominator, so it feeds the kernel directly.
+run on one Kronecker-substitution kernel, ``_int_poly_mul``: each integer
+coefficient list is packed into one signed Python int with slots wide
+enough that no coefficient of the product can overflow its slot, so the
+convolution is a single big-int multiply.  A ``Series`` keeps integer
+numerators over one denominator, so it feeds the kernel directly.  The
+determinants run on the int residues of a ring's static ``residues`` hook
+(``CycInt``'s: modulo a divisor of 2^(km) - 1), at widths from Hadamard's bound.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import chain
 from operator import mul
 
 
@@ -66,58 +64,14 @@ def _unpack(packed: int, k: int, slots: int) -> list:
     return out
 
 
-def _max_bits(vectors) -> int:
-    # bit length of the largest |coefficient| in a sequence of coefficient lists
-    return max(map(abs, chain.from_iterable(vectors))).bit_length()
-
-
-def _slot_width(x_bits: int, y_bits: int, terms: int) -> int:
-    """A slot width k such that a sum of `terms` products of coefficients
-    below 2^x_bits and 2^y_bits in absolute value stays below 2^(k-1)."""
-    return x_bits + y_bits + terms.bit_length() + 1
-
-
 def _int_poly_mul(a, b, unpack):
     """unpack(P, k) for P the product of two nonempty integer coefficient
     lists (index = exponent) packed at slot width k.  A coefficient of the
     product is a sum of at most min(len a, len b) products of one
     coefficient of each side, and k keeps it below 2^(k-1) in absolute
     value."""
-    k = _slot_width(_max_bits((a,)), _max_bits((b,)), min(len(a), len(b)))
+    k = sum(max(map(abs, x)).bit_length() for x in (a, b)) + min(len(a), len(b)).bit_length() + 1
     return unpack(_pack(a, k) * _pack(b, k), k)
-
-
-def _int_poly_rows(rows, unpack):
-    """The map v -> [unpack(row . v, k) for each row], for rows and vectors
-    of nonempty integer coefficient lists (index = exponent); a row shorter
-    than v stops at its own length.  unpack(P, k) maps a sum packed at slot
-    width k (bounded as in ``_int_poly_mul``, summed over the pairs) to the
-    coefficients of an equivalent polynomial, a remainder say.  Each v is
-    packed once for all the rows, and each row's products are added before
-    its one unpack.  The rows are packed at the width the first v needs, and
-    again, at least twice as wide, only when a later v needs wider slots, so
-    that a v that grows step by step (a Krylov pass) does not re-pack them
-    each time."""
-    row_bits = _max_bits(chain.from_iterable(rows))
-    row_len = max(map(len, chain.from_iterable(rows)))
-    k, packed = 0, None
-
-    def apply(v):
-        nonlocal k, packed
-        need = _slot_width(row_bits, _max_bits(v), sum(min(row_len, len(c)) for c in v))
-        if need > k:
-            k = max(need, 2 * k)
-            packed = [[_pack(c, k) for c in row] for row in rows]
-        pv = [_pack(c, k) for c in v]
-        out = []
-        for row in packed:
-            products = map(mul, row, pv)
-            total = next(products)  # starting from 0 would copy it
-            for p in products:
-                total += p
-            out.append(unpack(total, k))
-        return out
-    return apply
 
 
 # ---------------------------------------------------------------------------
@@ -678,17 +632,29 @@ def _laurent_divide_exact(num, den):
 # exact determinants
 
 
-def _dot_rows(M):
-    # the ring-generic matrix map v -> [row . v for each row of M], a sum of
-    # ring products per row; a row shorter than v stops at its own length
-    return lambda v: [sum(map(mul, row[1:], v[1:]), row[0] * v[0]) for row in M]
+def _identity(x):
+    return x
 
 
-def _matvec(rows):
-    # the matrix-map maker of the entries' ring: the static matvec of the
-    # first entry type in rows that has one, else the ring-generic one
-    return next((type(x).matvec for row in rows for x in row if hasattr(type(x), "matvec")),
-                _dot_rows)
+_PLAIN = (_identity,) * 3  # (lift, fold, read) of a ring that computes on its own values
+
+
+def _residues(rows):
+    """(norms, at) for the matrix rows, from the static ``residues`` of the
+    first entry type that has one (``CycInt``): norms[i][j] bounds every
+    evaluation of rows[i][j], and at(bound) is the (lift, fold, read) of a
+    ring of int residues, one per slot width, where lift maps an entry in,
+    fold shortens a sum of products, and read is exact on a value whose
+    every evaluation is at most bound.  Other rings: zero norms, ``_PLAIN``."""
+    hook = next((type(x).residues for row in rows for x in row
+                 if hasattr(type(x), "residues")), None)
+    return hook(rows) if hook else ([[0] * len(row) for row in rows], lambda bound: _PLAIN)
+
+
+def _dot_rows(M, v, fold=_identity):
+    # [fold(row . v) for each row of M], a sum of ring products per row; a
+    # row shorter than v stops at its own length
+    return [fold(sum(map(mul, row[1:], v[1:]), row[0] * v[0])) for row in M]
 
 
 def _char_poly(rows):
@@ -700,30 +666,45 @@ def _char_poly(rows):
 
     A step applies fixed matrices to vectors: [R; A] (R alone at the last)
     to A^t C in the Krylov pass, and the reversed prefixes of c to [a, RC,
-    RAC, ...] in the Toeplitz product.  An entry type's static
-    ``matvec(M)`` makes each map v -> [row . v for each row of M], taking
-    the int entries of a mixed matrix too (``CycInt`` packs the rows once
-    per map); without one, each row is a sum of ring products.
+    RAC, ...] in the Toeplitz product.  Each level runs on ``_residues`` at
+    its own width: a c_i of the block on rows k.. is a sum of principal
+    minors, so by Hadamard's inequality it is at most the product over those
+    rows of 1 + their 2-norm.  A width packs the widest block it serves
+    once, and c is read and lifted again only where the width changes.
     """
     n = len(rows)
-    matvec = _matvec(rows)
+    norms, at = _residues(rows)
+    views, bound = [], 1
+    for row in reversed(norms):  # levels n - 1, ..., 0; 1 + isqrt >= the 2-norm
+        bound *= 2 + math.isqrt(sum(x * x for x in row))
+        views.insert(0, at(bound))
     # c[i - 1] is the coefficient c_i of x^(s-i) in det(x I - B) for the
     # trailing s x s submatrix B; c_0 = 1 stays implicit, so no ring one is
     # needed
-    c = [-rows[n - 1][n - 1]]
-    for k in range(n - 2, -1, -1):
-        a, R = rows[k][k], rows[k][k + 1:]
-        A = [row[k + 1:] for row in rows[k + 1:]]
-        step, v, d = matvec([R, *A]), [row[k] for row in rows[k + 1:]], []
+    c = view = None
+    for k in range(n - 1, -1, -1):
+        if views[k] is not view:
+            lo, (lift, fold, read) = views.index(views[k]), views[k]
+            M = [[lift(x) for x in row[lo:]] for row in rows[lo:]]
+            c = c and [lift(view[2](x)) for x in c]  # read at the old width
+            view = views[k]
+        j = k - lo
+        a, R = M[j][j], M[j][j + 1:]
+        if c is None:
+            c = [-a]
+            continue
+        A = [row[j + 1:] for row in M[j + 1:]]
+        v, d = [row[j] for row in M[j + 1:]], []
         for _ in A[1:]:  # d[t] = R A^t C, and v becomes A^(t+1) C
-            Rv, *v = step(v)
+            Rv, *v = _dot_rows([R, *A], v, fold)
             d.append(Rv)
-        d += matvec([R])(v)  # the last R A^t C needs no A^(t+1) C
+        d += _dot_rows([R], v, fold)  # the last R A^t C needs no A^(t+1) C
         # Toeplitz step: c'_i = c_i - a c_(i-1) - sum_(t <= i-2) d[t] c_(i-2-t),
         # the row (c_(i-1), ..., c_1) times [a] + d, plus d[i-2] c_0
-        sums = [x + dt for x, dt in zip(matvec([c[j::-1] for j in range(len(c))])([a] + d), d)]
+        toeplitz = _dot_rows([c[i::-1] for i in range(len(c))], [a] + d, fold)
+        sums = [x + dt for x, dt in zip(toeplitz, d)]
         c = [c[0] - a] + [ci - x for ci, x in zip(c[1:], sums)] + [-sums[-1]]
-    return c
+    return [read(x) for x in c]
 
 
 def first_row_cofactors(rest):
@@ -732,31 +713,51 @@ def first_row_cofactors(rest):
     its column C, s = n - 1 and c_i the coefficients of B, K_0 = det B =
     (-1)^s c_s and K_(j+1) = -(adj(B) C)_j = (-1)^s [(B^(s-1) + c_1 B^(s-2)
     + ... + c_(s-1)) C]_j (Cayley-Hamilton), by Horner: each step applies
-    the one map of [B | C] to v + [c_i]; K = [1] if n = 1."""
+    [B | C] to v + [c_i]; K = [1] if n = 1.
+
+    The steps run on ``_residues``.  After step i, v = H_i C for H_i the
+    coefficient of x^(s-1-i) in adj(x I - B), so by Cramer an entry is a
+    sum of (i+1)-minors of [B | C] up to sign, at most e_(i+1) of the row
+    2-norms (Hadamard).  Steps i .. 2i share one width."""
     rows = [list(row) for row in rest]
     if any(len(row) != len(rows) + 1 for row in rows):
         raise ValueError("need the n - 1 rows below row 0 of an n x n matrix")
     if not rows:
         return rows, [1]
     c, v = _char_poly([row[1:] for row in rows]), [row[0] for row in rows]
-    step = _matvec(rows)([row[1:] + row[:1] for row in rows])
-    for ci in c[:-1]:  # v = B v + c_i C
-        v = step(v + [ci])
-    return rows, [-x if len(rows) % 2 else x for x in [c[-1]] + v]
+    norms, at = _residues(rows)
+    e = [1]  # e[i]: the i-th elementary symmetric polynomial of the row 2-norms
+    for rho in (1 + math.isqrt(sum(x * x for x in row)) for row in norms):
+        e = [x + rho * y for x, y in zip(e + [0], [0] + e)]
+    M, lift, read, until = [row[1:] + row[:1] for row in rows], None, _identity, 0
+    for i, ci in enumerate(c[:-1], 1):  # v = B v + c_i C
+        if i > until:
+            until = 2 * i
+            view = at(max(e[i + 1:until + 2]))
+            if view[0] is not lift:
+                lift, fold = view[:2]
+                P = [[lift(x) for x in row] for row in M]
+                v = [lift(read(x)) for x in v]
+                read = view[2]
+        v = _dot_rows(P, v + [lift(ci)], fold)
+    return rows, [-x if len(rows) % 2 else x for x in [c[-1]] + list(map(read, v))]
 
 
 def det_cofactor(rows, below=None):
     """Determinant over any commutative ring, division free: (-1)^n times
     the constant term of ``_char_poly``, or, given below =
-    ``first_row_cofactors(rows[1:])``, the one-row map of row 0 applied to
-    its K (ValueError if rows[1:] are not the rows below was built from)."""
+    ``first_row_cofactors(rows[1:])``, row 0 times its K (ValueError if
+    rows[1:] are not the rows below was built from) on ``_residues``, where
+    every evaluation is at most sum_j |row_0j| |K_j|."""
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("need a nonempty square matrix")
     if below is not None:
         if [list(row) for row in rows[1:]] != below[0]:
             raise ValueError("rows[1:] are not the rows the cofactors were built from")
-        return _matvec([rows[0], below[1]])([rows[0]])(below[1])[0]
+        norms, at = _residues([rows[0], below[1]])
+        lift, fold, read = at(sum(map(mul, *norms)))
+        return read(_dot_rows([list(map(lift, rows[0]))], list(map(lift, below[1])), fold)[0])
     c = _char_poly(rows)
     return -c[-1] if n % 2 else c[-1]
 

@@ -3,7 +3,7 @@ from functools import partial
 
 import pytest
 
-from symident import cyclotomic
+from symident import cyclotomic, exactalg
 from symident.combinat import ballot, binom
 from symident.cyclotomic import (CycField, CycInt, cyclotomic_poly, discriminant_square,
                                  roots_vectors, vandermonde_rows)
@@ -194,9 +194,18 @@ def coords_of(x):
     return list(x.coords) if isinstance(x, CycInt) else [x]
 
 
+def numerator_map(xs, ys):
+    """det_cofactor's one-row map, row 0 = xs times a given cofactor vector
+    K = ys: one sum of products on the residues of CycInt.residues, read
+    once.  The rows below row 0 are zero; the map does not read them."""
+    rest = [[0] * len(xs) for _ in xs[1:]]
+    return det_cofactor([list(xs)] + rest, (rest, list(ys)))
+
+
 class TestDotOracle:
-    """A one-row CycInt.matvec, one packed sum and one reduction, against
-    the sum of schoolbook products."""
+    """The one-row numerator map of det_cofactor, one sum of products on
+    the residues of CycInt.residues read once, against the sum of schoolbook
+    products."""
 
     ORDERS = range(1, 31)
     rand_coords = staticmethod(TestProductOracle.rand_coords)
@@ -204,7 +213,7 @@ class TestDotOracle:
     def check(self, f, xs, ys):
         want = brute_cyclotomic_dot(f.m, [coords_of(x) for x in xs],
                                     [coords_of(y) for y in ys])
-        (got,) = CycInt.matvec([xs])(ys)
+        got = numerator_map(xs, ys)
         assert isinstance(got, CycInt) and got.field == f
         assert list(got.coords) == want, (f.m, xs, ys)
 
@@ -230,8 +239,8 @@ class TestDotOracle:
                 self.check(f, dense, zeros)
 
     def test_all_coordinates_at_the_slot_edge(self):
-        # every coordinate +-(2^t - 1): each sum coefficient is as large as
-        # the slot width allows, len * d terms of (2^t - 1)^2 in the middle
+        # every coordinate +-(2^t - 1): each sum coefficient collects up to
+        # len * d terms of (2^t - 1)^2, near the bound sum_j |x_j| |y_j|
         for m in self.ORDERS:
             f = CycField(m)
             for t in (1, 7, 64, 200):
@@ -255,7 +264,7 @@ class TestDotOracle:
                 ys = [f.element(self.rand_coords(rng, f.degree, 40)) for _ in range(length)]
                 self.check(f, xs, ys)
                 self.check(f, ys, xs)
-        (got,) = CycInt.matvec([[2, 3]])([5, -7])
+        got = numerator_map([2, 3], [5, -7])
         assert type(got) is int and got == -11
 
     def test_mixed_fields_rejected(self):
@@ -263,7 +272,7 @@ class TestDotOracle:
         for xs, ys in (([a], [b]), ([a, b], [a, a]), ([a, a], [a, b]), ([3, b], [a, 1]),
                        ([3, 4], [a, b])):
             with pytest.raises(ValueError):
-                CycInt.matvec([xs])(ys)
+                numerator_map(xs, ys)
 
 
 def assert_canonical(x, f):
@@ -622,11 +631,27 @@ def brute_krylov(m, R, A, v):
     return out
 
 
+def residue_krylov(R, A, v):
+    """[R v, R A v, ..., R A^(s-1) v] as a Krylov pass of _char_poly runs
+    it: on the residues of exactalg._residues, each row sum folded, and each
+    R A^t v read once, at the width of a bound on every evaluation: |R|_1
+    max(1, the largest row sum of |A|)^s max |v_j|, from the entries' norms."""
+    norms, at = exactalg._residues([R, *A, v])
+    grow = max(1, max(map(sum, norms[1:-1])))
+    lift, fold, read = at(sum(norms[0]) * grow ** len(A) * max(norms[-1]))
+    rows, v, out = [list(map(lift, row)) for row in [R, *A]], list(map(lift, v)), []
+    for _ in A:
+        Rv, *v = exactalg._dot_rows(rows, v, fold)
+        out.append(read(Rv))
+    return out
+
+
 class TestKrylovPass:
-    """The Krylov pass of one Berkowitz step on one CycInt.matvec map of
-    [R; A], applied to v, A v, ..., and det_cofactor on top of it, on prime
-    and composite orders.  Coordinates up to 2^100 make A^t v grow by about
-    100 bits a step, so the map packs its rows again within a pass."""
+    """The Krylov pass of one Berkowitz step on the residues of
+    CycInt.residues of [R; A], applied to v, A v, ..., and det_cofactor on
+    top of it, on prime and composite orders.  Coordinates up to 2^100 make
+    A^t v grow by about 100 bits a step, so every product is folded many
+    times before the read."""
 
     ORDERS = (7, 9, 15, 21, 25)
 
@@ -635,13 +660,7 @@ class TestKrylovPass:
         return rng.choice((0, 1, -3, 2 ** 90, f.from_int(0), f.element(
             TestProductOracle.rand_coords(rng, f.degree, bits, 0.8))))
 
-    @staticmethod
-    def krylov(R, A, v):
-        step, out = CycInt.matvec([R, *A]), []
-        for _ in A:
-            Rv, *v = step(v)
-            out.append(Rv)
-        return out
+    krylov = staticmethod(residue_krylov)
 
     def check(self, f, R, A, v):
         want = brute_krylov(f.m, [coords_of(x) for x in R],
@@ -669,8 +688,8 @@ class TestKrylovPass:
                     self.check(f, R, A, v)
 
     def test_all_coordinates_at_the_slot_edge(self):
-        # every coordinate 2^100 - 1: the first step's sums are as large as
-        # its slot width allows, and every later step widens the slots
+        # every coordinate 2^100 - 1: each R A^t v is dense, of about
+        # 100 (t + 2) bits, and folded t + 2 times
         top = 2 ** 100 - 1
         for m in self.ORDERS:
             f = CycField(m)
@@ -685,7 +704,7 @@ class TestKrylovPass:
         z = f.zeta(1)
         self.check(f, [z, 2], [[1, z], [0, -3]], [0, 0])
         self.check(f, [0, 0], [[z, z], [z, z]], [z, 1])
-        # the steps whose R, A and C are all ints take the ring-generic map
+        # the levels whose R, A and C are all ints run on residues too
         rows = [[z, 1, 0, 2], [1, 2, 3, 4], [0, 4, 5, 6], [z, 7, -1, 2]]
         assert det_cofactor(rows) == det_permutation_expansion(rows)
 

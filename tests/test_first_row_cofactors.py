@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from symident import exactalg, sequences
+from symident import cyclotomic, exactalg, sequences
 from symident.cyclotomic import CycField, roots_vectors, vandermonde_rows
 from symident.exactalg import det_cofactor, first_row_cofactors
 
@@ -107,10 +107,10 @@ def test_one_vandermonde_and_one_cofactor_char_poly_per_r(monkeypatch, r):
 
 @pytest.mark.parametrize("r", (8, 12))
 def test_the_horner_steps_pack_each_vector_once(monkeypatch, r):
-    # counts, not times: the Horner steps apply one map of [B | C], which
-    # packs its s x (s + 1) entries once per slot width (at most three
-    # widths here) and each of the s - 1 vectors v + [c_i] once; a ring dot
-    # per row packs v again for every row
+    # counts, not times: the Horner steps pack the s x (s + 1) entries of
+    # [B | C] once per slot width (at most three widths here), and v and
+    # each c_i at most once per width; a ring dot per row packs v again for
+    # every row.  CycInt.residues packs through cyclotomic's _pack
     rows = vandermonde_rows(roots_vectors(r)[1].entries)[1:]
     packs, pack = [0], exactalg._pack
 
@@ -118,9 +118,10 @@ def test_the_horner_steps_pack_each_vector_once(monkeypatch, r):
         packs[0] += 1
         return pack(coords, k)
 
-    monkeypatch.setattr(exactalg, "_pack", counted)
+    monkeypatch.setattr(cyclotomic, "_pack", counted)
     first_row_cofactors(rows)
     total, packs[0] = packs[0], 0
     exactalg._char_poly([row[1:] for row in rows])
     s = r - 1
+    assert total > packs[0] > 0  # the spy sees both
     assert total - packs[0] <= 3 * s * (s + 1) + (s - 1) * (s + 1), (r, total - packs[0])
